@@ -1,12 +1,14 @@
-"""Pure-Python kernels for exact integer linear algebra and dense integer polynomials.
+"""Kernels for exact integer linear algebra and dense integer polynomials.
 
-Same API as the compiled extension ``_speedups``; selected at import time by
-``endospec._kernels``. All matrices are lists of lists of Python ints,
-polynomials are lists of ints in ascending degree order with no trailing
-zeros (the zero polynomial is the empty list).
+All matrices are lists of lists of Python ints, polynomials are lists of
+ints in ascending degree order with no trailing zeros (the zero polynomial
+is the empty list).
 """
 
 from math import gcd
+
+# There is one backend; the name stays so benchmark results can record it.
+BACKEND = "pure"
 
 
 def mat_mul_int(a, b):

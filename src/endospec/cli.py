@@ -26,8 +26,9 @@ from endospec.varieties import (
 )
 from endospec.verify import full_report
 from endospec.zeta import (
+    model_facts,
     zeta_function,
-    zeta_functional_equation,
+    zeta_functional_equation_verdict,
     zeta_series_consistency,
     zeta_to_json,
 )
@@ -672,7 +673,7 @@ def cmd_zeta(args):
     ]
     failed = False
     try:
-        fe = zeta_functional_equation(model)
+        fe = zeta_functional_equation_verdict(zf, model_facts(model))
     except EndospecError as exc:
         payload["functional_equation"] = None
         notes.append(f"functional equation: not applicable ({exc})")

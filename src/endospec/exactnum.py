@@ -255,10 +255,6 @@ class QuadExt:
         return f"{self.a} + {self.b}*sqrt({self.radicand})"
 
 
-def quad_mul(x, y):
-    return x * y
-
-
 def half_power(q, i, n):
     """q**(i*n/2) as a QuadExt: rational when i*n is even or q is square."""
     if q <= 1:
@@ -274,13 +270,6 @@ def half_power(q, i, n):
     return QuadExt(0, q ** ((e - 1) // 2), q)
 
 
-def format_scalar(x):
-    """Print an int, Fraction, or QuadExt in its parseable string form."""
-    if isinstance(x, QuadExt):
-        return str(x)
-    return str(x)
-
-
 def parse_rational(s):
     """Parse a decimal or "p/q" fraction string to an exact scalar."""
     s = s.strip()
@@ -291,31 +280,3 @@ def parse_rational(s):
     if f.denominator == 1:
         return int(f)
     return f
-
-
-def parse_quadext(s, radicand=None):
-    """Parse "a + b*sqrt(q)" (or a bare rational) into a QuadExt."""
-    s = s.strip()
-    if "sqrt" not in s:
-        if radicand is None:
-            raise DomainError("bare rational needs an explicit radicand")
-        return QuadExt(Fraction(parse_rational(s)), 0, radicand)
-    head, _, tail = s.partition("sqrt")
-    tail = tail.strip()
-    if not (tail.startswith("(") and tail.endswith(")")):
-        raise DomainError(f"malformed sqrt term in {s!r}")
-    q = int(tail[1:-1])
-    if radicand is not None and q != radicand:
-        raise DomainError(f"radicand {q} does not match expected {radicand}")
-    head = head.strip()
-    if not head.endswith("*"):
-        raise DomainError(f"malformed sqrt coefficient in {s!r}")
-    head = head[:-1].rstrip()
-    # head is now "a + b", "a - b", or a bare b.
-    for sep, sign in ((" + ", 1), (" - ", -1)):
-        if sep in head:
-            left, _, right = head.rpartition(sep)
-            a = Fraction(parse_rational(left))
-            b = sign * Fraction(parse_rational(right))
-            return QuadExt(a, b, q)
-    return QuadExt(0, Fraction(parse_rational(head)), q)

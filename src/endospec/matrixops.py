@@ -4,14 +4,14 @@ the eigenvalue-reciprocity test on Jordan data, bilinear pairing checks, and
 the search for a positive-definite polarization witness.
 
 Matrices carry int or Fraction entries and are immutable. Heavy integer
-inner loops (determinants, minors, polynomial row updates) live in the
-kernel backend.
+inner loops (determinants, minors, polynomial row updates) live in
+endospec._kernels.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from typing import Optional
 
 from endospec import poly as polymod
@@ -589,8 +589,3 @@ def polarization_witness(A, q):
         return None
 
     return grid([], 0)
-
-
-def exterior_eigenproduct_count(n, k):
-    """Size of the k-th compound, for report bookkeeping."""
-    return comb(n, k)

@@ -16,11 +16,12 @@ from endospec.errors import (
     ConsistencyError,
     DomainError,
     DualityViolationError,
+    EndospecError,
     ShapeError,
     SingularActionError,
     ValidityError,
 )
-from endospec.exactnum import QuadExt, half_power, parse_rational, perfect_sqrt
+from endospec.exactnum import QuadExt, parse_rational, perfect_sqrt
 
 
 class Poly:
@@ -338,14 +339,12 @@ def reciprocal_partner(P, s):
     return Poly([_ratio(asc[n - j] * s ** (n - j), a0) for j in range(n + 1)])
 
 
-def duality_partner(P, q, d, i=None):
+def duality_partner(P, q, d):
     """Monic polynomial with root multiset {q**d / lambda}.
 
-    The unused weight argument is accepted for callers that carry it
-    alongside d. Integrality of the result certifies that the input was a
-    plausible characteristic polynomial for the dual degree.
+    Integrality of the result certifies that the input was a plausible
+    characteristic polynomial for the dual degree.
     """
-    del i
     partner = reciprocal_partner(P, q**d)
     if P.is_integer() and not partner.is_integer():
         raise ConsistencyError(
@@ -367,9 +366,14 @@ class CrossDualityResult:
 def cross_duality_check(P_i, P_dual, q, d, i):
     """Test t**n * P_i(q**d/t) == (-1)**eps * q**(i*n/2) * P_dual(t).
 
-    Checked exactly over Q(sqrt(q)) so odd i*n costs nothing special; the
-    realized sign must agree with the functional-equation sign of P_i.
+    The realized sign must agree with the functional-equation sign of P_i.
     """
+    return cross_duality_verdict(degree_facts(P_i, q, i), P_dual, d)
+
+
+def cross_duality_verdict(facts, P_dual, d):
+    """cross_duality_check with the functional equation of P_i read from facts."""
+    P_i, q, i = facts.charpoly, facts.q, facts.degree
     n = P_i.degree
     if n != P_dual.degree:
         raise DualityViolationError(
@@ -379,17 +383,16 @@ def cross_duality_check(P_i, P_dual, q, d, i):
         raise ValidityError("both polynomials must be monic")
     if P_i.coeff(0) == 0 or P_dual.coeff(0) == 0:
         raise SingularActionError("zero constant term")
-    fe = functional_equation_check(P_i, q, i)
+    fe = facts.fe
     if not fe.holds:
         return CrossDualityResult(False, failure_index=fe.failure_index)
-    sigma = 1 - 2 * fe.epsilon
-    scale = half_power(q, i, n)
+    # A passing functional equation forces i*n even (odd weight needs even
+    # degree), so the scale is an integer.
+    scale = (1 - 2 * fe.epsilon) * q ** (i * n // 2)
     asc = P_i.coeffs_asc()
     s = q**d
     for j in range(n + 1):
-        lhs = QuadExt.rational(Fraction(asc[n - j]) * s ** (n - j), q)
-        rhs = sigma * scale * Fraction(P_dual.coeff(j))
-        if lhs != rhs:
+        if asc[n - j] * s ** (n - j) != scale * P_dual.coeff(j):
             return CrossDualityResult(False, failure_index=j)
     return CrossDualityResult(True, epsilon=fe.epsilon)
 
@@ -449,6 +452,42 @@ def half_weight_multiplicity(P, q, i, sign):
         root = sign * r**i
         return exact_divide_out(P, Poly([-root, 1]))[1]
     return exact_divide_out(P, Poly([-(q**i), 0, 1]))[1]
+
+
+@dataclass(frozen=True)
+class DegreeFacts:
+    """What the per-degree checks read about P = charpoly in weight `degree`:
+    the functional-equation result or the error it raised, and the
+    multiplicities of the eigenvalues +q**(i/2) and -q**(i/2)."""
+
+    degree: int
+    q: int
+    charpoly: Poly
+    fe_result: Optional[FunctionalEquationResult]
+    fe_error: Optional[EndospecError]
+    mu_plus: int
+    mu_minus: int
+
+    @property
+    def fe(self):
+        """The functional-equation result; re-raises the error it raised."""
+        if self.fe_error is not None:
+            raise self.fe_error
+        return self.fe_result
+
+    @property
+    def fe_holds(self):
+        return self.fe_error is None and self.fe_result.holds
+
+
+def degree_facts(P, q, i):
+    """DegreeFacts of P in weight i; each fact is computed exactly once."""
+    try:
+        fe, error = functional_equation_check(P, q, i), None
+    except EndospecError as exc:
+        fe, error = None, exc
+    mu = [half_weight_multiplicity(P, q, i, sign) for sign in (1, -1)]
+    return DegreeFacts(i, q, P, fe, error, *mu)
 
 
 def poly_gcd(P, Q):

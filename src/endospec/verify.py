@@ -8,7 +8,7 @@ once per model: zeta_functional_equation. The newton_over_hodge verdict is
 advisory evidence and never fails a run.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -25,9 +25,8 @@ from endospec.exactnum import NormalizedValuation, is_prime
 from endospec.matrixops import jordan_symmetry_check
 from endospec.poly import (
     coeff_strings,
-    cross_duality_check,
-    functional_equation_check,
-    half_weight_multiplicity,
+    cross_duality_verdict,
+    degree_facts,
     squarefree_part,
 )
 from endospec.polygons import (
@@ -39,9 +38,23 @@ from endospec.polygons import (
     vertices_json,
 )
 from endospec.varieties import has_hodge_data
-from endospec.zeta import zeta_functional_equation, zeta_to_json, zeta_function
+from endospec.zeta import (
+    model_facts,
+    zeta_function,
+    zeta_functional_equation_verdict,
+    zeta_to_json,
+)
 
 ADVISORY_CHECKS = frozenset({"newton_over_hodge"})
+DEGREE_CHECKS = (
+    "functional_equation",
+    "cross_duality",
+    "jordan_symmetry",
+    "weil_weight",
+    "epsilon_congruence",
+    "even_multiplicity",
+)
+NEWTON_CHECKS = ("newton_slope_zero", "newton_symmetry", "newton_over_hodge")
 
 
 @dataclass(frozen=True)
@@ -86,6 +99,12 @@ def weil_weight_check(P, q, i, precision_digits=60):
     tolerance 10**(-precision/3); on top of that the coefficientwise
     functional equation must hold. Multiple roots are collapsed before
     root-finding, which keeps the solver well conditioned."""
+    return weil_weight_verdict(degree_facts(P, q, i), precision_digits)
+
+
+def weil_weight_verdict(facts, precision_digits):
+    """weil_weight_check with the functional equation read from facts."""
+    P, q, i = facts.charpoly, facts.q, facts.degree
     if precision_digits < 30:
         raise DomainError("precision below 30 digits is not meaningful here")
     if not P.is_monic():
@@ -125,7 +144,7 @@ def weil_weight_check(P, q, i, precision_digits=60):
                 reason="root modulus off the half-weight circle",
             )
     try:
-        fe = functional_equation_check(P, q, i)
+        fe = facts.fe
     except EndospecError as exc:
         return WeilWeightResult(
             False, reason=f"functional equation inapplicable: {exc}"
@@ -151,16 +170,20 @@ class EpsilonCongruence:
 
 def epsilon_congruence_check(P, q, i):
     """Check epsilon = betti + mu(-q^{i/2}) mod 2, and epsilon = 0 for odd i."""
-    fe = functional_equation_check(P, q, i)
+    return epsilon_congruence_verdict(degree_facts(P, q, i))
+
+
+def epsilon_congruence_verdict(facts):
+    """epsilon_congruence_check read off facts."""
+    fe = facts.fe
     if not fe.holds:
         raise ValidityError("congruence needs a passing functional equation")
-    mu_minus = half_weight_multiplicity(P, q, i, -1)
-    b = P.degree
-    holds = (fe.epsilon - b - mu_minus) % 2 == 0
-    if i % 2 == 1:
+    b = facts.charpoly.degree
+    holds = (fe.epsilon - b - facts.mu_minus) % 2 == 0
+    if facts.degree % 2 == 1:
         holds = holds and fe.epsilon == 0
     return EpsilonCongruence(
-        holds=holds, epsilon=fe.epsilon, betti=b, mu_minus=mu_minus
+        holds=holds, epsilon=fe.epsilon, betti=b, mu_minus=facts.mu_minus
     )
 
 
@@ -186,36 +209,142 @@ class VerificationReport:
 
 def _na(check_id, degree=None, prime=None, reason=None):
     witness = (("reason", reason),) if reason else ()
-    return CheckResult(
-        check_id=check_id,
-        status="not-applicable",
-        degree=degree,
-        prime=prime,
-        witness=witness,
-    )
+    return CheckResult(check_id, "not-applicable", degree, prime, witness)
 
 
 def _outcome(check_id, ok, degree=None, prime=None, witness=()):
-    return CheckResult(
-        check_id=check_id,
-        status="pass" if ok else "fail",
-        degree=degree,
-        prime=prime,
-        witness=tuple(witness),
-    )
+    """ok is True (pass), False (fail) or None (incomparable)."""
+    status = "incomparable" if ok is None else "pass" if ok else "fail"
+    return CheckResult(check_id, status, degree, prime, tuple(witness))
 
 
 def _guarded(check_id, degree, prime, fn):
-    """Run one check; mathematical refusals become not-applicable, other
-    domain errors become failures with the message as witness."""
+    """Run one check, fn() -> (ok, witness); mathematical refusals become
+    not-applicable, other domain errors become failures with the message
+    as witness."""
     try:
-        return fn()
+        ok, witness = fn()
     except InapplicableModelError as exc:
         return _na(check_id, degree, prime, reason=str(exc))
     except EndospecError as exc:
-        return _outcome(
-            check_id, False, degree, prime, witness=(("error", str(exc)),)
-        )
+        ok, witness = False, (("error", str(exc)),)
+    return _outcome(check_id, ok, degree, prime, witness)
+
+
+def _sign(res):
+    """A sign identity: epsilon if it holds, else the first failing index."""
+    if res.holds:
+        return True, (("epsilon", res.epsilon),)
+    return False, (("failure_index", res.failure_index),)
+
+
+def _weight(f, precision):
+    res = weil_weight_verdict(f, precision)
+    witness = []
+    if not res.passed:
+        if res.failing_root:
+            witness += [("root", res.failing_root), ("deviation", res.deviation)]
+        if res.reason:
+            witness.append(("reason", res.reason))
+    return res.passed, witness
+
+
+def _epsilon(f):
+    res = epsilon_congruence_verdict(f)
+    return res.holds, (
+        ("epsilon", res.epsilon),
+        ("betti", res.betti),
+        ("mu_minus", res.mu_minus),
+    )
+
+
+def _degree_results(model, f, precision):
+    """The DEGREE_CHECKS of one degree with cohomology, read off its facts."""
+    i = f.degree
+    d = model.dimension
+    partner = model.charpoly(2 * d - i)
+    matrix = model.matrix(i)
+    out = [
+        _guarded("functional_equation", i, None, lambda: _sign(f.fe)),
+        _guarded(
+            "cross_duality",
+            i,
+            None,
+            lambda: _sign(cross_duality_verdict(f, partner, d)),
+        ),
+    ]
+    if matrix is None:
+        out.append(_na("jordan_symmetry", i, reason="no matrix supplied"))
+    else:
+        js = lambda: (jordan_symmetry_check(matrix, f.q, i), ())
+        out.append(_guarded("jordan_symmetry", i, None, js))
+    out.append(_guarded("weil_weight", i, None, lambda: _weight(f, precision)))
+    if f.fe_holds:
+        out.append(_guarded("epsilon_congruence", i, None, lambda: _epsilon(f)))
+    else:
+        reason = "functional equation did not pass"
+        out.append(_na("epsilon_congruence", i, reason=reason))
+    if i % 2 == 0:
+        out.append(_na("even_multiplicity", i, reason="even degree"))
+    else:
+        ok = f.mu_plus % 2 == 0 and f.mu_minus % 2 == 0
+        witness = (("mu_plus", f.mu_plus), ("mu_minus", f.mu_minus))
+        out.append(_outcome("even_multiplicity", ok, i, witness=witness))
+    return out
+
+
+def _over_hodge(NP, row, i, hodge):
+    HP = hodge_polygon(i, hodge)
+    cmp_ = np_ge_hp(NP, HP)
+    row.setdefault("hodge_polygon", vertices_json(HP))
+    if cmp_.status == "incomparable":
+        return None, ()
+    witness = [("endpoint_equal", cmp_.endpoint_equal)]
+    if cmp_.status == "holds":
+        witness.append(("identical", cmp_.identical))
+    else:
+        witness.append(("failure_x", cmp_.failure_x))
+    return bool(cmp_), witness
+
+
+def _newton_results(model, row, i, prime, v):
+    """The NEWTON_CHECKS of degree i at one prime; records the polygons in row."""
+    if model.betti(i) == 0:
+        reason = "no cohomology in this degree"
+        return [_na(cid, i, prime, reason=reason) for cid in NEWTON_CHECKS]
+    NP = newton_polygon(model.charpoly(i), v)
+    vertices = vertices_json(NP)
+    row.setdefault("newton_polygons", {})[str(prime)] = vertices
+    if not v.normalized:
+        witness = (("vertices", tuple(map(tuple, vertices))),)
+        sz = lambda: (slope_zero_check(NP), witness)
+        reason = "prime does not divide q"
+        return [
+            _guarded("newton_slope_zero", i, prime, sz),
+            _na("newton_symmetry", i, prime, reason=reason),
+            _na("newton_over_hodge", i, prime, reason=reason),
+        ]
+    out = [
+        _na("newton_slope_zero", i, prime, reason="prime divides q"),
+        _guarded("newton_symmetry", i, prime, lambda: (symmetry_check(NP, i), ())),
+    ]
+    if has_hodge_data(model, i):
+        nh = lambda: _over_hodge(NP, row, i, model.hodge[i])
+        out.append(_guarded("newton_over_hodge", i, prime, nh))
+    else:
+        out.append(_na("newton_over_hodge", i, prime, reason="no Hodge data"))
+    return out
+
+
+def _zeta(zf, facts):
+    res = zeta_functional_equation_verdict(zf, facts)
+    witness = (
+        ("sign", res.sign),
+        ("expected_sign", res.expected_sign),
+        ("mu", res.mu),
+        ("chi", res.chi),
+    )
+    return res.holds, witness
 
 
 def full_report(model, primes, precision=60):
@@ -231,204 +360,29 @@ def full_report(model, primes, precision=60):
     d = model.dimension
     results = []
     degree_rows = []
-    fe_results = {}
-
+    facts = model_facts(model)
     for i in range(2 * d + 1):
-        act = model.action(i)
-        P = act.charpoly
-        b = act.betti
-        row = {"degree": i, "betti": b}
-        if b == 0:
-            for cid in (
-                "functional_equation",
-                "cross_duality",
-                "jordan_symmetry",
-                "weil_weight",
-                "epsilon_congruence",
-                "even_multiplicity",
-            ):
-                results.append(_na(cid, i, reason="no cohomology in this degree"))
-            degree_rows.append(row)
-            continue
-        row["charpoly"] = coeff_strings(P)
-
-        def fe_check(i=i, P=P):
-            fe = functional_equation_check(P, q, i)
-            fe_results[i] = fe
-            witness = []
-            if fe.holds:
-                witness.append(("epsilon", fe.epsilon))
-            else:
-                witness.append(("failure_index", fe.failure_index))
-            return _outcome("functional_equation", fe.holds, i, witness=witness)
-
-        results.append(_guarded("functional_equation", i, None, fe_check))
-        fe = fe_results.get(i)
-        if fe is not None and fe.holds:
-            row["epsilon"] = fe.epsilon
-
-        def cd_check(i=i, P=P):
-            partner = model.charpoly(2 * d - i)
-            cd = cross_duality_check(P, partner, q, d, i)
-            witness = []
-            if cd.holds:
-                witness.append(("epsilon", cd.epsilon))
-            else:
-                witness.append(("failure_index", cd.failure_index))
-            return _outcome("cross_duality", cd.holds, i, witness=witness)
-
-        results.append(_guarded("cross_duality", i, None, cd_check))
-
-        if act.matrix is None:
-            results.append(_na("jordan_symmetry", i, reason="no matrix supplied"))
-        else:
-
-            def js_check(i=i, act=act):
-                ok = jordan_symmetry_check(act.matrix, q, i)
-                return _outcome("jordan_symmetry", ok, i)
-
-            results.append(_guarded("jordan_symmetry", i, None, js_check))
-
-        def ww_check(i=i, P=P):
-            res = weil_weight_check(P, q, i, precision)
-            witness = []
-            if not res.passed:
-                if res.failing_root:
-                    witness.append(("root", res.failing_root))
-                    witness.append(("deviation", res.deviation))
-                if res.reason:
-                    witness.append(("reason", res.reason))
-            return _outcome("weil_weight", res.passed, i, witness=witness)
-
-        results.append(_guarded("weil_weight", i, None, ww_check))
-
-        def eps_check(i=i, P=P):
-            res = epsilon_congruence_check(P, q, i)
-            return _outcome(
-                "epsilon_congruence",
-                res.holds,
-                i,
-                witness=(
-                    ("epsilon", res.epsilon),
-                    ("betti", res.betti),
-                    ("mu_minus", res.mu_minus),
-                ),
-            )
-
-        if fe is not None and fe.holds:
-            results.append(_guarded("epsilon_congruence", i, None, eps_check))
-        else:
-            results.append(
-                _na("epsilon_congruence", i, reason="functional equation did not pass")
-            )
-
-        mu_plus = half_weight_multiplicity(P, q, i, 1)
-        mu_minus = half_weight_multiplicity(P, q, i, -1)
-        row["mu_plus"] = mu_plus
-        row["mu_minus"] = mu_minus
-
-        if i % 2 == 1:
-
-            def even_check(i=i, mp=mu_plus, mm=mu_minus):
-                ok = mp % 2 == 0 and mm % 2 == 0
-                return _outcome(
-                    "even_multiplicity",
-                    ok,
-                    i,
-                    witness=(("mu_plus", mp), ("mu_minus", mm)),
-                )
-
-            results.append(_guarded("even_multiplicity", i, None, even_check))
-        else:
-            results.append(_na("even_multiplicity", i, reason="even degree"))
-
+        row = {"degree": i, "betti": model.betti(i)}
         degree_rows.append(row)
-
+        if i not in facts:
+            reason = "no cohomology in this degree"
+            results.extend(_na(cid, i, reason=reason) for cid in DEGREE_CHECKS)
+            continue
+        f = facts[i]
+        row["charpoly"] = coeff_strings(f.charpoly)
+        if f.fe_holds:
+            row["epsilon"] = f.fe_result.epsilon
+        row["mu_plus"] = f.mu_plus
+        row["mu_minus"] = f.mu_minus
+        results.extend(_degree_results(model, f, precision))
     for prime in primes:
         v = NormalizedValuation(prime, q)
-        divides = v.normalized
-        for i in range(2 * d + 1):
-            act = model.action(i)
-            if act.betti == 0:
-                for cid in ("newton_slope_zero", "newton_symmetry", "newton_over_hodge"):
-                    results.append(
-                        _na(cid, i, prime, reason="no cohomology in this degree")
-                    )
-                continue
-            NP = newton_polygon(act.charpoly, v)
-            row = degree_rows[i]
-            row.setdefault("newton_polygons", {})[str(prime)] = vertices_json(NP)
-            if not divides:
-
-                def sz_check(NP=NP, i=i, prime=prime):
-                    return _outcome(
-                        "newton_slope_zero",
-                        slope_zero_check(NP),
-                        i,
-                        prime,
-                        witness=(("vertices", tuple(map(tuple, vertices_json(NP)))),),
-                    )
-
-                results.append(_guarded("newton_slope_zero", i, prime, sz_check))
-                results.append(
-                    _na("newton_symmetry", i, prime, reason="prime does not divide q")
-                )
-                results.append(
-                    _na("newton_over_hodge", i, prime, reason="prime does not divide q")
-                )
-                continue
-            results.append(
-                _na("newton_slope_zero", i, prime, reason="prime divides q")
-            )
-
-            def sym_check(NP=NP, i=i, prime=prime):
-                return _outcome("newton_symmetry", symmetry_check(NP, i), i, prime)
-
-            results.append(_guarded("newton_symmetry", i, prime, sym_check))
-
-            if not has_hodge_data(model, i):
-                results.append(
-                    _na("newton_over_hodge", i, prime, reason="no Hodge data")
-                )
-                continue
-
-            def nh_check(NP=NP, i=i, prime=prime):
-                HP = hodge_polygon(i, model.hodge[i])
-                cmp_ = np_ge_hp(NP, HP)
-                row = degree_rows[i]
-                row.setdefault("hodge_polygon", vertices_json(HP))
-                if cmp_.status == "incomparable":
-                    return CheckResult(
-                        check_id="newton_over_hodge",
-                        status="incomparable",
-                        degree=i,
-                        prime=prime,
-                    )
-                witness = [("endpoint_equal", cmp_.endpoint_equal)]
-                if cmp_.status == "holds":
-                    witness.append(("identical", cmp_.identical))
-                else:
-                    witness.append(("failure_x", cmp_.failure_x))
-                return _outcome(
-                    "newton_over_hodge", bool(cmp_), i, prime, witness=witness
-                )
-
-            results.append(_guarded("newton_over_hodge", i, prime, nh_check))
-
-    def zeta_check():
-        zres = zeta_functional_equation(model)
-        return _outcome(
-            "zeta_functional_equation",
-            zres.holds,
-            witness=(
-                ("sign", zres.sign),
-                ("expected_sign", zres.expected_sign),
-                ("mu", zres.mu),
-                ("chi", zres.chi),
-            ),
-        )
-
-    results.append(_guarded("zeta_functional_equation", None, None, zeta_check))
+        for i, row in enumerate(degree_rows):
+            results.extend(_newton_results(model, row, i, prime, v))
+    zf = zeta_function(model)
+    results.append(
+        _guarded("zeta_functional_equation", None, None, lambda: _zeta(zf, facts))
+    )
 
     summary = {
         "kind": model.kind,
@@ -450,5 +404,5 @@ def full_report(model, primes, precision=60):
         model_summary=summary,
         results=results,
         degree_table=degree_rows,
-        zeta=zeta_to_json(zeta_function(model)),
+        zeta=zeta_to_json(zf),
     )

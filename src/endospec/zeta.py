@@ -7,17 +7,10 @@ expansion happens only inside the log-derivative consistency check.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from endospec.errors import DomainError, InapplicableModelError, ValidityError
-from endospec.exactnum import QuadExt, half_power
-from endospec.poly import (
-    Poly,
-    functional_equation_check,
-    half_weight_multiplicity,
-    power_sums,
-)
+from endospec.poly import Poly, degree_facts, power_sums
 
 
 @dataclass(frozen=True)
@@ -119,55 +112,60 @@ class ZetaFunctionalEquation:
         return self.holds
 
 
-def _star(F, q, d):
-    """t**deg(F) * F(1/(q**d * t)) as a polynomial with rational coefficients."""
-    deg = F.degree
+def model_facts(model):
+    """DegreeFacts of every degree with cohomology, keyed by degree in order."""
+    return {
+        act.degree: degree_facts(act.charpoly, model.q, act.degree)
+        for act in model.actions
+        if act.betti
+    }
+
+
+def _scaled_star(F, q, d):
+    """q**(d*deg F) * t**deg(F) * F(1/(q**d * t)): coefficient j is
+    a_{deg-j} * q**(d*j), so integer input stays integer."""
     asc = F.coeffs_asc()
-    s = Fraction(1, q**d)
-    return Poly([asc[deg - j] * s ** (deg - j) for j in range(deg + 1)])
+    s = q**d
+    return Poly([c * s**j for j, c in enumerate(reversed(asc))])
 
 
 def zeta_functional_equation(model):
     """Verify Z(1/(q**d t)) = (-1)**(chi+mu) q**(d chi/2) t**chi Z(t).
 
-    Cross-multiplied, the identity is the polynomial equation
-    G_N * D = sign * q**(d chi/2) * G_D * N over Q(sqrt(q)), where G is the
-    reversal-with-scaling transform; mu is the multiplicity of -q**(d/2) in
-    the middle degree."""
-    q = model.q
-    d = model.dimension
-    for act in model.actions:
-        if act.betti == 0:
-            continue
-        fe = functional_equation_check(act.charpoly, q, act.degree)
-        if not fe.holds:
+    mu is the multiplicity of -q**(d/2) in the middle degree."""
+    return zeta_functional_equation_verdict(zeta_function(model), model_facts(model))
+
+
+def zeta_functional_equation_verdict(zf, facts):
+    """zeta_functional_equation for zf, with each degree's functional
+    equation and the middle degree's mu read from model_facts.
+
+    With G(F) = q**(d*deg F) * t**deg(F) * F(1/(q**d t)) and e = d*chi, the
+    identity cross-multiplies to q**(e/2) * G(N) * D = sign * G(D) * N, with
+    the power of q moved to the right when e < 0. Once every degree passes
+    its own functional equation e is even: odd degrees have even Betti
+    numbers, the model enforces b_i = b_{2d-i}, and the middle Betti
+    number can only be odd when d is even."""
+    for f in facts.values():
+        if not f.fe.holds:
             raise InapplicableModelError(
-                f"degree {act.degree} fails its own functional equation"
+                f"degree {f.degree} fails its own functional equation"
             )
-    zf = zeta_function(model)
-    chi = zf.chi
-    GN = _star(zf.numerator, q, d)
-    GD = _star(zf.denominator, q, d)
-    lhs = GN * zf.denominator
-    rhs = GD * zf.numerator
+    q, d, chi = zf.q, zf.dimension, zf.chi
     e = d * chi
-    as_quad = lambda p: p.map_coeffs(lambda c: QuadExt.rational(Fraction(c), q))
+    lhs = _scaled_star(zf.numerator, q, d) * zf.denominator
+    rhs = _scaled_star(zf.denominator, q, d) * zf.numerator
     if e >= 0:
-        lhs_s = as_quad(lhs)
-        rhs_s = rhs.scale(half_power(q, 1, e))
+        lhs = lhs.scale(q ** (e // 2))
     else:
-        lhs_s = lhs.scale(half_power(q, 1, -e))
-        rhs_s = as_quad(rhs)
-    if lhs_s == rhs_s:
+        rhs = rhs.scale(q ** (-e // 2))
+    if lhs == rhs:
         sign = 1
-    elif lhs_s == -rhs_s:
+    elif lhs == -rhs:
         sign = -1
     else:
         sign = None
-    if model.betti(d) > 0:
-        mu = half_weight_multiplicity(model.charpoly(d), q, d, -1)
-    else:
-        mu = 0
+    mu = facts[d].mu_minus if d in facts else 0
     expected = -1 if (chi + mu) % 2 else 1
     return ZetaFunctionalEquation(
         holds=sign == expected,

@@ -10,10 +10,8 @@ from endospec.exactnum import (
     half_power,
     int_valuation,
     is_prime,
-    parse_quadext,
     parse_rational,
     perfect_sqrt,
-    quad_mul,
     valuate,
 )
 
@@ -84,11 +82,11 @@ def test_int_valuation_and_perfect_sqrt():
 
 def test_quad_mul_examples():
     r6 = QuadExt.sqrt(6)
-    assert quad_mul(r6, r6) == 6
+    assert r6 * r6 == 6
     one = QuadExt.rational(1, 6)
     x = QuadExt(Fraction(3, 2), Fraction(-1, 3), 6)
-    assert quad_mul(one, x) == x
-    assert quad_mul(QuadExt(1, 1, 6), QuadExt(1, -1, 6)) == -5
+    assert one * x == x
+    assert QuadExt(1, 1, 6) * QuadExt(1, -1, 6) == -5
 
 
 def test_quadext_mixed_radicands_rejected():
@@ -147,17 +145,3 @@ def test_parse_rational():
     assert isinstance(parse_rational("4/2"), int)
     with pytest.raises(DomainError):
         parse_rational("x")
-
-
-def test_quadext_string_round_trip():
-    cases = [
-        QuadExt(Fraction(3, 2), Fraction(-1, 3), 7),
-        QuadExt(-2, 5, 6),
-        QuadExt(0, -1, 10),
-        QuadExt(7, 0, 6),
-    ]
-    for x in cases:
-        assert parse_quadext(str(x), x.radicand) == x
-    assert parse_quadext("5", 6) == QuadExt.rational(5, 6)
-    with pytest.raises(DomainError):
-        parse_quadext("1 + sqrt(6)")  # missing the explicit b* coefficient

@@ -1,13 +1,6 @@
-"""Backend selection and compiled/pure kernel parity."""
+"""Integer kernels: small cases, big integers, and the exported names."""
 
-import os
-import random
-import subprocess
-import sys
-
-import pytest
-
-from endospec._kernels import BACKEND, pure
+import endospec._kernels as kernels
 
 KERNEL_NAMES = [
     "mat_mul_int",
@@ -23,106 +16,40 @@ KERNEL_NAMES = [
 
 
 def test_backend_reported():
-    assert BACKEND in ("compiled", "pure")
-
-
-def test_env_override_forces_pure_backend():
-    env = dict(os.environ, ENDOSPEC_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from endospec._kernels import BACKEND; print(BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "pure"
+    assert kernels.BACKEND == "pure"
 
 
 def test_pure_kernels_small_cases():
-    assert pure.mat_mul_int([[1, 2], [3, 4]], [[5, 6], [7, 8]]) == [
+    assert kernels.mat_mul_int([[1, 2], [3, 4]], [[5, 6], [7, 8]]) == [
         [19, 22],
         [43, 50],
     ]
-    assert pure.det_int([[1, 2], [3, 4]]) == -2
-    assert pure.det_int([[0, 1], [1, 0]]) == -1
-    assert pure.det_int([[2, 4], [1, 2]]) == 0
-    assert pure.charpoly_int([[1, -5], [1, 1]]) == [1, -2, 6]
-    assert pure.minor_dets_int(
+    assert kernels.det_int([[1, 2], [3, 4]]) == -2
+    assert kernels.det_int([[0, 1], [1, 0]]) == -1
+    assert kernels.det_int([[2, 4], [1, 2]]) == 0
+    assert kernels.charpoly_int([[1, -5], [1, 1]]) == [1, -2, 6]
+    assert kernels.minor_dets_int(
         [[1, 2], [3, 4]], [(0,), (1,)], [(0,), (1,)]
     ) == [[1, 2], [3, 4]]
-    assert pure.poly_mul_int([1, 1], [-1, 1]) == [-1, 0, 1]
-    assert pure.poly_mul_int([], [1, 2]) == []
-    assert pure.poly_scale_sub_int(2, [1, 1], [1], [1, 1]) == [1, 1]
-    assert pure.row_combine_int([[2, 4]], [[1, 2]], 1, [2]) == [[]]
-    assert pure.row_combine_int([[1, 1], [2]], [[0, 1], []], 3, [2]) == [[3, 1], [6]]
-    assert pure.row_content_int([[6, 9], [3]]) == 3
-    assert pure.row_content_int([[], []]) == 0
-    assert pure.row_divide_int([[6, 9], [3]], 3) == [[2, 3], [1]]
+    assert kernels.poly_mul_int([1, 1], [-1, 1]) == [-1, 0, 1]
+    assert kernels.poly_mul_int([], [1, 2]) == []
+    assert kernels.poly_scale_sub_int(2, [1, 1], [1], [1, 1]) == [1, 1]
+    assert kernels.row_combine_int([[2, 4]], [[1, 2]], 1, [2]) == [[]]
+    assert kernels.row_combine_int([[1, 1], [2]], [[0, 1], []], 3, [2]) == [[3, 1], [6]]
+    assert kernels.row_content_int([[6, 9], [3]]) == 3
+    assert kernels.row_content_int([[], []]) == 0
+    assert kernels.row_divide_int([[6, 9], [3]], 3) == [[2, 3], [1]]
 
 
-def _random_matrix(rng, n, bound=50):
-    return [[rng.randrange(-bound, bound + 1) for _ in range(n)] for _ in range(n)]
-
-
-def _random_poly(rng, max_deg, bound=30):
-    p = [rng.randrange(-bound, bound + 1) for _ in range(rng.randrange(max_deg + 1))]
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-@pytest.mark.skipif(BACKEND != "compiled", reason="compiled extension not built")
-def test_compiled_matches_pure():
-    from endospec._kernels import _speedups
-
-    rng = random.Random(97)
-    for _ in range(150):
-        n = rng.randrange(1, 6)
-        a = _random_matrix(rng, n)
-        b = _random_matrix(rng, n)
-        assert _speedups.mat_mul_int(a, b) == pure.mat_mul_int(a, b)
-        assert _speedups.det_int(a) == pure.det_int(a)
-        assert _speedups.charpoly_int(a) == pure.charpoly_int(a)
-        # minors are always square: same cardinality on both axes
-        k = rng.randrange(1, n + 1)
-        rows_sel = [tuple(sorted(rng.sample(range(n), k))) for _ in range(3)]
-        cols_sel = [tuple(sorted(rng.sample(range(n), k))) for _ in range(3)]
-        assert _speedups.minor_dets_int(a, rows_sel, cols_sel) == pure.minor_dets_int(
-            a, rows_sel, cols_sel
-        )
-        p = _random_poly(rng, 8)
-        r = _random_poly(rng, 8)
-        s = _random_poly(rng, 4)
-        c = rng.randrange(-20, 21) or 1
-        assert _speedups.poly_mul_int(p, r) == pure.poly_mul_int(p, r)
-        assert _speedups.poly_scale_sub_int(c, p, s, r) == pure.poly_scale_sub_int(
-            c, p, s, r
-        )
-        row = [_random_poly(rng, 5) for _ in range(rng.randrange(1, 4))]
-        prow = [_random_poly(rng, 5) for _ in range(len(row))]
-        assert _speedups.row_combine_int(row, prow, c, s) == pure.row_combine_int(
-            row, prow, c, s
-        )
-        assert _speedups.row_content_int(row) == pure.row_content_int(row)
-        g = pure.row_content_int(row)
-        if g > 1:
-            assert _speedups.row_divide_int(row, g) == pure.row_divide_int(row, g)
-
-
-@pytest.mark.skipif(BACKEND != "compiled", reason="compiled extension not built")
-def test_compiled_big_integer_path():
+def test_big_integer_path():
     # values far beyond machine words must stay exact
-    from endospec._kernels import _speedups
-
     big = 10**40
     a = [[big, 1], [0, big]]
-    assert _speedups.det_int(a) == big * big
-    assert _speedups.charpoly_int(a) == [1, -2 * big, big * big]
-    assert _speedups.poly_mul_int([big, big], [big]) == [big * big, big * big]
+    assert kernels.det_int(a) == big * big
+    assert kernels.charpoly_int(a) == [1, -2 * big, big * big]
+    assert kernels.poly_mul_int([big, big], [big]) == [big * big, big * big]
 
 
 def test_all_kernels_exported():
-    import endospec._kernels as kernels
-
     for name in KERNEL_NAMES:
         assert callable(getattr(kernels, name))

@@ -1,11 +1,13 @@
 """Lefschetz numbers, zeta functions, and the zeta functional equation."""
 
 import pytest
+import sympy
 
 from endospec.errors import DomainError, InapplicableModelError, ValidityError
 from endospec.matrixops import ExactMatrix
-from endospec.poly import Poly
+from endospec.poly import Poly, functional_equation_check
 from endospec.varieties import abelian_en, generic_model, grassmannian
+from endospec.verify import full_report
 from endospec.zeta import (
     lefschetz_number,
     lefschetz_number_by_trace,
@@ -157,3 +159,101 @@ def test_zeta_functional_equation_rejects_broken_weights():
     )
     with pytest.raises(InapplicableModelError):
         zeta_functional_equation(broken)
+
+
+NON_DUAL = generic_model(
+    2,
+    5,
+    charpolys={
+        0: Poly.from_desc([1, -1]),
+        1: Poly.from_desc([1, -3, 5]),
+        2: Poly.from_desc([1, -10, 25]),
+        # passes its own functional equation but is not dual to degree 1
+        3: Poly.from_desc([1, -20, 125]),
+        4: Poly.from_desc([1, -25]),
+    },
+)
+
+
+def _curve(q, P1):
+    """Generic d = 1 model; a degree-4 P1 gives chi = -2, so d*chi < 0."""
+    return generic_model(
+        1,
+        q,
+        charpolys={
+            0: Poly.from_desc([1, -1]),
+            1: Poly.from_desc(P1),
+            2: Poly.from_desc([1, -q]),
+        },
+    )
+
+
+def _sympy_sign(model):
+    """+1 or -1 when Z(1/(q**d t)) / (t**chi Z(t)) is +-q**(d chi/2), else None,
+    with Z built in sympy from the charpolys alone."""
+    t = sympy.symbols("t")
+    q, d = model.q, model.dimension
+    Z = sympy.Integer(1)
+    chi = 0
+    for i, act in enumerate(model.actions):
+        if act.betti == 0:
+            continue
+        # det(1 - t f | H^i) = t**n * P_i(1/t)
+        factor = sum(c * t**k for k, c in enumerate(act.charpoly.coeffs_desc()))
+        Z *= factor ** (1 if i % 2 else -1)
+        chi += (-1) ** i * act.betti
+    ratio = sympy.cancel(Z.subs(t, 1 / (q**d * t)) / (t**chi * Z))
+    scale = sympy.sqrt(sympy.Integer(q) ** (d * chi))
+    for sign in (1, -1):
+        if sympy.simplify(ratio - sign * scale) == 0:
+            return sign
+    return None
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        grassmannian(2, 4, 4),
+        grassmannian(2, 4, 4, "involution"),
+        grassmannian(2, 4, 5),
+        grassmannian(2, 4, 5, "involution"),
+        grassmannian(3, 6, 9, "involution"),
+        grassmannian(3, 6, 7, "involution"),
+        grassmannian(2, 5, 9),
+        grassmannian(1, 2, 6, "involution"),
+        abelian_en(EXAMPLE_A, 6),
+        abelian_en([[3, -25], [1, 0]], 25),
+        _curve(5, [1, -2, 7, -10, 25]),
+        # (t**2 - 5)(t**2 - 3t + 5): -sqrt(5) is a root, so mu = 1
+        _curve(5, [1, -3, 0, 15, -25]),
+        NON_DUAL,
+    ],
+    ids=[
+        "G24-q4",
+        "G24-q4-involution",
+        "G24-q5",
+        "G24-q5-involution",
+        "G36-q9-involution",
+        "G36-q7-involution",
+        "G25-q9",
+        "G12-q6-involution",
+        "E2-q6",
+        "E2-q25",
+        "curve-q5",
+        "curve-q5-mu1",
+        "non-dual",
+    ],
+)
+def test_zeta_functional_equation_sign_matches_sympy(model):
+    assert zeta_functional_equation(model).sign == _sympy_sign(model)
+
+
+def test_zeta_functional_equation_fails_on_non_dual_degrees():
+    # every degree passes its own functional equation, so the gate admits it
+    for act in NON_DUAL.actions:
+        assert functional_equation_check(act.charpoly, 5, act.degree).holds
+    res = zeta_functional_equation(NON_DUAL)
+    assert res.sign is None and not res.holds
+    checks = full_report(NON_DUAL, [5]).results
+    (zeta_check,) = [c for c in checks if c.check_id == "zeta_functional_equation"]
+    assert zeta_check.status == "fail"
