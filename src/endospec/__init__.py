@@ -2,7 +2,7 @@
 
 Characteristic polynomials, functional equations, Jordan-block symmetry,
 Newton and Hodge polygons, majorization, and Lefschetz zeta functions,
-all in exact arithmetic, with a numeric Weil-weight cross-check.
+all in exact arithmetic, the Weil weight condition included.
 """
 
 from endospec._kernels import BACKEND
@@ -12,7 +12,6 @@ from endospec.errors import (
     DualityViolationError,
     EndospecError,
     InapplicableModelError,
-    NumericError,
     ShapeError,
     SingularActionError,
     ValidityError,
@@ -82,7 +81,6 @@ __all__ = [
     "InapplicableModelError",
     "NewtonPolygon",
     "NormalizedValuation",
-    "NumericError",
     "Poly",
     "QuadExt",
     "ShapeError",

@@ -111,6 +111,33 @@ def poly_mul_int(a, b):
     return out
 
 
+def poly_pseudo_divmod_int(a, b):
+    """c, q, r with c*a = q*b + r over Z[t] and deg r < deg b.
+
+    c is a power of the leading coefficient of b, never zero: the Smith
+    form's row update row <- c*row - q*pivot_row stays unimodular over the
+    rationals, and r*sign(c) is a positive multiple of the remainder.
+    """
+    db = len(b) - 1
+    lb = b[-1]
+    c = 1
+    r = list(a)
+    q = [0] * max(len(a) - db, 0)
+    for k in range(len(a) - 1, db - 1, -1):
+        f = r[k]
+        if not f:
+            continue
+        c *= lb
+        q = [lb * x for x in q]
+        r = [lb * x for x in r]
+        q[k - db] += f
+        for j, bj in enumerate(b):
+            r[k - db + j] -= f * bj
+    while r and r[-1] == 0:
+        r.pop()
+    return c, q, r
+
+
 def poly_scale_sub_int(c, a, q, b):
     """c*a - q*b for integer polynomials a, b (ascending), scalar c, polynomial q."""
     qb = poly_mul_int(q, b)

@@ -689,7 +689,7 @@ def cmd_zeta(args):
             f"(sign {fe.sign}, expected {fe.expected_sign})"
         )
         failed = failed or not fe.holds
-    consistent = zeta_series_consistency(model, args.order)
+    consistent = zeta_series_consistency(model, args.order, zf)
     payload["series_order"] = args.order
     payload["series_consistent"] = consistent
     notes.append(
@@ -741,7 +741,8 @@ def build_parser():
         type=int,
         default=60,
         metavar="N",
-        help="decimal digits for the numeric weight check (default 60)",
+        help="accepted for compatibility; the weight check is exact and "
+        "ignores it (at least 30, default 60)",
     )
     _add_common(p)
     p.set_defaults(fn=cmd_verify)

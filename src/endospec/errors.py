@@ -31,7 +31,3 @@ class DualityViolationError(EndospecError):
 
 class InapplicableModelError(ValidityError):
     """Model fails the premises of a check; result is not-applicable."""
-
-
-class NumericError(EndospecError):
-    """Numeric subroutine failed to reach the requested accuracy."""

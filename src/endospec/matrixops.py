@@ -19,6 +19,7 @@ from endospec._kernels import (
     det_int,
     mat_mul_int,
     minor_dets_int,
+    poly_pseudo_divmod_int,
     poly_scale_sub_int,
     row_combine_int,
     row_content_int,
@@ -268,32 +269,6 @@ def _deg(p):
     return len(p) - 1
 
 
-def _pseudo_divmod(a, b):
-    """c, q, r with c*a = q*b + r over Z[t] and deg r < deg b.
-
-    c is a power of the leading coefficient of b, never zero, so the row
-    update row <- c*row - q*pivot_row is unimodular over the rationals.
-    """
-    db = _deg(b)
-    lb = b[-1]
-    c = 1
-    r = list(a)
-    q = [0] * max(_deg(a) - db + 1, 0)
-    for k in range(_deg(a), db - 1, -1):
-        f = r[k] if k < len(r) else 0
-        if not f:
-            continue
-        c *= lb
-        q = [lb * x for x in q]
-        r = [lb * x for x in r]
-        q[k - db] += f
-        for j, bj in enumerate(b):
-            r[k - db + j] -= f * bj
-    while r and r[-1] == 0:
-        r.pop()
-    return c, q, r
-
-
 def _char_matrix(rows):
     """t*id - M as a matrix of ascending integer coefficient lists."""
     n = len(rows)
@@ -350,14 +325,14 @@ def _diagonalize(mat):
             pivot = mat[p][p]
             for i in range(p + 1, n):
                 if mat[i][p]:
-                    c, q, _ = _pseudo_divmod(mat[i][p], pivot)
+                    c, q, _ = poly_pseudo_divmod_int(mat[i][p], pivot)
                     mat[i] = row_combine_int(mat[i], mat[p], c, q)
                     g = row_content_int(mat[i])
                     if g > 1:
                         mat[i] = row_divide_int(mat[i], g)
             for j in range(p + 1, n):
                 if mat[p][j]:
-                    c, q, _ = _pseudo_divmod(mat[p][j], pivot)
+                    c, q, _ = poly_pseudo_divmod_int(mat[p][j], pivot)
                     for i in range(p, n):
                         mat[i][j] = poly_scale_sub_int(c, mat[i][j], q, mat[i][p])
                     _strip_column(mat, j, p)
@@ -421,6 +396,24 @@ def jordan_symmetry_check(M, q, i):
         if reciprocal_partner(d, q**i) != d:
             return False
     return True
+
+
+def is_semisimple(M):
+    """True iff M is diagonalizable over the algebraic closure: its largest
+    invariant factor, the minimal polynomial, is squarefree."""
+    minimal = invariant_factors(M)[-1]
+    return poly_gcd(minimal, minimal.derivative()).degree == 0
+
+
+def semisimple_jordan_symmetry(P, q, i):
+    """jordan_symmetry_check for a semisimple action with characteristic
+    polynomial P, without its matrix.
+
+    Every Jordan block has size 1, so the check asks that each eigenvalue
+    and its q**i-reciprocal occur equally often: P must equal its monic
+    reciprocal partner. Multiplicities count; (t-a)**2 * (t-q/a) fails
+    although its squarefree part is reciprocal."""
+    return reciprocal_partner(P, q**i) == P
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,10 @@ scalars. Storage is ascending by degree; serialization is leading-first.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, gcd, inf, lcm
 from typing import Optional
 
-from endospec._kernels import charpoly_int, poly_mul_int
+from endospec._kernels import charpoly_int, poly_mul_int, poly_pseudo_divmod_int
 from endospec.errors import (
     ConsistencyError,
     DomainError,
@@ -404,18 +404,101 @@ def power_sums(P, N):
     if not P.is_monic():
         raise ValidityError("power sums need a monic polynomial")
     n = P.degree
-    desc = P.coeffs_desc()
-    # e_j = (-1)**j * desc[j] are the elementary symmetric functions.
-    e = [(-1) ** j * desc[j] if j <= n else 0 for j in range(N + 1)]
+    a = P.coeffs_desc()
+    # Newton: p_k + a_1 p_{k-1} + ... + a_{k-1} p_1 + k a_k = 0, with a_j = 0
+    # past j = n, so each step sums at most n terms.
     p = [0] * (N + 1)
     for k in range(1, N + 1):
-        acc = 0
-        for j in range(1, k):
-            acc += (-1) ** (j - 1) * e[j] * p[k - j]
-        if k <= n:
-            acc += (-1) ** (k - 1) * k * e[k]
-        p[k] = acc
+        acc = k * a[k] if k <= n else 0
+        for j in range(1, min(k - 1, n) + 1):
+            acc += a[j] * p[k - j]
+        p[k] = -acc
     return p[1:]
+
+
+def _elementary(sums):
+    """e_0..e_n from the power sums p_1..p_n of n numbers (Newton's
+    identities). For algebraic integers every division is exact."""
+    e = [1]
+    for j in range(1, len(sums) + 1):
+        acc = 0
+        for i in range(1, j + 1):
+            term = e[j - i] * sums[i - 1]
+            acc += term if i % 2 else -term
+        e.append(acc // j)
+    return e
+
+
+def exterior_power_charpolys(P):
+    """Characteristic polynomials of the exterior powers of M, degrees
+    0..n, from P = charpoly(M) alone (M is n x n with integer entries).
+
+    The m-th power sum of the k-th exterior power is e_k of the m-th powers
+    of the roots, and Newton's identities give that from the power sums
+    p_m, p_2m, ..., p_km of P; Newton again turns the C(n, k) power sums
+    of the exterior power into its coefficients."""
+    if not (P.is_monic() and P.is_integer()) or P.degree < 1:
+        raise ValidityError("need a monic nonconstant integer polynomial")
+    n = P.degree
+    sums = power_sums(P, max(k * comb(n, k) for k in range(1, n + 1)))
+    out = [Poly([-1, 1])]
+    for k in range(1, n + 1):
+        traces = [
+            _elementary([sums[j * m - 1] for j in range(1, k + 1)])[k]
+            for m in range(1, comb(n, k) + 1)
+        ]
+        e = _elementary(traces)
+        out.append(Poly.from_desc([c if j % 2 == 0 else -c for j, c in enumerate(e)]))
+    return out
+
+
+def _primitive(coeffs):
+    """Coprime integer coefficients of a positive rational multiple of a
+    nonzero polynomial (ascending)."""
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    g = gcd(*ints)
+    return [c // g for c in ints]
+
+
+def sturm_chain(P):
+    """Sturm sequence of a nonconstant rational polynomial: P, P', then the
+    negated remainders, each scaled by a positive rational to a primitive
+    integer polynomial, which keeps every sign. The last member is
+    gcd(P, P') up to a constant factor."""
+    if P.degree < 1:
+        raise DomainError("a Sturm sequence needs a nonconstant polynomial")
+    f = _primitive(P.coeffs_asc())
+    chain = [f, _primitive(Poly(f).derivative().coeffs_asc())]
+    while len(chain[-1]) > 1:
+        c, _, r = poly_pseudo_divmod_int(chain[-2], chain[-1])
+        if not r:
+            break
+        # c*a = q*b + r with c != 0, so -r*sign(c) is a positive multiple
+        # of the negated remainder.
+        chain.append(_primitive([-x if c > 0 else x for x in r]))
+    return [Poly(f) for f in chain]
+
+
+def _sign_variations(chain, x):
+    signs = []
+    for f in chain:
+        if x == inf:
+            v = f.leading
+        elif x == -inf:
+            v = f.leading if f.degree % 2 == 0 else -f.leading
+        else:
+            v = f(x)
+        if v:
+            signs.append(v > 0)
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def count_real_roots(chain, lo=-inf, hi=inf):
+    """Distinct real roots of chain[0] in (lo, hi] by Sturm's theorem, from
+    its sturm_chain; lo and hi are rationals or -inf/inf. Exact when
+    chain[0] is squarefree; otherwise lo and hi must not be roots."""
+    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
 
 
 def exact_divide_out(P, factor):

@@ -9,8 +9,9 @@ per-weight Hodge number lists.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from math import comb
-from typing import Optional
+from typing import Callable, Optional
 
 from endospec.errors import (
     ConsistencyError,
@@ -19,18 +20,33 @@ from endospec.errors import (
     ValidityError,
 )
 from endospec.matrixops import ExactMatrix, exterior_power, polarization_witness
-from endospec.poly import Poly, charpoly
+from endospec.poly import Poly, charpoly, exterior_power_charpolys
 
 
 @dataclass(frozen=True)
 class CohomologyAction:
+    """One degree's action: its characteristic polynomial and, when the
+    model has one, the acting matrix, built by make_matrix on first use."""
+
     degree: int
     betti: int
     charpoly: Poly
-    matrix: Optional[ExactMatrix] = None
+    make_matrix: Optional[Callable[[], ExactMatrix]] = field(
+        default=None, repr=False, compare=False
+    )
+
+    @property
+    def has_matrix(self):
+        return self.make_matrix is not None
+
+    @cached_property
+    def matrix(self):
+        return None if self.make_matrix is None else self.make_matrix()
 
 
-def _action(degree, poly, matrix=None, check_matrix=True):
+def _action(degree, poly, matrix=None, check_matrix=True, make_matrix=None):
+    """Validated action; an eager matrix is checked against the polynomial
+    (unless check_matrix is False), a lazy make_matrix is trusted."""
     if poly.degree != max(poly.degree, 0) or not poly.is_monic():
         raise ValidityError(f"degree {degree}: polynomial must be monic")
     betti = poly.degree
@@ -47,7 +63,8 @@ def _action(degree, poly, matrix=None, check_matrix=True):
             raise ConsistencyError(
                 f"degree {degree}: matrix does not realize the polynomial"
             )
-    return CohomologyAction(degree=degree, betti=betti, charpoly=poly, matrix=matrix)
+        make_matrix = lambda: matrix
+    return CohomologyAction(degree, betti, poly, make_matrix)
 
 
 @dataclass
@@ -58,6 +75,9 @@ class VarietyModel:
     actions: tuple
     hodge: tuple
     metadata: dict = field(default_factory=dict)
+    # Abelian models: the degree-1 matrix M; degree i acts by its i-th
+    # exterior power.
+    h1_matrix: Optional[ExactMatrix] = None
 
     def __post_init__(self):
         d = self.dimension
@@ -90,6 +110,9 @@ class VarietyModel:
     def matrix(self, i):
         return self.actions[i].matrix
 
+    def has_matrix(self, i):
+        return self.actions[i].has_matrix
+
     @property
     def betti_numbers(self):
         return [a.betti for a in self.actions]
@@ -109,7 +132,9 @@ def _abelian_hodge(d):
 def abelian_from_h1(d, M, q, kind="abelian", metadata=None):
     """Abelian model from the degree-1 action: degree i acts by the i-th
     exterior power, so Betti numbers are binomial and Hodge numbers are
-    products of binomials."""
+    products of binomials. Every characteristic polynomial comes from
+    charpoly(M) alone; an exterior power matrix is built only when asked
+    for."""
     if not isinstance(M, ExactMatrix):
         M = ExactMatrix(M)
     if not M.is_square or M.nrows != 2 * d:
@@ -118,10 +143,11 @@ def abelian_from_h1(d, M, q, kind="abelian", metadata=None):
         raise ValidityError("degree-1 action must have integer entries")
     if M.det() == 0:
         raise SingularActionError("degree-1 action is singular")
-    actions = [_action(0, Poly.from_desc([1, -1]), ExactMatrix([[1]]))]
+    polys = exterior_power_charpolys(charpoly(M.rows))
+    actions = [_action(0, polys[0], ExactMatrix([[1]]))]
     for i in range(1, 2 * d + 1):
-        Li = exterior_power(M, i)
-        actions.append(_action(i, charpoly(Li.rows), Li, check_matrix=False))
+        make = (lambda: M) if i == 1 else partial(exterior_power, M, i)
+        actions.append(_action(i, polys[i], make_matrix=make))
     return VarietyModel(
         kind=kind,
         dimension=d,
@@ -129,6 +155,7 @@ def abelian_from_h1(d, M, q, kind="abelian", metadata=None):
         actions=tuple(actions),
         hodge=_abelian_hodge(d),
         metadata=metadata or {},
+        h1_matrix=M,
     )
 
 

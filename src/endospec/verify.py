@@ -10,24 +10,31 @@ advisory evidence and never fails a run.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil
 from typing import Optional
-
-import mpmath
 
 from endospec.errors import (
     DomainError,
     EndospecError,
     InapplicableModelError,
-    NumericError,
     ValidityError,
 )
-from endospec.exactnum import NormalizedValuation, is_prime
-from endospec.matrixops import jordan_symmetry_check
+from endospec.exactnum import NormalizedValuation, is_prime, perfect_sqrt
+from endospec.matrixops import (
+    is_semisimple,
+    jordan_symmetry_check,
+    semisimple_jordan_symmetry,
+)
 from endospec.poly import (
+    Poly,
     coeff_strings,
+    count_real_roots,
     cross_duality_verdict,
     degree_facts,
+    exact_divide_out,
+    reciprocal_partner,
     squarefree_part,
+    sturm_chain,
 )
 from endospec.polygons import (
     hodge_polygon,
@@ -83,8 +90,7 @@ class CheckResult:
 @dataclass(frozen=True)
 class WeilWeightResult:
     passed: bool
-    failing_root: Optional[str] = None
-    deviation: Optional[str] = None
+    failing_root: Optional[tuple] = None
     reason: Optional[str] = None
 
     def __bool__(self):
@@ -92,13 +98,13 @@ class WeilWeightResult:
 
 
 def weil_weight_check(P, q, i, precision_digits=60):
-    """Numeric weight check plus the exact necessary condition.
+    """Exact weight check: every root of P has |lambda|**2 = q**i, and the
+    coefficientwise functional equation holds.
 
-    All complex roots of the squarefree part are found at high working
-    precision and each must satisfy ||lambda|^2 - q^i| / q^i below the
-    tolerance 10**(-precision/3); on top of that the coefficientwise
-    functional equation must hold. Multiple roots are collapsed before
-    root-finding, which keeps the solver well conditioned."""
+    precision_digits is accepted for compatibility and has no effect; it
+    must still be at least 30. On failure failing_root is a closed
+    rational interval (lo, hi) isolating a real root off the circle, or
+    None when no real root is off it."""
     return weil_weight_verdict(degree_facts(P, q, i), precision_digits)
 
 
@@ -113,36 +119,14 @@ def weil_weight_verdict(facts, precision_digits):
         raise ValidityError("zero constant term: 0 is never a Weil number")
     if P.degree == 0:
         return WeilWeightResult(True)
-    reduced = squarefree_part(P)
-    coeffs = []
-    maxbits = 0
-    for c in reduced.coeffs_desc():
-        f = Fraction(c)
-        coeffs.append(f)
-        maxbits = max(maxbits, f.numerator.bit_length(), f.denominator.bit_length())
-    digits = max(precision_digits + 15, maxbits // 3 + 25)
-    target = q**i
-    tol = mpmath.mpf(10) ** (-Fraction(precision_digits, 3))
-    with mpmath.workdps(digits):
-        mp_coeffs = [mpmath.mpf(f.numerator) / f.denominator for f in coeffs]
-        try:
-            roots, err = mpmath.polyroots(mp_coeffs, maxsteps=200, error=True)
-        except mpmath.libmp.NoConvergence as exc:
-            raise NumericError(
-                f"root finder failed at {digits} digits on degree {reduced.degree}"
-            ) from exc
-        worst = None
-        for r in roots:
-            deviation = abs(abs(r) ** 2 - target) / target
-            if worst is None or deviation > worst[1]:
-                worst = (r, deviation)
-        if worst is not None and worst[1] >= tol:
-            return WeilWeightResult(
-                False,
-                failing_root=mpmath.nstr(worst[0], 20),
-                deviation=mpmath.nstr(worst[1], 8),
-                reason="root modulus off the half-weight circle",
-            )
+    S = squarefree_part(P)
+    defect = _circle_defect(S, q**i)
+    if defect is not None:
+        return WeilWeightResult(
+            False,
+            failing_root=_real_root_off_circle(S, q**i),
+            reason=f"root modulus off the half-weight circle: {defect}",
+        )
     try:
         fe = facts.fe
     except EndospecError as exc:
@@ -155,6 +139,89 @@ def weil_weight_verdict(facts, precision_digits):
             reason=f"functional equation fails at coefficient {fe.failure_index}",
         )
     return WeilWeightResult(True)
+
+
+def _without_real_circle_points(S, Q):
+    """S with the factors t - sqrt(Q), t + sqrt(Q) (or t**2 - Q when sqrt(Q)
+    is irrational) divided out: the only real points of |t|**2 = Q."""
+    r = perfect_sqrt(Q)
+    factors = [Poly([-Q, 0, 1])] if r is None else [Poly([-r, 1]), Poly([r, 1])]
+    for f in factors:
+        S = exact_divide_out(S, f)[0]
+    return S
+
+
+def _circle_defect(S, Q):
+    """None when every root of the squarefree monic S has |t|**2 = Q, else
+    the exact test that failed (Kedlaya, "Search techniques for
+    root-unitary polynomials", 2008).
+
+    Roots on the circle come in pairs t, Q/t = conj(t), so S must equal its
+    Q-reciprocal partner. Without the real points +-sqrt(Q) the rest is
+    T = t**m * R(t + Q/t) with R rational, and t lies on the circle exactly
+    when x = t + Q/t is real in [-2 sqrt(Q), 2 sqrt(Q)]. U(y) = (-1)**m *
+    R(sqrt(y)) * R(-sqrt(y)) has the roots x**2, so every root of S is on
+    the circle exactly when every distinct root of U lies in [0, 4Q]."""
+    if reciprocal_partner(S, Q) != S:
+        return "squarefree part is not q^i-reciprocal"
+    T = _without_real_circle_points(S, Q)
+    m = T.degree // 2
+    c = T.coeffs_asc()
+    # T/t**m = c_m + sum_j c_{m+j} (t**j + (Q/t)**j), as c_{m-j} = Q**j c_{m+j};
+    # D_j = t**j + (Q/t)**j in x = t + Q/t: D_j = x D_{j-1} - Q D_{j-2}.
+    x = Poly([0, 1])
+    R = Poly([c[m]])
+    d_prev, d = Poly([2]), x
+    for j in range(1, m + 1):
+        R = R + d.scale(c[m + j])
+        d_prev, d = d, x * d - d_prev.scale(Q)
+    r = R.coeffs_asc()
+    even, odd = Poly(r[0::2]), Poly(r[1::2])
+    U = even * even - x * odd * odd
+    if m % 2:
+        U = -U
+    # A root y = 0 (t = +-i sqrt(Q)) is on the circle; y = 4Q would need
+    # t = +-sqrt(Q), which is divided out, so neither end is a root of W.
+    asc = U.coeffs_asc()
+    W = Poly(asc[next(k for k, a in enumerate(asc) if a) :])
+    if W.degree < 1:
+        return None
+    chain = sturm_chain(W)
+    distinct = W.degree - chain[-1].degree
+    inside = count_real_roots(chain, 0, 4 * Q)
+    if inside < distinct:
+        return (
+            f"{distinct - inside} of {distinct} distinct nonzero roots of the "
+            "trace polynomial lie outside [0, 4q^i]"
+        )
+    return None
+
+
+def _real_root_off_circle(S, Q):
+    """Closed rational interval (lo, hi) holding exactly one distinct root
+    of S, a real root with t**2 != Q; None when S has no such root."""
+    off = _without_real_circle_points(S, Q)
+    if off.degree < 1:
+        return None
+    off_chain = sturm_chain(off)
+    if count_real_roots(off_chain) == 0:
+        return None
+    chain = sturm_chain(S)
+    bound = 1 + ceil(max(abs(a) for a in S.coeffs_asc()))
+    lo, hi = Fraction(-bound), Fraction(bound)
+    # Halve towards the smallest real root of `off` in (lo, hi] until it
+    # is the only root of S there and lo is not a root of S either.
+    while not (
+        count_real_roots(off_chain, lo, hi) == 1
+        and count_real_roots(chain, lo, hi) == 1
+        and S(lo) != 0
+    ):
+        mid = (lo + hi) / 2
+        if count_real_roots(off_chain, lo, mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -243,7 +310,7 @@ def _weight(f, precision):
     witness = []
     if not res.passed:
         if res.failing_root:
-            witness += [("root", res.failing_root), ("deviation", res.deviation)]
+            witness.append(("root", tuple(map(str, res.failing_root))))
         if res.reason:
             witness.append(("reason", res.reason))
     return res.passed, witness
@@ -258,12 +325,12 @@ def _epsilon(f):
     )
 
 
-def _degree_results(model, f, precision):
-    """The DEGREE_CHECKS of one degree with cohomology, read off its facts."""
+def _degree_results(model, f, precision, semisimple):
+    """The DEGREE_CHECKS of one degree with cohomology, read off its facts.
+    semisimple: the action is known to be semisimple."""
     i = f.degree
     d = model.dimension
     partner = model.charpoly(2 * d - i)
-    matrix = model.matrix(i)
     out = [
         _guarded("functional_equation", i, None, lambda: _sign(f.fe)),
         _guarded(
@@ -273,10 +340,13 @@ def _degree_results(model, f, precision):
             lambda: _sign(cross_duality_verdict(f, partner, d)),
         ),
     ]
-    if matrix is None:
+    if not model.has_matrix(i):
         out.append(_na("jordan_symmetry", i, reason="no matrix supplied"))
     else:
-        js = lambda: (jordan_symmetry_check(matrix, f.q, i), ())
+        if semisimple:
+            js = lambda: (semisimple_jordan_symmetry(f.charpoly, f.q, i), ())
+        else:
+            js = lambda: (jordan_symmetry_check(model.matrix(i), f.q, i), ())
         out.append(_guarded("jordan_symmetry", i, None, js))
     out.append(_guarded("weil_weight", i, None, lambda: _weight(f, precision)))
     if f.fe_holds:
@@ -361,6 +431,9 @@ def full_report(model, primes, precision=60):
     results = []
     degree_rows = []
     facts = model_facts(model)
+    # An exterior power of a semisimple matrix is semisimple, so one Smith
+    # form of the degree-1 matrix replaces one per degree.
+    semisimple = model.h1_matrix is not None and is_semisimple(model.h1_matrix)
     for i in range(2 * d + 1):
         row = {"degree": i, "betti": model.betti(i)}
         degree_rows.append(row)
@@ -374,7 +447,7 @@ def full_report(model, primes, precision=60):
             row["epsilon"] = f.fe_result.epsilon
         row["mu_plus"] = f.mu_plus
         row["mu_minus"] = f.mu_minus
-        results.extend(_degree_results(model, f, precision))
+        results.extend(_degree_results(model, f, precision, semisimple))
     for prime in primes:
         v = NormalizedValuation(prime, q)
         for i, row in enumerate(degree_rows):

@@ -44,16 +44,23 @@ def zeta_function(model):
     )
 
 
+def _lefschetz_numbers(model, order):
+    """N_1..N_order: per degree, the power sums up to order, computed once."""
+    totals = [0] * order
+    for i, act in enumerate(model.actions):
+        if act.betti == 0:
+            continue
+        sign = (-1) ** i
+        for n, p in enumerate(power_sums(act.charpoly, order)):
+            totals[n] += sign * p
+    return totals
+
+
 def lefschetz_number(model, n):
     """Alternating sum of n-th power sums across all degrees."""
     if n < 1:
         raise DomainError("iterate count must be positive")
-    total = 0
-    for i, act in enumerate(model.actions):
-        if act.betti == 0:
-            continue
-        total += (-1) ** i * power_sums(act.charpoly, n)[-1]
-    return total
+    return _lefschetz_numbers(model, n)[-1]
 
 
 def lefschetz_number_by_trace(model, n):
@@ -87,17 +94,17 @@ def _log_derivative_series(F, order):
     return l[1:]
 
 
-def zeta_series_consistency(model, order):
-    """Check t*Z'/Z = sum N_n t**n through the requested order."""
+def zeta_series_consistency(model, order, zf=None):
+    """Check t*Z'/Z = sum N_n t**n through the requested order; zf is the
+    model's zeta_function when the caller has already built it."""
     if order < 1:
         raise DomainError("order must be positive")
-    zf = zeta_function(model)
+    if zf is None:
+        zf = zeta_function(model)
     ln = _log_derivative_series(zf.numerator, order)
     ld = _log_derivative_series(zf.denominator, order)
-    for n in range(1, order + 1):
-        if ln[n - 1] - ld[n - 1] != lefschetz_number(model, n):
-            return False
-    return True
+    lefschetz = _lefschetz_numbers(model, order)
+    return all(a - b == n for a, b, n in zip(ln, ld, lefschetz))
 
 
 @dataclass(frozen=True)

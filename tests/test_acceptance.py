@@ -354,5 +354,6 @@ def test_criterion_8_weil_weights():
                 assert res.passed, f"{label} degree {i}: {res.reason}"
         fault = weil_weight_check(Poly.from_desc([1, -2]), 6, 1)
         assert not fault.passed
-        assert fault.failing_root is not None
+        lo, hi = fault.failing_root
+        assert lo <= 2 <= hi
         assert "modulus" in fault.reason

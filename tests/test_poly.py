@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from endospec.errors import (
     ConsistencyError,
@@ -14,15 +15,18 @@ from endospec.poly import (
     Poly,
     charpoly,
     coeff_strings,
+    count_real_roots,
     cross_duality_check,
     duality_partner,
     exact_divide_out,
+    exterior_power_charpolys,
     functional_equation_check,
     half_weight_multiplicity,
     poly_from_strings,
     power_sums,
     reciprocal_partner,
     squarefree_part,
+    sturm_chain,
 )
 
 EXAMPLE_P1 = Poly.from_desc([1, -4, 16, -24, 36])
@@ -176,11 +180,47 @@ def test_power_sums_match_matrix_traces():
         n = rng.randint(1, 6)
         M = ExactMatrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
         P = charpoly(M.rows)
-        sums = power_sums(P, 5)
+        # past deg P the recurrence keeps only its first n terms
+        sums = power_sums(P, 12)
         A = M
-        for k in range(1, 6):
+        for k in range(1, 13):
             assert sums[k - 1] == A.trace()
             A = A @ M
+
+
+def test_exterior_power_charpolys_match_matrices():
+    from endospec.matrixops import ExactMatrix, exterior_power
+
+    rng = random.Random(34)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        M = ExactMatrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
+        polys = exterior_power_charpolys(charpoly(M.rows))
+        assert polys[0] == Poly.from_desc([1, -1])
+        for k in range(1, n + 1):
+            assert polys[k] == charpoly(exterior_power(M, k).rows)
+    with pytest.raises(ValidityError):
+        exterior_power_charpolys(Poly([Fraction(1, 2), 1]))
+
+
+def test_sturm_counts_match_sympy():
+    t = sympy.symbols("t")
+    rng = random.Random(55)
+    for _ in range(40):
+        roots = [
+            Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3)))
+            for _ in range(rng.randint(1, 5))
+        ]
+        P = Poly.from_roots(roots) * Poly.from_desc([1, 0, rng.randint(-3, 3)])
+        chain = sturm_chain(P)
+        oracle = sympy.Poly(P.coeffs_desc(), t)
+        assert count_real_roots(chain) == len(set(oracle.real_roots()))
+        lo, hi = sorted(Fraction(rng.randint(-30, 30), 4) for _ in range(2))
+        # sympy counts [lo, hi]; Sturm counts (lo, hi] for squarefree P
+        sqf = sympy.Poly(sympy.sqf_part(oracle), t)
+        lo_s, hi_s = sympy.Rational(lo), sympy.Rational(hi)
+        expected = sqf.count_roots(lo_s, hi_s) - (sqf.eval(lo_s) == 0)
+        assert count_real_roots(sturm_chain(squarefree_part(P)), lo, hi) == expected
 
 
 def test_exact_divide_out():

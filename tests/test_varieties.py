@@ -1,19 +1,24 @@
 """Concrete variety models: abelian, Grassmannian, and generic."""
 
+import time
+from dataclasses import replace
 from fractions import Fraction
-from math import comb
+from itertools import combinations
+from math import comb, prod
 
 import pytest
 
+from endospec import varieties
 from endospec.errors import (
     ConsistencyError,
     ShapeError,
     SingularActionError,
     ValidityError,
 )
-from endospec.matrixops import ExactMatrix
+from endospec.matrixops import ExactMatrix, block_diag, exterior_power
 from endospec.poly import Poly, charpoly
 from endospec.varieties import (
+    CohomologyAction,
     abelian_en,
     abelian_from_h1,
     box_partitions,
@@ -21,6 +26,8 @@ from endospec.varieties import (
     grassmannian,
     has_hodge_data,
 )
+from endospec.verify import full_report
+from test_acceptance import family_models
 
 # isogeny matrix of the running abelian surface example, q = 6
 EXAMPLE_A = ExactMatrix([[1, -5], [1, 1]])
@@ -238,3 +245,74 @@ def test_generic_model_errors():
             },
             strict=False,
         )
+
+
+def _eager(model):
+    """The model as the matrix path builds it: every exterior power built,
+    its polynomial by Faddeev-LeVerrier, Jordan symmetry by Smith form."""
+    M = model.h1_matrix
+    actions = [model.action(0)]
+    for k in range(1, M.nrows + 1):
+        L = exterior_power(M, k)
+        actions.append(CohomologyAction(k, L.nrows, charpoly(L.rows), lambda L=L: L))
+    return replace(model, actions=tuple(actions), h1_matrix=None)
+
+
+def _e4_q25():
+    """E^4 with q = 25: two rotation blocks, mixed by a signed permutation."""
+    B = block_diag([ExactMatrix([[3, -4], [4, 3]]), ExactMatrix([[4, -3], [3, 4]])])
+    P = ExactMatrix([[0, 0, -1, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, -1, 0, 0]])
+    return abelian_en(P @ B @ P.transpose(), 25)
+
+
+def _test_abelian_models():
+    models = [m for _, m in family_models()]
+    models += [
+        abelian_en(EXAMPLE_A, 6),
+        abelian_en([[2, 0], [0, 3]], 6),
+        abelian_en([[3, -25], [1, 0]], 25),
+        abelian_en([[2, 1], [0, 2]], 4),
+        abelian_from_h1(2, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 4, 0], [0, 0, 0, 4]], 4),
+        abelian_from_h1(1, [[2, 0], [0, 2]], 4),
+        abelian_from_h1(1, [[0, -2], [1, 0]], 2),
+    ]
+    models += [abelian_en([[m]], m * m) for m in (2, 3)]
+    return models
+
+
+def test_matrix_free_degrees_match_matrix_path():
+    for model in _test_abelian_models() + [_e4_q25()]:
+        eager = _eager(model)
+        for k in range(2 * model.dimension + 1):
+            assert model.charpoly(k) == eager.charpoly(k)
+        report = full_report(model, [2, 3, 5]).to_json()
+        assert report == full_report(eager, [2, 3, 5]).to_json()
+
+
+def test_abelian_exterior_powers_are_lazy(monkeypatch):
+    built = []
+
+    def counting(M, k):
+        built.append(k)
+        return exterior_power(M, k)
+
+    monkeypatch.setattr(varieties, "exterior_power", counting)
+    model = abelian_en(EXAMPLE_A, 6)
+    full_report(model, [2, 3])
+    assert built == []
+    assert model.matrix(2) == exterior_power(model.matrix(1), 2)
+    assert model.matrix(2) is model.matrix(2)
+    assert built == [2]
+
+
+def test_abelian_e5_charpolys_from_eigenvalues():
+    # A = diag(a) has no polarization to search for; M = A (x) I2 has each
+    # a_j twice, and the k-th exterior power the products of k of them.
+    a = (2, 3, -5, 7, 11)
+    t0 = time.perf_counter()
+    model = abelian_en(ExactMatrix.diagonal(a), 4)
+    assert time.perf_counter() - t0 < 5
+    roots = [x for x in a for _ in range(2)]
+    for k in range(11):
+        expected = Poly.from_roots([prod(s) for s in combinations(roots, k)])
+        assert model.charpoly(k) == expected

@@ -2,13 +2,18 @@
 
 import json
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from endospec.errors import DomainError, ValidityError
 from endospec.matrixops import ExactMatrix
 from endospec.poly import Poly
-from endospec.varieties import abelian_en, generic_model, grassmannian
+from endospec import verify
+from endospec.varieties import abelian_en, abelian_from_h1, generic_model, grassmannian
 from endospec.verify import (
     ADVISORY_CHECKS,
     epsilon_congruence_check,
@@ -30,22 +35,90 @@ def test_weil_weight_passes():
 def test_weil_weight_detects_wrong_modulus():
     res = weil_weight_check(Poly.from_desc([1, -2]), 6, 1)
     assert not res
-    assert res.failing_root is not None
+    lo, hi = res.failing_root
+    assert lo <= 2 <= hi
     assert "modulus" in res.reason
     both = weil_weight_check(Poly.from_desc([1, -5, 6]), 6, 1)
     assert not both
-    # worst offender is the root 3: |9 - 6| / 6
-    assert both.failing_root.startswith("3.0")
+    # the witness isolates one of the real roots 2 and 3, both off |t|^2 = 6
+    lo, hi = both.failing_root
+    assert [lo <= r <= hi for r in (2, 3)].count(True) == 1
 
 
 def test_weil_weight_exact_condition_catches_tiny_drift():
-    # roots sit within 1e-21 of the right circle, below the numeric
-    # tolerance, so only the exact coefficient condition can object
+    # the roots 2 +- i*10**-10.5 lie 1e-21 off the circle |t|^2 = 4: the
+    # squarefree part is not 4-reciprocal, and no real root is the witness
     drifted = Poly([Fraction(4) + Fraction(1, 10**21), Fraction(-4), Fraction(1)])
     res = weil_weight_check(drifted, 4, 1)
     assert not res
     assert res.failing_root is None
-    assert "functional equation" in res.reason
+    assert "not q^i-reciprocal" in res.reason
+    # t - 2 lies on |t|^2 = 4, but odd weight needs even degree
+    odd = weil_weight_check(Poly.from_desc([1, -2]), 4, 1)
+    assert not odd
+    assert odd.failing_root is None
+    assert "functional equation" in odd.reason
+
+
+def test_weil_weight_real_roots_just_off_the_circle():
+    # roots q + 1/2 +- sqrt(q + 1/4) lie 2e-21 (relative) off |t| = q; a
+    # 60-digit numeric check passed them
+    q = 10**42
+    P = Poly([q**2, -(2 * q + 1), 1])
+    res = weil_weight_check(P, q, 2)
+    assert not res
+    assert "trace polynomial" in res.reason
+    lo, hi = res.failing_root
+    t = sympy.symbols("t")
+    oracle = sympy.Poly(P.coeffs_desc(), t)
+    assert oracle.count_roots(sympy.Rational(lo), sympy.Rational(hi)) == 1
+
+
+def _on_circle_oracle(P, Q):
+    """Every root of P has |t|**2 = Q, from 300-digit sympy roots of its
+    squarefree part; off-circle roots here miss by more than 1/(4Q)."""
+    t = sympy.symbols("t")
+    sqf = sympy.Poly(sympy.sqf_part(sympy.Poly(P.coeffs_desc(), t)), t)
+    roots = sqf.nroots(n=300, maxsteps=500)
+    return all(abs(sympy.Abs(r) ** 2 - Q) < sympy.Float(10, 300) ** -200 for r in roots)
+
+
+@st.composite
+def weil_products(draw):
+    """Products of t**2 - a*t + Q with a**2 <= 4Q (roots on |t|**2 = Q),
+    one factor perhaps pushed off the circle: a past the bound (two real
+    roots) or the constant term to Q + 1 (two roots of modulus Q + 1)."""
+    q = draw(st.sampled_from((2, 3, 4, 5, 6, 7)))
+    i = draw(st.integers(1, 3))
+    Q = q**i
+    bound = isqrt(4 * Q)
+    traces = draw(st.lists(st.integers(-bound, bound), min_size=1, max_size=4))
+    factors = [Poly([Q, -a, 1]) for a in traces]
+    push = draw(st.sampled_from(("none", "trace", "norm")))
+    if push == "trace":
+        a = draw(st.integers(bound + 1, bound + 3)) * draw(st.sampled_from((1, -1)))
+        factors[0] = Poly([Q, -a, 1])
+    elif push == "norm":
+        factors[0] = Poly([Q + 1, -traces[0], 1])
+    P = Poly([1])
+    for f in factors:
+        P = P * f
+    return P, q, i, push == "none"
+
+
+@settings(max_examples=60, deadline=None)
+@given(weil_products())
+def test_weil_weight_matches_construction_and_sympy(case):
+    P, q, i, on_circle = case
+    res = weil_weight_check(P, q, i)
+    assert res.passed == on_circle == _on_circle_oracle(P, q**i)
+    if not res.passed:
+        assert "modulus" in res.reason
+    if res.failing_root is not None:
+        lo, hi = res.failing_root
+        t = sympy.symbols("t")
+        sqf = sympy.Poly(sympy.sqf_part(sympy.Poly(P.coeffs_desc(), t)), t)
+        assert sqf.count_roots(sympy.Rational(lo), sympy.Rational(hi)) == 1
 
 
 def test_weil_weight_preconditions():
@@ -222,3 +295,24 @@ def test_check_result_serialization():
     assert primes_seen == {"2"}
     assert all(isinstance(c["check"], str) for c in payload["checks"])
     json.dumps(payload)
+
+
+@pytest.mark.parametrize(
+    "model, failing",
+    [
+        # one Jordan block for the self-reciprocal eigenvalue 2 = 4/2
+        (abelian_en([[2, 1], [0, 2]], 4), []),
+        # a block of size 2 for 1 but two of size 1 for 4 = 4/1
+        (abelian_from_h1(2, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 4, 0], [0, 0, 0, 4]], 4),
+         [1, 3]),
+    ],
+)
+def test_non_semisimple_action_takes_smith_form_path(monkeypatch, model, failing):
+    def refuse(*args):
+        raise AssertionError("semisimple shortcut taken")
+
+    monkeypatch.setattr(verify, "semisimple_jordan_symmetry", refuse)
+    report = full_report(model, [2])
+    jordan = [r for r in report.results if r.check_id == "jordan_symmetry"]
+    assert [r.degree for r in jordan if r.status == "fail"] == failing
+    assert all(r.status in ("pass", "fail") for r in jordan)

@@ -105,6 +105,10 @@ def test_zeta_series_consistency():
     assert zeta_series_consistency(_elliptic(2), 8)
     assert zeta_series_consistency(abelian_en(EXAMPLE_A, 6), 6)
     assert zeta_series_consistency(grassmannian(2, 4, 4, "involution"), 6)
+    # a zeta function built beforehand is used as given
+    model = abelian_en(EXAMPLE_A, 6)
+    assert zeta_series_consistency(model, 6, zeta_function(model))
+    assert not zeta_series_consistency(model, 6, zeta_function(_elliptic(2)))
     with pytest.raises(DomainError):
         zeta_series_consistency(_elliptic(2), 0)
 
