@@ -44,9 +44,9 @@ class CohomologyAction:
         return None if self.make_matrix is None else self.make_matrix()
 
 
-def _action(degree, poly, matrix=None, check_matrix=True, make_matrix=None):
-    """Validated action; an eager matrix is checked against the polynomial
-    (unless check_matrix is False), a lazy make_matrix is trusted."""
+def _action(degree, poly, matrix=None, check_matrix=True):
+    """Validated action; a matrix is checked against the polynomial unless
+    check_matrix is False."""
     if poly.degree != max(poly.degree, 0) or not poly.is_monic():
         raise ValidityError(f"degree {degree}: polynomial must be monic")
     betti = poly.degree
@@ -63,7 +63,7 @@ def _action(degree, poly, matrix=None, check_matrix=True, make_matrix=None):
             raise ConsistencyError(
                 f"degree {degree}: matrix does not realize the polynomial"
             )
-        make_matrix = lambda: matrix
+    make_matrix = None if matrix is None else lambda: matrix
     return CohomologyAction(degree, betti, poly, make_matrix)
 
 
@@ -75,9 +75,9 @@ class VarietyModel:
     actions: tuple
     hodge: tuple
     metadata: dict = field(default_factory=dict)
-    # Abelian models: the degree-1 matrix M; degree i acts by its i-th
-    # exterior power.
-    h1_matrix: Optional[ExactMatrix] = None
+    # Set by abelian_from_h1 alone: degree i acts by the i-th exterior power
+    # of matrix(1). dataclasses.replace resets it.
+    exterior_powers_of_h1: bool = field(default=False, init=False)
 
     def __post_init__(self):
         d = self.dimension
@@ -144,19 +144,25 @@ def abelian_from_h1(d, M, q, kind="abelian", metadata=None):
     if M.det() == 0:
         raise SingularActionError("degree-1 action is singular")
     polys = exterior_power_charpolys(charpoly(M.rows))
-    actions = [_action(0, polys[0], ExactMatrix([[1]]))]
-    for i in range(1, 2 * d + 1):
-        make = (lambda: M) if i == 1 else partial(exterior_power, M, i)
-        actions.append(_action(i, polys[i], make_matrix=make))
-    return VarietyModel(
+    actions = [
+        _action(0, polys[0], ExactMatrix([[1]])),
+        _action(1, polys[1], M, check_matrix=False),
+    ]
+    # M is integral with det M != 0, so every polys[i] is a valid action.
+    actions += [
+        CohomologyAction(i, polys[i].degree, polys[i], partial(exterior_power, M, i))
+        for i in range(2, 2 * d + 1)
+    ]
+    model = VarietyModel(
         kind=kind,
         dimension=d,
         q=q,
         actions=tuple(actions),
         hodge=_abelian_hodge(d),
         metadata=metadata or {},
-        h1_matrix=M,
     )
+    model.exterior_powers_of_h1 = True
+    return model
 
 
 def abelian_en(A, q):

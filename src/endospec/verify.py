@@ -105,14 +105,14 @@ def weil_weight_check(P, q, i, precision_digits=60):
     must still be at least 30. On failure failing_root is a closed
     rational interval (lo, hi) isolating a real root off the circle, or
     None when no real root is off it."""
-    return weil_weight_verdict(degree_facts(P, q, i), precision_digits)
-
-
-def weil_weight_verdict(facts, precision_digits):
-    """weil_weight_check with the functional equation read from facts."""
-    P, q, i = facts.charpoly, facts.q, facts.degree
     if precision_digits < 30:
         raise DomainError("precision below 30 digits is not meaningful here")
+    return weil_weight_verdict(degree_facts(P, q, i))
+
+
+def weil_weight_verdict(facts):
+    """weil_weight_check with the functional equation read from facts."""
+    P, q, i = facts.charpoly, facts.q, facts.degree
     if not P.is_monic():
         raise ValidityError("weight check needs a monic polynomial")
     if P.degree >= 1 and P.coeff(0) == 0:
@@ -305,8 +305,8 @@ def _sign(res):
     return False, (("failure_index", res.failure_index),)
 
 
-def _weight(f, precision):
-    res = weil_weight_verdict(f, precision)
+def _weight(f):
+    res = weil_weight_verdict(f)
     witness = []
     if not res.passed:
         if res.failing_root:
@@ -325,7 +325,7 @@ def _epsilon(f):
     )
 
 
-def _degree_results(model, f, precision, semisimple):
+def _degree_results(model, f, semisimple):
     """The DEGREE_CHECKS of one degree with cohomology, read off its facts.
     semisimple: the action is known to be semisimple."""
     i = f.degree
@@ -348,7 +348,7 @@ def _degree_results(model, f, precision, semisimple):
         else:
             js = lambda: (jordan_symmetry_check(model.matrix(i), f.q, i), ())
         out.append(_guarded("jordan_symmetry", i, None, js))
-    out.append(_guarded("weil_weight", i, None, lambda: _weight(f, precision)))
+    out.append(_guarded("weil_weight", i, None, lambda: _weight(f)))
     if f.fe_holds:
         out.append(_guarded("epsilon_congruence", i, None, lambda: _epsilon(f)))
     else:
@@ -433,7 +433,7 @@ def full_report(model, primes, precision=60):
     facts = model_facts(model)
     # An exterior power of a semisimple matrix is semisimple, so one Smith
     # form of the degree-1 matrix replaces one per degree.
-    semisimple = model.h1_matrix is not None and is_semisimple(model.h1_matrix)
+    semisimple = model.exterior_powers_of_h1 and is_semisimple(model.matrix(1))
     for i in range(2 * d + 1):
         row = {"degree": i, "betti": model.betti(i)}
         degree_rows.append(row)
@@ -447,7 +447,7 @@ def full_report(model, primes, precision=60):
             row["epsilon"] = f.fe_result.epsilon
         row["mu_plus"] = f.mu_plus
         row["mu_minus"] = f.mu_minus
-        results.extend(_degree_results(model, f, precision, semisimple))
+        results.extend(_degree_results(model, f, semisimple))
     for prime in primes:
         v = NormalizedValuation(prime, q)
         for i, row in enumerate(degree_rows):

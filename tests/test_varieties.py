@@ -250,12 +250,12 @@ def test_generic_model_errors():
 def _eager(model):
     """The model as the matrix path builds it: every exterior power built,
     its polynomial by Faddeev-LeVerrier, Jordan symmetry by Smith form."""
-    M = model.h1_matrix
+    M = model.matrix(1)
     actions = [model.action(0)]
     for k in range(1, M.nrows + 1):
         L = exterior_power(M, k)
         actions.append(CohomologyAction(k, L.nrows, charpoly(L.rows), lambda L=L: L))
-    return replace(model, actions=tuple(actions), h1_matrix=None)
+    return replace(model, actions=tuple(actions))
 
 
 def _e4_q25():
@@ -303,15 +303,25 @@ def test_abelian_exterior_powers_are_lazy(monkeypatch):
     assert model.matrix(2) == exterior_power(model.matrix(1), 2)
     assert model.matrix(2) is model.matrix(2)
     assert built == [2]
+    # Only abelian_from_h1 marks a model as exterior powers of matrix(1).
+    assert model.exterior_powers_of_h1
+    assert not replace(model).exterior_powers_of_h1
+    with pytest.raises(ValueError):
+        replace(model, exterior_powers_of_h1=True)
 
 
-def test_abelian_e5_charpolys_from_eigenvalues():
+def test_abelian_e5_charpolys_from_eigenvalues(monkeypatch):
     # A = diag(a) has no polarization to search for; M = A (x) I2 has each
     # a_j twice, and the k-th exterior power the products of k of them.
+    built = []
+    monkeypatch.setattr(varieties, "exterior_power", lambda M, k: built.append(k))
     a = (2, 3, -5, 7, 11)
     t0 = time.perf_counter()
     model = abelian_en(ExactMatrix.diagonal(a), 4)
-    assert time.perf_counter() - t0 < 5
+    # A guard against building the 252 x 252 matrices again (about 0.2 s
+    # without them), loose enough for a slow host.
+    assert time.perf_counter() - t0 < 30
+    assert built == []
     roots = [x for x in a for _ in range(2)]
     for k in range(11):
         expected = Poly.from_roots([prod(s) for s in combinations(roots, k)])
