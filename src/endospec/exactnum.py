@@ -41,14 +41,37 @@ def is_prime(n):
 
 
 def int_valuation(n, ell):
-    """Largest e with ell**e dividing n, for nonzero integer n."""
+    """Largest e with ell**e dividing n, for nonzero integer n.
+
+    For ell = 2 this is the position of the lowest set bit. Otherwise n is
+    divided by ell, ell**2, ell**4, ... while that divides it, then by the
+    same powers in reverse wherever they still divide: O(log e) divisions
+    instead of e."""
     if n == 0:
         raise DomainError("valuation of 0 is undefined")
-    v = 0
-    while n % ell == 0:
-        n //= ell
-        v += 1
+    if ell == 2:
+        return (n & -n).bit_length() - 1
+    powers = []
+    p = ell
+    while n % p == 0:
+        n //= p
+        powers.append(p)
+        p *= p
+    v = (1 << len(powers)) - 1
+    # What is left has valuation below 2**len(powers): one pass down
+    # through the same powers reads it off in binary.
+    for k in range(len(powers) - 1, -1, -1):
+        if n % powers[k] == 0:
+            n //= powers[k]
+            v += 1 << k
     return v
+
+
+def rational_valuation(x, ell):
+    """ell-adic valuation of a nonzero int or Fraction, an integer."""
+    if isinstance(x, Fraction):
+        return int_valuation(x.numerator, ell) - int_valuation(x.denominator, ell)
+    return int_valuation(x, ell)
 
 
 def perfect_sqrt(n):
@@ -86,12 +109,7 @@ class NormalizedValuation:
         """Exact rational valuation of a nonzero int or Fraction."""
         if x == 0:
             raise DomainError("valuation of 0 is undefined")
-        if isinstance(x, Fraction):
-            v = int_valuation(x.numerator, self.prime) - int_valuation(
-                x.denominator, self.prime
-            )
-        else:
-            v = int_valuation(x, self.prime)
+        v = rational_valuation(x, self.prime)
         return Fraction(v, self.normalizer) if self.normalizer else Fraction(v)
 
     def __eq__(self, other):

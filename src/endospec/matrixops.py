@@ -520,17 +520,19 @@ def polarization_witness(A, q):
         raise ShapeError("polarization needs a square isogeny action")
     n = A.nrows
     pairs = [(u, v) for u in range(n) for v in range(u, n)]
-    columns = []
-    for u, v in pairs:
-        E = [[0] * n for _ in range(n)]
-        E[u][v] = 1
-        E[v][u] = 1
-        EM = ExactMatrix(E)
-        image = A.transpose() @ EM @ A - EM * q
-        columns.append([Fraction(image.entry(u2, v2)) for u2, v2 in pairs])
-    constraint = [
-        [columns[c][r] for c in range(len(pairs))] for r in range(len(pairs))
-    ]
+    # Column (u, v) holds the entries (i, j) of At E A - q E for the basis
+    # form E with ones at (u, v) and (v, u), where (At E A)_ij is
+    # A_ui A_vj + A_vi A_uj (just A_ui A_uj when u = v).
+    a = A.rows
+    constraint = []
+    for i, j in pairs:
+        row = []
+        for u, v in pairs:
+            x = a[u][i] * a[v][j]
+            if u != v:
+                x += a[v][i] * a[u][j]
+            row.append(x - q if (u, v) == (i, j) else x)
+        constraint.append(row)
     kernel = _nullspace(constraint)
     if not kernel:
         return None

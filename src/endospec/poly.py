@@ -480,6 +480,19 @@ def sturm_chain(P):
     return [Poly(f) for f in chain]
 
 
+def _scaled_value(P, x):
+    """b**n * P(a/b) for an integer polynomial P of degree n and a rational
+    x = a/b with b > 0: an integer with the sign of P(x), got without
+    rational arithmetic as the sum of c_k * a**k * b**(n-k)."""
+    a, b = x.numerator, x.denominator
+    acc = 0
+    b_pow = 1
+    for c in reversed(P.coeffs_asc()):
+        acc = acc * a + c * b_pow
+        b_pow *= b
+    return acc
+
+
 def _sign_variations(chain, x):
     signs = []
     for f in chain:
@@ -488,7 +501,7 @@ def _sign_variations(chain, x):
         elif x == -inf:
             v = f.leading if f.degree % 2 == 0 else -f.leading
         else:
-            v = f(x)
+            v = _scaled_value(f, x)
         if v:
             signs.append(v > 0)
     return sum(a != b for a, b in zip(signs, signs[1:]))
@@ -574,14 +587,20 @@ def degree_facts(P, q, i):
 
 
 def poly_gcd(P, Q):
-    """Monic greatest common divisor over the rationals."""
-    a, b = P, Q
-    while not b.is_zero:
-        _, r = a.divmod_by(b)
-        a, b = b, r
-    if a.is_zero:
-        return a
-    return _normalize_int_coeffs(a.monic())
+    """Monic greatest common divisor over the rationals.
+
+    Runs the primitive pseudo-remainder sequence over Z (Brown, "On
+    Euclid's algorithm and the computation of polynomial greatest common
+    divisors", 1971) on the primitive parts of P and Q, so no rational
+    arithmetic happens before the final normalization. By Gauss's lemma
+    the result is a monic integer polynomial when P is monic over Z."""
+    a, b = (_primitive(F.coeffs_asc()) if F.degree >= 0 else [] for F in (P, Q))
+    while b:
+        r = poly_pseudo_divmod_int(a, b)[2]
+        a, b = b, _primitive(r) if r else []
+    if not a:
+        return Poly([])
+    return Poly(a if a[-1] > 0 else [-c for c in a]).monic()
 
 
 def squarefree_part(P):

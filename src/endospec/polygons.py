@@ -6,7 +6,6 @@ convex hull with strictly increasing integer abscissae, plus the slope
 multiset read off the segments. All coordinates are exact rationals.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -17,6 +16,7 @@ from endospec.errors import (
     SingularActionError,
     ValidityError,
 )
+from endospec.exactnum import rational_valuation
 
 
 def _lower_hull(points):
@@ -35,12 +35,14 @@ def _lower_hull(points):
     return hull
 
 
-def _slopes_from_vertices(vertices):
+def _polygon_data(hull, m):
+    """Vertices and slopes of the polygon through the integer points of
+    hull, with every ordinate divided by the positive integer m."""
+    vertices = tuple((x, Fraction(y, m)) for x, y in hull)
     slopes = []
-    for (x1, y1), (x2, y2) in zip(vertices, vertices[1:]):
-        s = Fraction(y2 - y1, x2 - x1)
-        slopes.extend([s] * (x2 - x1))
-    return tuple(slopes)
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        slopes.extend([Fraction(y2 - y1, m * (x2 - x1))] * (x2 - x1))
+    return vertices, tuple(slopes)
 
 
 def _validate_polygon(vertices, slopes):
@@ -93,17 +95,15 @@ def newton_polygon(P, v):
         raise ValidityError("polygon needs a monic polynomial")
     if P.degree >= 1 and P.coeff(0) == 0:
         raise SingularActionError("zero constant term: polygon endpoint undefined")
-    desc = P.coeffs_desc()
+    # The hull is built on the integer valuations; normalizing divides
+    # every ordinate by v(q), which keeps the hull.
     points = [
-        (k, v.valuate(desc[k])) for k in range(len(desc)) if desc[k]
+        (k, rational_valuation(c, v.prime))
+        for k, c in enumerate(P.coeffs_desc())
+        if c
     ]
-    hull = _lower_hull(points)
-    vertices = tuple((x, Fraction(y)) for x, y in hull)
-    return NewtonPolygon(
-        vertices=vertices,
-        slopes=_slopes_from_vertices(vertices),
-        normalized=v.normalized,
-    )
+    vertices, slopes = _polygon_data(_lower_hull(points), v.normalizer or 1)
+    return NewtonPolygon(vertices=vertices, slopes=slopes, normalized=v.normalized)
 
 
 def hodge_polygon(weight, hodge_numbers):
@@ -116,19 +116,14 @@ def hodge_polygon(weight, hodge_numbers):
         raise ValidityError("Hodge numbers must be nonnegative")
     if not any(h):
         raise ValidityError("all Hodge numbers are zero: empty polygon")
-    vertices = [(0, Fraction(0))]
-    x = 0
-    y = Fraction(0)
+    points = [(0, 0)]
     for k, hk in enumerate(h):
         if hk:
-            x += hk
-            y += k * hk
-            vertices.append((x, y))
+            x, y = points[-1]
+            points.append((x + hk, y + k * hk))
+    vertices, slopes = _polygon_data(points, 1)
     return HodgePolygon(
-        weight=weight,
-        hodge_numbers=tuple(h),
-        vertices=tuple(vertices),
-        slopes=_slopes_from_vertices(vertices),
+        weight=weight, hodge_numbers=tuple(h), vertices=vertices, slopes=slopes
     )
 
 
@@ -139,10 +134,14 @@ def symmetry_check(NP, i):
         raise InapplicableModelError(
             "slope symmetry needs a valuation with v(q) = 1"
         )
-    slopes = Counter(NP.slopes)
-    if any(s < 0 or s > i for s in slopes):
+    # s -> i - s reverses order, so it maps the sorted slopes onto
+    # themselves exactly when they pair up from both ends; then the largest
+    # slope is i minus the smallest, so [0, i] only needs the smallest >= 0.
+    slopes = NP.slopes
+    n = len(slopes)
+    if n and slopes[0] < 0:
         return False
-    return slopes == Counter(i - s for s in NP.slopes)
+    return all(slopes[k] + slopes[n - 1 - k] == i for k in range((n + 1) // 2))
 
 
 def slope_zero_check(NP):

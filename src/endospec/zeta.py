@@ -4,6 +4,12 @@ rational function, and its functional equation.
 The zeta function is held as a numerator/denominator pair of reversed
 characteristic polynomials (odd degrees up, even degrees down); series
 expansion happens only inside the log-derivative consistency check.
+
+The functional equation is decided in integers. When Poincare duality
+pairs the degrees (P_i(q**d t) = P_i(0) * rev P_{2d-i}(t) for every i),
+it reduces to comparing q**(d chi/2) * prod_odd P_i(0) with
+prod_even P_i(0); for any other model the cross-multiplied identity
+between numerator and denominator is checked in Z[t].
 """
 
 from dataclasses import dataclass
@@ -143,16 +149,58 @@ def zeta_functional_equation(model):
     return zeta_functional_equation_verdict(zeta_function(model), model_facts(model))
 
 
+def _sides_by_products(zf):
+    """G(N) * D and G(D) * N for zf = N/D, with G = _scaled_star."""
+    q, d = zf.q, zf.dimension
+    return (
+        _scaled_star(zf.numerator, q, d) * zf.denominator,
+        _scaled_star(zf.denominator, q, d) * zf.numerator,
+    )
+
+
+def _sides_by_dual_pairs(facts, q, d):
+    """(prod over odd i of P_i(0), prod over even i of P_i(0)) when every
+    degree i is the q**d-reciprocal of degree 2d - i, else None.
+
+    With a_j, b_j the ascending coefficients of P_i, P_{2d-i} of degree n,
+    the pair condition a_j * q**(d*j) = a_0 * b_{n-j} says P_i(q**d t) =
+    P_i(0) * rev P_{2d-i}(t). As G(rev P_i) = P_i(q**d t), it gives
+    G(N) = N * prod_odd P_i(0) and G(D) = D * prod_even P_i(0), so the two
+    sides of the product identity share the factor N * D."""
+    s = q**d
+    odd = even = 1
+    for i, f in facts.items():
+        partner = facts.get(2 * d - i)
+        if partner is None or partner.charpoly.degree != f.charpoly.degree:
+            return None
+        a, b = f.charpoly.coeffs_asc(), partner.charpoly.coeffs_asc()
+        n = len(a) - 1
+        s_j = 1
+        for j in range(n + 1):
+            if a[j] * s_j != a[0] * b[n - j]:
+                return None
+            s_j *= s
+        if i % 2:
+            odd *= a[0]
+        else:
+            even *= a[0]
+    return odd, even
+
+
 def zeta_functional_equation_verdict(zf, facts):
     """zeta_functional_equation for zf, with each degree's functional
     equation and the middle degree's mu read from model_facts.
 
-    With G(F) = q**(d*deg F) * t**deg(F) * F(1/(q**d t)) and e = d*chi, the
-    identity cross-multiplies to q**(e/2) * G(N) * D = sign * G(D) * N, with
-    the power of q moved to the right when e < 0. Once every degree passes
-    its own functional equation e is even: odd degrees have even Betti
-    numbers, the model enforces b_i = b_{2d-i}, and the middle Betti
-    number can only be odd when d is even."""
+    With G(F) = q**(d*deg F) * t**deg(F) * F(1/(q**d t)), zf = N/D and
+    e = d*chi, the identity cross-multiplies to q**(e/2) * G(N) * D =
+    sign * G(D) * N, with the power of q moved to the right when e < 0.
+    Once every degree passes its own functional equation e is even: odd
+    degrees have even Betti numbers, the model enforces b_i = b_{2d-i}, and
+    the middle Betti number can only be odd when d is even.
+
+    When Poincare duality pairs the degrees (_sides_by_dual_pairs), both
+    sides share the factor N * D and the identity reduces to one between
+    integers; otherwise the polynomial products are compared."""
     for f in facts.values():
         if not f.fe.holds:
             raise InapplicableModelError(
@@ -160,12 +208,11 @@ def zeta_functional_equation_verdict(zf, facts):
             )
     q, d, chi = zf.q, zf.dimension, zf.chi
     e = d * chi
-    lhs = _scaled_star(zf.numerator, q, d) * zf.denominator
-    rhs = _scaled_star(zf.denominator, q, d) * zf.numerator
+    lhs, rhs = _sides_by_dual_pairs(facts, q, d) or _sides_by_products(zf)
     if e >= 0:
-        lhs = lhs.scale(q ** (e // 2))
+        lhs = lhs * q ** (e // 2)
     else:
-        rhs = rhs.scale(q ** (-e // 2))
+        rhs = rhs * q ** (-e // 2)
     if lhs == rhs:
         sign = 1
     elif lhs == -rhs:

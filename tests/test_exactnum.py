@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from endospec.errors import DomainError
 from endospec.exactnum import (
@@ -14,6 +16,20 @@ from endospec.exactnum import (
     perfect_sqrt,
     valuate,
 )
+
+
+@given(
+    st.sampled_from((2, 3, 5, 7, 101)),
+    st.integers(0, 300),
+    st.integers(-(10**6), 10**6).filter(bool),
+)
+def test_int_valuation_matches_repeated_division(ell, e, unit):
+    n = unit * ell**e
+    expected = 0
+    while n % ell == 0:
+        n //= ell
+        expected += 1
+    assert int_valuation(unit * ell**e, ell) == expected
 
 
 def test_valuate_normalized_examples():
@@ -75,6 +91,11 @@ def test_is_prime():
 
 def test_int_valuation_and_perfect_sqrt():
     assert int_valuation(48, 2) == 4
+    assert int_valuation(-48, 2) == 4
+    assert int_valuation(3**1000 * 10, 3) == 1000
+    assert int_valuation(7, 5) == 0
+    with pytest.raises(DomainError):
+        int_valuation(0, 3)
     assert perfect_sqrt(49) == 7
     assert perfect_sqrt(48) is None
     assert perfect_sqrt(-4) is None

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from endospec.errors import (
     ConsistencyError,
@@ -23,6 +25,7 @@ from endospec.poly import (
     functional_equation_check,
     half_weight_multiplicity,
     poly_from_strings,
+    poly_gcd,
     power_sums,
     reciprocal_partner,
     squarefree_part,
@@ -272,3 +275,55 @@ def test_poly_arithmetic_basics():
     assert P.degree == 2 and P.is_monic()
     assert P.reversed_poly() == Poly.from_desc([6, -2, 1])
     assert str(Poly.from_desc([1, -2, 6])) == "t^2 - 2*t + 6"
+
+
+T = sympy.symbols("t")
+_coeffs = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=4))
+
+
+def _to_sympy(P):
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in P.coeffs_desc()]
+    return sympy.Poly(coeffs or [0], T, domain="QQ")
+
+
+@st.composite
+def _factors(draw):
+    """A nonconstant factor with integer or rational coefficients, monic or
+    with a random nonzero leading coefficient."""
+    lower = draw(st.lists(_coeffs, min_size=1, max_size=3))
+    lead = 1 if draw(st.booleans()) else draw(_coeffs.filter(bool))
+    return Poly(lower + [lead])
+
+
+@st.composite
+def _products(draw, factors):
+    """A constant times the factors, each to a power 0..3: the empty
+    product is a constant."""
+    P = Poly([draw(st.sampled_from((1, -3, Fraction(2, 5))))])
+    for f in factors:
+        P = P * f ** draw(st.integers(0, 3))
+    return P
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_factors(), max_size=4), st.data())
+def test_gcd_and_squarefree_part_match_sympy(factors, data):
+    P = data.draw(_products(factors))
+    Q = Poly([]) if data.draw(st.booleans()) else data.draw(_products(factors))
+    assert _to_sympy(poly_gcd(P, Q)) == sympy.gcd(_to_sympy(P), _to_sympy(Q))
+    assert _to_sympy(poly_gcd(Q, P)) == sympy.gcd(_to_sympy(P), _to_sympy(Q))
+    assert _to_sympy(squarefree_part(P)) == sympy.sqf_part(_to_sympy(P))
+    if P.is_monic() and P.is_integer():
+        # Gauss's lemma: the gcd of a monic integer polynomial is integral
+        assert poly_gcd(P, P.derivative()).is_integer()
+        assert squarefree_part(P).is_integer()
+
+
+def test_gcd_zero_and_constant_cases():
+    P = Poly.from_roots([2, 2, Fraction(1, 3)])
+    assert poly_gcd(Poly([]), Poly([])).is_zero
+    assert poly_gcd(P, Poly([])) == P.monic()
+    assert poly_gcd(Poly([]), P.scale(-4)) == P.monic()
+    assert poly_gcd(Poly([5]), P) == Poly([1])
+    assert poly_gcd(P, Poly([Fraction(-2, 7)])) == Poly([1])
+    assert squarefree_part(Poly([Fraction(3, 2)])) == Poly([1])

@@ -4,6 +4,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from endospec.errors import (
     InapplicableModelError,
@@ -12,7 +14,7 @@ from endospec.errors import (
     ValidityError,
 )
 from endospec.exactnum import NormalizedValuation
-from endospec.poly import Poly
+from endospec.poly import Poly, reciprocal_partner
 from endospec.polygons import (
     HodgePolygon,
     NewtonPolygon,
@@ -205,3 +207,89 @@ def test_vertices_json():
         vertices=((0, F(0)), (2, F(1))), slopes=(F(1, 2), F(1, 2)), normalized=True
     )
     assert vertices_json(half) == [[0, "0"], [2, "1"]]
+
+
+def _naive_valuation(x, ell):
+    x = Fraction(x)
+    num, den, v = x.numerator, x.denominator, 0
+    while num % ell == 0:
+        num //= ell
+        v += 1
+    while den % ell == 0:
+        den //= ell
+        v -= 1
+    return v
+
+
+def _reference_newton_polygon(P, ell, q):
+    """Vertices and slopes built the direct way: rational points (k,
+    v(a_k)) with v normalized by v(q) when ell divides q, a Fraction lower
+    hull, and slopes read off consecutive vertices."""
+    m = _naive_valuation(q, ell) or 1
+    points = [
+        (k, Fraction(_naive_valuation(c, ell), m))
+        for k, c in enumerate(P.coeffs_desc())
+        if c
+    ]
+    hull = []
+    for x3, y3 in points:
+        # pop while the last vertex lies on or above the chord to the new point
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (x3 - x1) >= (y3 - y1) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append((x3, y3))
+    slopes = []
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        slopes += [(y2 - y1) / (x2 - x1)] * (x2 - x1)
+    return tuple(hull), tuple(slopes)
+
+
+def _reference_symmetry(slopes, i):
+    """The slope multiset is invariant under s -> i - s, within [0, i]."""
+    counts = Counter(slopes)
+    if any(s < 0 or s > i for s in counts):
+        return False
+    return counts == Counter(i - s for s in slopes)
+
+
+@st.composite
+def _polygon_cases(draw):
+    """A monic polynomial with integer or rational coefficients of assorted
+    ell-adic valuations, a prime ell in (2, 3, 5), a q that ell divides or
+    not, and a weight i. Half the cases are Q times its q**i-reciprocal
+    partner, whose slopes pair up under s -> i - s."""
+    ell = draw(st.sampled_from((2, 3, 5)))
+    q = draw(st.sampled_from((ell, ell**2, 12 * ell, 7, 49)))
+    i = draw(st.integers(0, 3))
+
+    def coefficient(nonzero):
+        unit = draw(st.integers(1, 40) if nonzero else st.integers(0, 40))
+        sign = draw(st.sampled_from((1, -1)))
+        den = draw(st.sampled_from((1, 1, 7)))
+        return sign * Fraction(unit, den) * Fraction(ell) ** draw(st.integers(-3, 12))
+
+    n = draw(st.integers(1, 6))
+    lower = [coefficient(nonzero=True)] + [coefficient(False) for _ in range(n - 1)]
+    Q = Poly(lower + [1])
+    P = Q * reciprocal_partner(Q, q**i) if draw(st.booleans()) else Q
+    return P, ell, q, i
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polygon_cases())
+def test_newton_polygon_matches_fraction_reference(case):
+    P, ell, q, i = case
+    v = NormalizedValuation(ell, q)
+    NP = newton_polygon(P, v)
+    vertices, slopes = _reference_newton_polygon(P, ell, q)
+    assert NP.vertices == vertices
+    assert NP.slopes == slopes
+    assert NP.normalized == (q % ell == 0)
+    if NP.normalized:
+        assert symmetry_check(NP, i) == _reference_symmetry(slopes, i)
+    else:
+        with pytest.raises(InapplicableModelError):
+            symmetry_check(NP, i)

@@ -2,15 +2,19 @@
 
 import pytest
 import sympy
+from test_acceptance import grassmannian_models
+from test_varieties import _e4_q25, _test_abelian_models
 
+from endospec import zeta
 from endospec.errors import DomainError, InapplicableModelError, ValidityError
-from endospec.matrixops import ExactMatrix
+from endospec.matrixops import ExactMatrix, block_diag
 from endospec.poly import Poly, functional_equation_check
 from endospec.varieties import abelian_en, generic_model, grassmannian
 from endospec.verify import full_report
 from endospec.zeta import (
     lefschetz_number,
     lefschetz_number_by_trace,
+    model_facts,
     zeta_function,
     zeta_functional_equation,
     zeta_series_consistency,
@@ -214,50 +218,115 @@ def _sympy_sign(model):
     return None
 
 
-@pytest.mark.parametrize(
-    "model",
-    [
-        grassmannian(2, 4, 4),
-        grassmannian(2, 4, 4, "involution"),
-        grassmannian(2, 4, 5),
-        grassmannian(2, 4, 5, "involution"),
-        grassmannian(3, 6, 9, "involution"),
-        grassmannian(3, 6, 7, "involution"),
-        grassmannian(2, 5, 9),
-        grassmannian(1, 2, 6, "involution"),
-        abelian_en(EXAMPLE_A, 6),
-        abelian_en([[3, -25], [1, 0]], 25),
-        _curve(5, [1, -2, 7, -10, 25]),
-        # (t**2 - 5)(t**2 - 3t + 5): -sqrt(5) is a root, so mu = 1
-        _curve(5, [1, -3, 0, 15, -25]),
-        NON_DUAL,
-    ],
-    ids=[
-        "G24-q4",
-        "G24-q4-involution",
-        "G24-q5",
-        "G24-q5-involution",
-        "G36-q9-involution",
-        "G36-q7-involution",
-        "G25-q9",
-        "G12-q6-involution",
-        "E2-q6",
-        "E2-q25",
-        "curve-q5",
-        "curve-q5-mu1",
-        "non-dual",
-    ],
-)
-def test_zeta_functional_equation_sign_matches_sympy(model):
-    assert zeta_functional_equation(model).sign == _sympy_sign(model)
+SIGN_MODELS = {
+    "G24-q4": grassmannian(2, 4, 4),
+    "G24-q4-involution": grassmannian(2, 4, 4, "involution"),
+    "G24-q5": grassmannian(2, 4, 5),
+    "G24-q5-involution": grassmannian(2, 4, 5, "involution"),
+    "G36-q9-involution": grassmannian(3, 6, 9, "involution"),
+    "G36-q7-involution": grassmannian(3, 6, 7, "involution"),
+    "G25-q9": grassmannian(2, 5, 9),
+    "G12-q6-involution": grassmannian(1, 2, 6, "involution"),
+    "E2-q6": abelian_en(EXAMPLE_A, 6),
+    "E2-q25": abelian_en([[3, -25], [1, 0]], 25),
+    "curve-q5": _curve(5, [1, -2, 7, -10, 25]),
+    # (t**2 - 5)(t**2 - 3t + 5): -sqrt(5) is a root, so mu = 1
+    "curve-q5-mu1": _curve(5, [1, -3, 0, 15, -25]),
+    "non-dual": NON_DUAL,
+}
 
 
-def test_zeta_functional_equation_fails_on_non_dual_degrees():
+def _force_product_identity(monkeypatch):
+    """Make every model take the product identity instead of dual pairs."""
+    monkeypatch.setattr(zeta, "_sides_by_dual_pairs", lambda *args: None)
+
+
+@pytest.mark.parametrize("name", SIGN_MODELS)
+def test_zeta_functional_equation_sign_matches_sympy(monkeypatch, name):
+    model = SIGN_MODELS[name]
+    expected = _sympy_sign(model)
+    assert zeta_functional_equation(model).sign == expected
+    # the product identity gives the same sign; "non-dual" takes it anyway
+    _force_product_identity(monkeypatch)
+    assert zeta_functional_equation(model).sign == expected
+
+
+def test_zeta_functional_equation_fails_on_non_dual_degrees(monkeypatch):
     # every degree passes its own functional equation, so the gate admits it
     for act in NON_DUAL.actions:
         assert functional_equation_check(act.charpoly, 5, act.degree).holds
+    calls = []
+    products = zeta._sides_by_products
+    monkeypatch.setattr(zeta, "_sides_by_products", lambda zf: calls.append(zf) or products(zf))
     res = zeta_functional_equation(NON_DUAL)
     assert res.sign is None and not res.holds
+    # degree 3 is not the q**2-reciprocal of degree 1: no dual pairs
+    assert len(calls) == 1
     checks = full_report(NON_DUAL, [5]).results
     (zeta_check,) = [c for c in checks if c.check_id == "zeta_functional_equation"]
     assert zeta_check.status == "fail"
+
+
+def _zeta_outcome(model):
+    try:
+        return zeta_functional_equation(model)
+    except InapplicableModelError as exc:
+        return str(exc)
+
+
+def _test_models():
+    """Every model the test suite builds, a degree-1 matrix at a time or
+    through generic charpolys, that the zeta check accepts or refuses."""
+    models = _test_abelian_models() + [_e4_q25()] + list(SIGN_MODELS.values())
+    models += [m for _, m in grassmannian_models()]
+    models += [_elliptic(2), _elliptic(3), grassmannian(1, 2, 5), grassmannian(1, 2, 9)]
+    models += [grassmannian(k, n, 3) for n in range(2, 7) for k in range(1, n)]
+    polys = {i: abelian_en(EXAMPLE_A, 6).charpoly(i) for i in range(5)}
+    models.append(generic_model(2, 6, charpolys=polys, strict=True))
+    polys[1] = Poly.from_desc([1, -4, 16, -24, 35])
+    models.append(generic_model(2, 6, charpolys=polys, strict=True))
+    return models
+
+
+def test_dual_pair_route_matches_product_identity(monkeypatch):
+    models = _test_models()
+    by_pairs = [_zeta_outcome(m) for m in models]
+    for model, outcome in zip(models, by_pairs):
+        if model is NON_DUAL or isinstance(outcome, str):
+            continue
+        # Poincare duality pairs the degrees of every other accepted model.
+        facts = model_facts(model)
+        assert zeta._sides_by_dual_pairs(facts, model.q, model.dimension) is not None
+    assert any(isinstance(o, str) for o in by_pairs)
+    _force_product_identity(monkeypatch)
+    assert [_zeta_outcome(m) for m in models] == by_pairs
+
+
+def _e5_q25():
+    """E^5 with q = 25 from two rotation blocks and the scalar 5: the
+    zeta function has numerator and denominator of degree 512."""
+    A = block_diag(
+        [ExactMatrix([[3, -4], [4, 3]]), ExactMatrix([[4, -3], [3, 4]]), ExactMatrix([[5]])]
+    )
+    return abelian_en(A, 25)
+
+
+def test_e5_zeta_functional_equation_by_dual_pairs(monkeypatch):
+    model = _e5_q25()
+    zf = zeta_function(model)
+    assert (zf.numerator.degree, zf.denominator.degree, zf.chi) == (512, 512, 0)
+    res = zeta_functional_equation(model)
+    assert res.holds and res.sign == 1 and res.mu == 4
+    # The product identity itself (two products of degree-512 polynomials
+    # with coefficients of some 12000 bits, the slow part of this test):
+    # with chi = 0 it reads G(N) * D = sign * G(D) * N.
+    lhs, rhs = zeta._sides_by_products(zf)
+    assert lhs == rhs
+
+    def refuse(zf):
+        raise AssertionError("product identity used")
+
+    monkeypatch.setattr(zeta, "_sides_by_products", refuse)
+    report = full_report(model, [5])
+    (zeta_check,) = [c for c in report.results if c.check_id == "zeta_functional_equation"]
+    assert zeta_check.status == "pass"
