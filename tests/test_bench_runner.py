@@ -1,0 +1,54 @@
+"""The benchmark runner's time limit (`perfbench/run.py`), checked on an
+operation that cannot finish: its report is repeated until the alarm
+strikes, so the test holds however fast a single report becomes.
+
+    PYTHONPATH=src python -m pytest tests/test_bench_runner.py
+"""
+
+import signal
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import run  # noqa: E402
+import workloads  # noqa: E402
+
+run.import_endospec()
+
+ENDLESS = "E4-q25"
+
+
+@pytest.fixture
+def runner(tmp_path, monkeypatch):
+    old = signal.signal(signal.SIGALRM, run._on_alarm)
+    runner = run.Runner("abelian_scale", workloads.make_ops("abelian_scale", 1), tmp_path)
+    api = runner._api
+
+    def endless(op):
+        if op.op_id != ENDLESS:
+            return api(op)
+        while True:
+            api(op)
+
+    monkeypatch.setattr(runner, "_api", endless)
+    yield runner
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, old)
+
+
+def by_id(runner, op_id):
+    return next(op for op in runner.ops if op.op_id == op_id)
+
+
+def test_timeout_is_reported_and_not_rerun(runner):
+    runner.limit = 0.2
+    outcome, seconds, output, reason, defect = runner.run_op(by_id(runner, ENDLESS))
+    assert (outcome, output, defect) == ("timeout", None, None)
+    assert 0.2 <= seconds < 2
+    assert "limit" in reason
+    assert ENDLESS in runner.no_document
+    runner.ops = [by_id(runner, ENDLESS), by_id(runner, "E2-q25-a3")]
+    _, results = runner.run_pass()
+    assert [(r[0].op_id, r[1]) for r in results] == [("E2-q25-a3", "ok")]
