@@ -16,7 +16,7 @@ from endospec.errors import (
     SingularActionError,
     ValidityError,
 )
-from endospec.exactnum import NormalizedValuation, QuadExt, half_power, valuate
+from endospec.exactnum import NormalizedValuation, valuate
 from endospec.majorize import compound, majorizes
 from endospec.matrixops import (
     ExactMatrix,
@@ -82,7 +82,6 @@ __all__ = [
     "NewtonPolygon",
     "NormalizedValuation",
     "Poly",
-    "QuadExt",
     "ShapeError",
     "SingularActionError",
     "ValidityError",
@@ -101,7 +100,6 @@ __all__ = [
     "functional_equation_check",
     "generic_model",
     "grassmannian",
-    "half_power",
     "half_weight_multiplicity",
     "hodge_polygon",
     "invariant_factors",

@@ -1,10 +1,11 @@
-"""Exact scalar arithmetic: normalized nonarchimedean valuations and the
-real quadratic extension Q(sqrt(q)).
+"""Exact scalar arithmetic: primality, integer square roots and
+normalized nonarchimedean valuations.
 
 Integers are plain Python ints, rationals are fractions.Fraction; both are
 already arbitrary precision and canonical. This module adds what they lack:
-valuations normalized against a fixed q, and a closed ring for expressions
-involving q**(1/2).
+valuations normalized against a fixed q, and the integer tests (primality,
+perfect squares) the checks decide with. A power q**(e/2) is compared as
+the integer square root of q**e, so no irrational ring is needed.
 """
 
 from fractions import Fraction
@@ -126,166 +127,6 @@ class NormalizedValuation:
 
 def valuate(x, v):
     return v.valuate(x)
-
-
-def _as_fraction(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise DomainError(f"not a rational scalar: {x!r}")
-
-
-class QuadExt:
-    """Element a + b*sqrt(q) of Q(sqrt(q)) for a fixed radicand q > 1.
-
-    When q is a perfect square the sqrt is rational and b is folded into a
-    on construction, so perfect-square radicands never carry a nonzero b.
-    """
-
-    __slots__ = ("a", "b", "radicand")
-
-    def __init__(self, a, b=0, radicand=None):
-        if radicand is None:
-            raise DomainError("QuadExt needs an explicit radicand")
-        if radicand <= 1:
-            raise DomainError("radicand must exceed 1")
-        a = _as_fraction(a)
-        b = _as_fraction(b)
-        r = perfect_sqrt(radicand)
-        if r is not None and b:
-            a += b * r
-            b = Fraction(0)
-        self.a = a
-        self.b = b
-        self.radicand = radicand
-
-    @classmethod
-    def rational(cls, x, radicand):
-        return cls(_as_fraction(x), 0, radicand)
-
-    @classmethod
-    def sqrt(cls, radicand):
-        return cls(0, 1, radicand)
-
-    def _coerce(self, other):
-        if isinstance(other, QuadExt):
-            if other.radicand != self.radicand:
-                raise DomainError(
-                    f"mixed radicands {self.radicand} and {other.radicand}"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadExt(other, 0, self.radicand)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadExt(self.a + o.a, self.b + o.b, self.radicand)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadExt(self.a - o.a, self.b - o.b, self.radicand)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        q = self.radicand
-        return QuadExt(
-            self.a * o.a + self.b * o.b * q,
-            self.a * o.b + self.b * o.a,
-            q,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        norm = o.a * o.a - o.b * o.b * o.radicand
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt(q))")
-        inv = QuadExt(o.a / norm, -o.b / norm, o.radicand)
-        return self * inv
-
-    def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.radicand)
-
-    def __pow__(self, n):
-        if n < 0:
-            raise DomainError("negative powers not supported")
-        out = QuadExt(1, 0, self.radicand)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def conjugate(self):
-        return QuadExt(self.a, -self.b, self.radicand)
-
-    def is_rational(self):
-        return self.b == 0
-
-    def rational_value(self):
-        if self.b:
-            raise DomainError("value is irrational")
-        return self.a
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
-        if isinstance(other, QuadExt):
-            if self.radicand != other.radicand:
-                # Two rational values are comparable regardless of radicand.
-                return self.b == 0 and other.b == 0 and self.a == other.a
-            return self.a == other.a and self.b == other.b
-        return NotImplemented
-
-    def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.radicand))
-
-    def __bool__(self):
-        return bool(self.a) or bool(self.b)
-
-    def __repr__(self):
-        return f"QuadExt({self.a!r}, {self.b!r}, {self.radicand})"
-
-    def __str__(self):
-        return f"{self.a} + {self.b}*sqrt({self.radicand})"
-
-
-def half_power(q, i, n):
-    """q**(i*n/2) as a QuadExt: rational when i*n is even or q is square."""
-    if q <= 1:
-        raise DomainError("q must exceed 1")
-    if i < 0 or n < 0:
-        raise DomainError("exponents must be nonnegative")
-    e = i * n
-    if e % 2 == 0:
-        return QuadExt(q ** (e // 2), 0, q)
-    r = perfect_sqrt(q)
-    if r is not None:
-        return QuadExt(r**e, 0, q)
-    return QuadExt(0, q ** ((e - 1) // 2), q)
 
 
 def parse_rational(s):

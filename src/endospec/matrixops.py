@@ -1,7 +1,8 @@
 """Exact matrix machinery: exterior powers, invariant factors of the
 characteristic matrix t*id - M (Smith normal form over the polynomial ring),
 the eigenvalue-reciprocity test on Jordan data, bilinear pairing checks, and
-the search for a positive-definite polarization witness.
+the exact decision whether a positive-definite polarization witness exists
+(one projection onto a kernel).
 
 Matrices carry int or Fraction entries and are immutable. Heavy integer
 inner loops (determinants, minors, polynomial row updates) live in
@@ -32,7 +33,7 @@ from endospec.errors import (
     SingularActionError,
     ValidityError,
 )
-from endospec.exactnum import half_power, parse_rational
+from endospec.exactnum import parse_rational, perfect_sqrt
 from endospec.poly import Poly, poly_gcd, reciprocal_partner
 
 
@@ -253,16 +254,8 @@ def exterior_power(M, k):
     minors = minor_dets_int(scaled, subsets, subsets)
     if c == 1:
         return ExactMatrix(minors)
-    scale = Fraction(1, c**k)
-    return ExactMatrix(
-        [[_defrac(x * scale) for x in row] for row in minors]
-    )
-
-
-def _defrac(x):
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
+    scale = Fraction(c**k)
+    return ExactMatrix([[polymod._ratio(x, scale) for x in row] for row in minors])
 
 
 def _deg(p):
@@ -442,8 +435,10 @@ def pairing_check(M, B, q, i):
     if not holds:
         return PairingResult(False)
     if i % 2 == 1:
-        expected = half_power(q, i, M.nrows)
-        det_ok = expected.is_rational() and Fraction(M.det()) == expected.rational_value()
+        # q**(i*n/2) is the integer square root of q**(i*n) when that is a
+        # perfect square, and irrational, so never det(M), otherwise.
+        expected = perfect_sqrt(q ** (i * M.nrows))
+        det_ok = expected is not None and M.det() == expected
         return PairingResult(True, determinant_matches=det_ok)
     return PairingResult(True)
 
@@ -490,29 +485,18 @@ def _is_positive_definite(D):
     return True
 
 
-def _primitive_integer(D):
-    c = 1
-    for r in D.rows:
-        for x in r:
-            if isinstance(x, Fraction):
-                c = lcm(c, x.denominator)
-    ints = [[int(x * c) for x in r] for r in D.rows]
-    g = 0
-    for r in ints:
-        for x in r:
-            g = gcd(g, x)
-    if g > 1:
-        ints = [[x // g for x in r] for r in ints]
-    return ExactMatrix(ints)
-
-
 def polarization_witness(A, q):
-    """Symmetric positive-definite D with At D A = q D, or None.
+    """Symmetric positive-definite D with At D A = q D, or None; exact.
 
-    The constraint is linear in D; the kernel over symmetric matrices is
-    computed exactly, then searched: single basis elements, pairwise sums
-    and differences, finally a bounded grid of small integer combinations.
-    The grid bound is a completeness limitation, not a soundness one.
+    The constraint is linear in D: C = q(T - 1) on symmetric forms, with
+    T(D) = At D A / q. If a positive-definite witness D* exists, A/sqrt(q)
+    is orthogonal for D*, so T is an isometry of a Euclidean structure on
+    forms and they split as ker C + im C. The part of the identity form in
+    ker C along im C is then the limit of the averages of
+    (A**k)t A**k / q**k, which is at least D*/lambda_max(D*): positive
+    definite. So that one projection decides: it is found by solving
+    (Nt K) y = Nt e for kernel bases K of C and N of Ct, and when Nt K is
+    singular the sum is not direct and no witness exists.
     """
     if q <= 1:
         raise DomainError("q must exceed 1")
@@ -536,51 +520,21 @@ def polarization_witness(A, q):
     kernel = _nullspace(constraint)
     if not kernel:
         return None
-
-    def assemble(vec):
-        D = [[Fraction(0)] * n for _ in range(n)]
-        for (u, v), x in zip(pairs, vec):
-            D[u][v] = x
-            D[v][u] = x
-        return ExactMatrix(D)
-
-    def try_vector(vec):
-        if all(x == 0 for x in vec):
-            return None
-        D = assemble(vec)
-        if _is_positive_definite(D):
-            witness = _primitive_integer(D)
-            if A.transpose() @ witness @ A != witness * q:
-                raise ConsistencyError("kernel arithmetic produced a bad witness")
-            return witness
+    K = ExactMatrix(kernel).transpose()
+    Nt = ExactMatrix(_nullspace([list(col) for col in zip(*constraint)]))
+    identity_form = ExactMatrix([[int(u == v)] for u, v in pairs])
+    try:
+        y = (Nt @ K).inverse() @ (Nt @ identity_form)
+    except SingularActionError:
         return None
-
-    for v in kernel:
-        for s in (1, -1):
-            hit = try_vector([s * x for x in v])
-            if hit is not None:
-                return hit
-    for a, b in combinations(range(len(kernel)), 2):
-        for sa in (1, -1):
-            for sb in (1, -1):
-                vec = [sa * x + sb * y for x, y in zip(kernel[a], kernel[b])]
-                hit = try_vector(vec)
-                if hit is not None:
-                    return hit
-    grid_dims = min(len(kernel), 4)
-    bound = 3
-
-    def grid(prefix, depth):
-        if depth == grid_dims:
-            vec = [Fraction(0)] * len(pairs)
-            for c, kv in zip(prefix, kernel):
-                if c:
-                    vec = [x + c * y for x, y in zip(vec, kv)]
-            return try_vector(vec)
-        for c in range(-bound, bound + 1):
-            hit = grid(prefix + [c], depth + 1)
-            if hit is not None:
-                return hit
+    coords = [r[0] for r in (K @ y).rows]
+    D = [[0] * n for _ in range(n)]
+    for (u, v), x in zip(pairs, coords):
+        D[u][v] = D[v][u] = x
+    if not _is_positive_definite(ExactMatrix(D)):
         return None
-
-    return grid([], 0)
+    flat = polymod._primitive([x for r in D for x in r])
+    witness = ExactMatrix([flat[u * n : (u + 1) * n] for u in range(n)])
+    if A.transpose() @ witness @ A != witness * q:
+        raise ConsistencyError("kernel arithmetic produced a bad witness")
+    return witness

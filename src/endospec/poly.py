@@ -2,8 +2,9 @@
 transforms built on them: reciprocal/duality partners, the coefficientwise
 functional-equation test, power sums, and exact factor extraction.
 
-Coefficients may be int, Fraction, or QuadExt; arithmetic never leaves exact
-scalars. Storage is ascending by degree; serialization is leading-first.
+Coefficients are int or Fraction; arithmetic never leaves exact scalars,
+and the hot paths (gcd, Sturm sequences) run in integers. Storage is
+ascending by degree; serialization is leading-first.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from endospec.errors import (
     SingularActionError,
     ValidityError,
 )
-from endospec.exactnum import QuadExt, parse_rational, perfect_sqrt
+from endospec.exactnum import parse_rational, perfect_sqrt
 
 
 class Poly:
@@ -43,14 +44,6 @@ class Poly:
     @classmethod
     def from_desc(cls, desc_coeffs):
         return cls(reversed(list(desc_coeffs)))
-
-    @classmethod
-    def constant(cls, c):
-        return cls([c])
-
-    @classmethod
-    def identity_t(cls):
-        return cls([0, 1])
 
     @classmethod
     def from_roots(cls, roots):
@@ -100,7 +93,7 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self._asc == other._asc
-        if isinstance(other, (int, Fraction, QuadExt)):
+        if isinstance(other, (int, Fraction)):
             return self == Poly([other])
         return NotImplemented
 
@@ -169,8 +162,6 @@ class Poly:
         lead = self._asc[-1]
         if lead == 1:
             return self
-        if isinstance(lead, QuadExt):
-            return Poly([c / lead for c in self._asc])
         lead = Fraction(lead)
         return Poly([_ratio(c, lead) for c in self._asc])
 
@@ -195,10 +186,7 @@ class Poly:
                 r[k - dn + j] = r[k - dn + j] - c * dj
         quot = Poly(q)
         if lead != 1:
-            if isinstance(lead, QuadExt):
-                quot = Poly([c / lead for c in quot._asc])
-            else:
-                quot = Poly([_ratio(c, Fraction(lead)) for c in quot._asc])
+            quot = Poly([_ratio(c, Fraction(lead)) for c in quot._asc])
         return quot, Poly(r[:dn])
 
     def derivative(self):
@@ -208,9 +196,6 @@ class Poly:
         """t**deg * P(1/t): the coefficient sequence reversed."""
         return Poly(self.coeffs_desc())
 
-    def map_coeffs(self, fn):
-        return Poly([fn(c) for c in self._asc])
-
     def __str__(self):
         if self.is_zero:
             return "0"
@@ -219,13 +204,8 @@ class Poly:
             c = self.coeff(k)
             if not c:
                 continue
-            if isinstance(c, QuadExt):
-                body = f"({c})"
-                sign = "+"
-            else:
-                sign = "-" if c < 0 else "+"
-                mag = -c if c < 0 else c
-                body = str(mag)
+            sign = "-" if c < 0 else "+"
+            body = str(-c if c < 0 else c)
             if k == 0:
                 term = body
             else:
@@ -285,6 +265,10 @@ def charpoly(rows):
 
 @dataclass(frozen=True)
 class FunctionalEquationResult:
+    """Outcome of a sign identity, the functional equation of P_i or its
+    cross duality with P_{2d-i}: the sign epsilon when it holds, else the
+    first failing coefficient index."""
+
     holds: bool
     epsilon: Optional[int] = None
     failure_index: Optional[int] = None
@@ -353,16 +337,6 @@ def duality_partner(P, q, d):
     return partner
 
 
-@dataclass(frozen=True)
-class CrossDualityResult:
-    holds: bool
-    epsilon: Optional[int] = None
-    failure_index: Optional[int] = None
-
-    def __bool__(self):
-        return self.holds
-
-
 def cross_duality_check(P_i, P_dual, q, d, i):
     """Test t**n * P_i(q**d/t) == (-1)**eps * q**(i*n/2) * P_dual(t).
 
@@ -385,7 +359,7 @@ def cross_duality_verdict(facts, P_dual, d):
         raise SingularActionError("zero constant term")
     fe = facts.fe
     if not fe.holds:
-        return CrossDualityResult(False, failure_index=fe.failure_index)
+        return FunctionalEquationResult(False, failure_index=fe.failure_index)
     # A passing functional equation forces i*n even (odd weight needs even
     # degree), so the scale is an integer.
     scale = (1 - 2 * fe.epsilon) * q ** (i * n // 2)
@@ -393,8 +367,8 @@ def cross_duality_verdict(facts, P_dual, d):
     s = q**d
     for j in range(n + 1):
         if asc[n - j] * s ** (n - j) != scale * P_dual.coeff(j):
-            return CrossDualityResult(False, failure_index=j)
-    return CrossDualityResult(True, epsilon=fe.epsilon)
+            return FunctionalEquationResult(False, failure_index=j)
+    return FunctionalEquationResult(True, epsilon=fe.epsilon)
 
 
 def power_sums(P, N):

@@ -169,8 +169,8 @@ def abelian_en(A, q):
     """Power-of-an-elliptic-curve model from an n x n integer isogeny
     matrix: the degree-1 action is A tensor I2 and P_1 = charpoly(A)**2.
 
-    The polarization witness search runs on A itself; its outcome travels
-    in the metadata rather than gating construction."""
+    The polarization witness is decided exactly on A itself; its outcome
+    travels in the metadata rather than gating construction."""
     if not isinstance(A, ExactMatrix):
         A = ExactMatrix(A)
     if not A.is_square:

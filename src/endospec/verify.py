@@ -10,6 +10,7 @@ advisory evidence and never fails a run.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import ceil
 from typing import Optional
 
@@ -363,8 +364,7 @@ def _degree_results(model, f, semisimple):
     return out
 
 
-def _over_hodge(NP, row, i, hodge):
-    HP = hodge_polygon(i, hodge)
+def _over_hodge(NP, row, HP):
     cmp_ = np_ge_hp(NP, HP)
     row.setdefault("hodge_polygon", vertices_json(HP))
     if cmp_.status == "incomparable":
@@ -377,8 +377,9 @@ def _over_hodge(NP, row, i, hodge):
     return bool(cmp_), witness
 
 
-def _newton_results(model, row, i, prime, v):
-    """The NEWTON_CHECKS of degree i at one prime; records the polygons in row."""
+def _newton_results(model, row, i, prime, v, hodge_polygon_of):
+    """The NEWTON_CHECKS of degree i at one prime; records the polygons in row.
+    hodge_polygon_of(i) is the Hodge polygon of degree i."""
     if model.betti(i) == 0:
         reason = "no cohomology in this degree"
         return [_na(cid, i, prime, reason=reason) for cid in NEWTON_CHECKS]
@@ -399,7 +400,7 @@ def _newton_results(model, row, i, prime, v):
         _guarded("newton_symmetry", i, prime, lambda: (symmetry_check(NP, i), ())),
     ]
     if has_hodge_data(model, i):
-        nh = lambda: _over_hodge(NP, row, i, model.hodge[i])
+        nh = lambda: _over_hodge(NP, row, hodge_polygon_of(i))
         out.append(_guarded("newton_over_hodge", i, prime, nh))
     else:
         out.append(_na("newton_over_hodge", i, prime, reason="no Hodge data"))
@@ -448,10 +449,12 @@ def full_report(model, primes, precision=60):
         row["mu_plus"] = f.mu_plus
         row["mu_minus"] = f.mu_minus
         results.extend(_degree_results(model, f, semisimple))
+    # A degree's Hodge polygon does not depend on the prime: build it once.
+    hodge_polygon_of = cache(lambda i: hodge_polygon(i, model.hodge[i]))
     for prime in primes:
         v = NormalizedValuation(prime, q)
         for i, row in enumerate(degree_rows):
-            results.extend(_newton_results(model, row, i, prime, v))
+            results.extend(_newton_results(model, row, i, prime, v, hodge_polygon_of))
     zf = zeta_function(model)
     results.append(
         _guarded("zeta_functional_equation", None, None, lambda: _zeta(zf, facts))

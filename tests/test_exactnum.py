@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from endospec.errors import DomainError
 from endospec.exactnum import (
     NormalizedValuation,
-    QuadExt,
-    half_power,
     int_valuation,
     is_prime,
     parse_rational,
@@ -99,65 +97,6 @@ def test_int_valuation_and_perfect_sqrt():
     assert perfect_sqrt(49) == 7
     assert perfect_sqrt(48) is None
     assert perfect_sqrt(-4) is None
-
-
-def test_quad_mul_examples():
-    r6 = QuadExt.sqrt(6)
-    assert r6 * r6 == 6
-    one = QuadExt.rational(1, 6)
-    x = QuadExt(Fraction(3, 2), Fraction(-1, 3), 6)
-    assert one * x == x
-    assert QuadExt(1, 1, 6) * QuadExt(1, -1, 6) == -5
-
-
-def test_quadext_mixed_radicands_rejected():
-    with pytest.raises(DomainError):
-        QuadExt.sqrt(6) * QuadExt.sqrt(7)
-    # except when both sides are rational values
-    assert QuadExt.rational(3, 6) == QuadExt.rational(3, 7)
-
-
-def test_quadext_conjugation_is_ring_involution():
-    rng = random.Random(5)
-    for _ in range(200):
-        x = QuadExt(rng.randint(-9, 9), Fraction(rng.randint(-9, 9), 4), 6)
-        y = QuadExt(Fraction(rng.randint(-9, 9), 3), rng.randint(-9, 9), 6)
-        assert (x * y).conjugate() == x.conjugate() * y.conjugate()
-        assert (x + y).conjugate() == x.conjugate() + y.conjugate()
-        assert x.conjugate().conjugate() == x
-
-
-def test_perfect_square_radicand_normalizes():
-    x = QuadExt(1, 3, 9)  # 1 + 3*sqrt(9) = 10
-    assert x.is_rational() and x.rational_value() == 10
-    assert QuadExt(0, 1, 16) == 4
-
-
-def test_quadext_division():
-    rng = random.Random(17)
-    for _ in range(100):
-        x = QuadExt(rng.randint(-9, 9), rng.randint(-9, 9), 7)
-        y = QuadExt(rng.randint(1, 9), rng.randint(-9, 9), 7)
-        assert (x / y) * y == x
-    with pytest.raises(ZeroDivisionError):
-        x / QuadExt(0, 0, 7)
-
-
-def test_quadext_pow():
-    r6 = QuadExt.sqrt(6)
-    assert r6**2 == 6
-    assert r6**3 == QuadExt(0, 6, 6)
-    assert (QuadExt(1, 1, 6)) ** 0 == 1
-    with pytest.raises(DomainError):
-        r6 ** (-1)
-
-
-def test_half_power_examples():
-    assert half_power(6, 1, 4) == 36
-    assert half_power(6, 1, 1) == QuadExt.sqrt(6)
-    assert half_power(4, 1, 1) == 2
-    assert half_power(6, 3, 2) == 216
-    assert half_power(9, 1, 3) == 27
 
 
 def test_parse_rational():

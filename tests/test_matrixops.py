@@ -1,12 +1,18 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from endospec.errors import ShapeError, SingularActionError, ValidityError
 from endospec.matrixops import (
     ExactMatrix,
+    _is_positive_definite,
+    _nullspace,
     block_diag,
     exterior_power,
     invariant_factors,
@@ -19,6 +25,7 @@ from endospec.matrixops import (
     semisimple_jordan_symmetry,
 )
 from endospec.poly import Poly, charpoly
+from endospec.verify import weil_weight_check
 
 
 def _diag(*entries):
@@ -243,6 +250,157 @@ def test_polarization_witness_scalar_and_absent():
     assert D is not None
     assert polarization_witness(_diag(2, 3), 6) is None
     assert polarization_witness(ExactMatrix([[3]]), 9) is not None
+
+
+def test_pairing_check_determinant_on_odd_weight_times_rank():
+    rotation = ExactMatrix([[3, -4], [4, 3]])
+    B = ExactMatrix.identity(3)
+    cases = [
+        # square q: q**(i*n/2) is an integer, matched by sign
+        (ExactMatrix([[3]]), ExactMatrix([[1]]), 9, 1, True),
+        (ExactMatrix([[-3]]), ExactMatrix([[1]]), 9, 1, False),
+        (ExactMatrix([[8]]), ExactMatrix([[1]]), 4, 3, True),
+        (block_diag([rotation, _diag(5)]), B, 25, 1, True),
+        (block_diag([rotation, _diag(-5)]), B, 25, 1, False),
+        (_diag(3, 3, 3), B, 9, 1, True),
+    ]
+    for M, form, q, i, matches in cases:
+        res = pairing_check(M, form, q, i)
+        assert res.holds and res.determinant_matches is matches
+    # non-square q with odd i*n: det(M)**2 = q**(i*n) has no integer
+    # solution, so the pairing itself fails and no determinant is reported
+    res = pairing_check(ExactMatrix([[2]]), ExactMatrix([[1]]), 5, 1)
+    assert not res.holds and res.determinant_matches is None
+
+
+def _assert_witness(A, q, W):
+    assert W.is_integer() and W == W.transpose()
+    assert _is_positive_definite(W)
+    assert A.transpose() @ W @ A == W * q
+
+
+def bounded_search_witness(A, q):
+    """A bounded, incomplete search kept as a reference: kernel basis
+    forms, their signed pairwise sums, then integer combinations with
+    coefficients in [-3, 3] of the first four basis forms. Returns a
+    positive-definite kernel form or None."""
+    n = A.nrows
+    pairs = [(u, v) for u in range(n) for v in range(u, n)]
+    a = A.rows
+    constraint = [
+        [
+            a[u][i] * a[v][j]
+            + (a[v][i] * a[u][j] if u != v else 0)
+            - (q if (u, v) == (i, j) else 0)
+            for u, v in pairs
+        ]
+        for i, j in pairs
+    ]
+    kernel = _nullspace(constraint)
+
+    def form(vec):
+        D = [[0] * n for _ in range(n)]
+        for (u, v), x in zip(pairs, vec):
+            D[u][v] = D[v][u] = x
+        return ExactMatrix(D)
+
+    candidates = [[s * x for x in v] for v in kernel for s in (1, -1)]
+    for v, w in combinations(kernel, 2):
+        for sv in (1, -1):
+            for sw in (1, -1):
+                candidates.append([sv * x + sw * y for x, y in zip(v, w)])
+
+    def grid(prefix):
+        if len(prefix) == min(len(kernel), 4):
+            yield [sum(c * k[m] for c, k in zip(prefix, kernel)) for m in range(len(pairs))]
+            return
+        for c in range(-3, 4):
+            yield from grid(prefix + [c])
+
+    if kernel:
+        candidates = [*candidates, *grid([])]
+    for vec in candidates:
+        if any(vec) and _is_positive_definite(form(vec)):
+            return form(vec)
+    return None
+
+
+def _has_witness_oracle(A, q):
+    """A witness exists iff A is diagonalizable over C with every
+    eigenvalue of absolute value sqrt(q): then A/sqrt(q) is conjugate to
+    an orthogonal matrix over R. The weight test reads the eigenvalues off
+    charpoly(A)**2, the degree-1 polynomial of E^n."""
+    if A.det() == 0 or not weil_weight_check(charpoly(A.rows) ** 2, q, 1):
+        return False
+    return sympy.Matrix([list(r) for r in A.rows]).is_diagonalizable()
+
+
+_square_matrices = st.integers(1, 3).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_square_matrices, st.sampled_from((2, 3, 4, 5, 9, 25)))
+@example([[1, -1], [1, 1]], 2)
+@example([[0, -2], [1, 0]], 2)
+@example([[2, 1], [0, 2]], 4)
+@example([[5, 0, 0], [0, 3, -4], [0, 4, 3]], 25)
+@example([[3, 2, -6], [4, 21, -18], [4, 16, -13]], 25)
+@example([[3, 0, 0], [0, 3, 0], [0, 0, -3]], 9)
+def test_polarization_witness_matches_oracle(rows, q):
+    A = ExactMatrix(rows)
+    W = polarization_witness(A, q)
+    assert (W is not None) == _has_witness_oracle(A, q)
+    if W is not None:
+        _assert_witness(A, q, W)
+
+
+def _conjugated_rotations(rng, count):
+    """Polarized isogenies: rotation blocks [[a, -b], [b, a]] with
+    a**2 + b**2 = q, a +-sqrt(q) block for odd size, conjugated by a random
+    unimodular matrix."""
+    shapes = [
+        (25, [[[3, -4], [4, 3]]]),
+        (25, [[[3, -4], [4, 3]], [[-5]]]),
+        (169, [[[5, -12], [12, 5]], [[13]]]),
+        (65, [[[1, -8], [8, 1]], [[4, -7], [7, 4]]]),
+        (2, [[[1, -1], [1, 1]], [[1, -1], [1, 1]]]),
+    ]
+    for _ in range(count):
+        q, blocks = rng.choice(shapes)
+        B = block_diag([ExactMatrix(b) for b in blocks])
+        S = _random_unimodular(rng, B.nrows)
+        yield S @ B @ S.inverse(), q
+
+
+def test_polarization_witness_finds_every_bounded_search_hit():
+    rng = random.Random(23)
+    cases = list(_conjugated_rotations(rng, 40))
+    for _ in range(80):
+        n = rng.randint(1, 3)
+        q = rng.choice((2, 4, 5, 9))
+        cases.append((ExactMatrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]), q))
+    hits = 0
+    for A, q in cases:
+        if A.det() == 0:
+            continue
+        W = polarization_witness(A, q)
+        if bounded_search_witness(A, q) is not None:
+            hits += 1
+            assert W is not None
+        if W is not None:
+            _assert_witness(A, q, W)
+    assert hits >= 10
+
+
+@pytest.mark.parametrize("r, q", [(2, 4), (-3, 9), (5, 25)])
+def test_polarization_witness_absent_for_jordan_block(r, q):
+    # every eigenvalue has absolute value sqrt(q), but no form is preserved
+    A = ExactMatrix([[r, 1], [0, r]])
+    assert polarization_witness(A, q) is None
 
 
 def test_matrix_serialization_round_trip():

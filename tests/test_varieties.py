@@ -15,7 +15,12 @@ from endospec.errors import (
     SingularActionError,
     ValidityError,
 )
-from endospec.matrixops import ExactMatrix, block_diag, exterior_power
+from endospec.matrixops import (
+    ExactMatrix,
+    _is_positive_definite,
+    block_diag,
+    exterior_power,
+)
 from endospec.poly import Poly, charpoly
 from endospec.varieties import (
     CohomologyAction,
@@ -28,6 +33,7 @@ from endospec.varieties import (
 )
 from endospec.verify import full_report
 from test_acceptance import family_models
+from test_matrixops import bounded_search_witness
 
 # isogeny matrix of the running abelian surface example, q = 6
 EXAMPLE_A = ExactMatrix([[1, -5], [1, 1]])
@@ -86,6 +92,39 @@ def test_abelian_en_polarization_metadata():
     plain = abelian_en([[2, 0], [0, 3]], 6)
     assert not plain.metadata["polarization_verified"]
     assert plain.metadata["polarization_witness"] is None
+
+
+def _rotation(a, b):
+    return ExactMatrix([[a, -b], [b, a]])
+
+
+# Polarized by construction, U B U^-1 with B orthogonal up to sqrt(q), but
+# out of reach of the earlier bounded search: E^3 with a rotation block and
+# a +-sqrt(q) block, and a generally conjugated E^4.
+_U3 = ExactMatrix([[1, 0, 3], [0, 1, -3], [0, 1, -2]])
+_U4 = ExactMatrix([[1, -8, 2, 2], [0, 1, 0, -3], [0, -4, 1, 1], [0, 0, 0, 1]])
+MISSED_BY_BOUNDED_SEARCH = [
+    (_U3, [_rotation(3, 4), ExactMatrix([[5]])], 25),
+    (_U3, [_rotation(4, -3), ExactMatrix([[-5]])], 25),
+    (_U3, [_rotation(5, 12), ExactMatrix([[13]])], 169),
+    (_U3, [_rotation(12, -5), ExactMatrix([[-13]])], 169),
+    (_U4, [_rotation(1, 8), _rotation(4, 7)], 65),
+]
+
+
+@pytest.mark.parametrize(
+    "U, blocks, q",
+    MISSED_BY_BOUNDED_SEARCH,
+    ids=["E3-q25", "E3-q25-minus", "E3-q169", "E3-q169-minus", "E4-q65"],
+)
+def test_abelian_en_polarized_beyond_bounded_search(U, blocks, q):
+    A = U @ block_diag(blocks) @ U.inverse()
+    assert bounded_search_witness(A, q) is None
+    m = abelian_en(A, q)
+    assert full_report(m, [2, 3, 5]).model_summary["polarization_verified"] is True
+    W = m.metadata["polarization_witness"]
+    assert W == W.transpose() and _is_positive_definite(W)
+    assert A.transpose() @ W @ A == W * q
 
 
 def test_abelian_en_multiplication_by_m():

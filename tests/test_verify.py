@@ -316,3 +316,14 @@ def test_non_semisimple_action_takes_smith_form_path(monkeypatch, model, failing
     jordan = [r for r in report.results if r.check_id == "jordan_symmetry"]
     assert [r.degree for r in jordan if r.status == "fail"] == failing
     assert all(r.status in ("pass", "fail") for r in jordan)
+
+
+def test_hodge_polygon_built_once_per_degree(monkeypatch):
+    # 2 and 3 both divide q = 6, so newton_over_hodge runs twice per degree
+    built = []
+    real = verify.hodge_polygon
+    monkeypatch.setattr(verify, "hodge_polygon", lambda i, h: built.append(i) or real(i, h))
+    report = full_report(abelian_en(EXAMPLE_A, 6), [2, 3, 5])
+    over_hodge = [r for r in report.results if r.check_id == "newton_over_hodge"]
+    assert {r.degree for r in over_hodge if r.status != "not-applicable"} == set(built)
+    assert sorted(built) == list(range(5))
