@@ -50,14 +50,15 @@ def _require(doc, key):
 
 
 def _as_int(value, label):
-    """Decimal strings are the canonical form; bare ints are tolerated."""
+    """Decimal strings (^-?[0-9]+$) are the canonical form; bare ints are
+    tolerated."""
     if isinstance(value, bool):
         raise ValidityError(f"{label} must be an integer, got a boolean")
     if isinstance(value, int):
         return value
     if isinstance(value, str):
         s = value.strip()
-        if s and (s.lstrip("-").isdigit()):
+        if s.isascii() and s.removeprefix("-").isdigit():
             return int(s)
     raise ValidityError(f"{label} must be an integer or decimal string")
 
@@ -94,6 +95,16 @@ def _as_poly(value, label):
         raise ValidityError(f"{label}: {exc}") from exc
 
 
+def _by_degree(doc, key, d, parse):
+    """{i: parse(x)} over the non-null entries x of the array doc[key]."""
+    raw = doc.get(key)
+    if raw is not None and not isinstance(raw, list):
+        raise ValidityError(f"{key} must be an array indexed by degree")
+    if raw and d >= 0 and len(raw) > 2 * d + 1:
+        raise ValidityError(f"{key} has {len(raw)} entries, degrees run 0..{2 * d}")
+    return {i: parse(x, f"{key}[{i}]") for i, x in enumerate(raw or []) if x is not None}
+
+
 def parse_descriptor(doc):
     """Build a model from a descriptor document. Unknown fields are
     rejected so typos fail loudly instead of silently choosing defaults."""
@@ -123,22 +134,8 @@ def parse_descriptor(doc):
         variant = doc.get("variant", "scalar")
         return grassmannian(k, n, q, variant=variant)
     d = _as_small_int(_require(doc, "d"), "d")
-    charpolys = {}
-    if doc.get("charpolys") is not None:
-        raw = doc["charpolys"]
-        if not isinstance(raw, list):
-            raise ValidityError("charpolys must be an array indexed by degree")
-        for i, entry in enumerate(raw):
-            if entry is not None:
-                charpolys[i] = _as_poly(entry, f"charpolys[{i}]")
-    matrices = {}
-    if doc.get("matrices") is not None:
-        raw = doc["matrices"]
-        if not isinstance(raw, list):
-            raise ValidityError("matrices must be an array indexed by degree")
-        for i, entry in enumerate(raw):
-            if entry is not None:
-                matrices[i] = _as_matrix(entry, f"matrices[{i}]")
+    charpolys = _by_degree(doc, "charpolys", d, _as_poly)
+    matrices = _by_degree(doc, "matrices", d, _as_matrix)
     hodge = doc.get("hodge")
     if hodge is not None:
         if not isinstance(hodge, list) or not all(

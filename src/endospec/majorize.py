@@ -34,11 +34,3 @@ def compound(x, k):
     if not 1 <= k <= len(x):
         raise ShapeError(f"compound index {k} outside 1..{len(x)}")
     return [sum(c) for c in combinations(x, k)]
-
-
-def top_k_sum(z, l):
-    """Exact sum of the l largest entries."""
-    z = list(z)
-    if not 1 <= l <= len(z):
-        raise ShapeError(f"rank {l} outside 1..{len(z)}")
-    return sum(sorted(z, reverse=True)[:l])

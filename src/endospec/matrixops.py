@@ -4,6 +4,9 @@ the eigenvalue-reciprocity test on Jordan data, bilinear pairing checks, and
 the exact decision whether a positive-definite polarization witness exists
 (one projection onto a kernel).
 
+Jordan symmetry is one predicate, jordan_symmetry_verdict, over the Jordan
+data each degree of a model carries (varieties.CohomologyAction).
+
 Matrices carry int or Fraction entries and are immutable. Heavy integer
 inner loops (determinants, minors, polynomial row updates) live in
 endospec._kernels.
@@ -215,21 +218,6 @@ class ExactMatrix:
         return f"ExactMatrix({[list(r) for r in self.rows]})"
 
 
-def block_diag(blocks):
-    blocks = list(blocks)
-    n = sum(b.nrows for b in blocks)
-    m = sum(b.ncols for b in blocks)
-    out = [[0] * m for _ in range(n)]
-    i0 = j0 = 0
-    for b in blocks:
-        for i, row in enumerate(b.rows):
-            for j, x in enumerate(row):
-                out[i0 + i][j0 + j] = x
-        i0 += b.nrows
-        j0 += b.ncols
-    return ExactMatrix(out)
-
-
 def matrix_to_strings(M):
     return [[str(x) for x in r] for r in M.rows]
 
@@ -376,37 +364,20 @@ def invariant_factors(M):
 
 
 def jordan_symmetry_check(M, q, i):
-    """True iff the Jordan data is symmetric under eigenvalue reciprocity.
+    """True iff the Jordan blocks of M are symmetric under lambda ->
+    q**i/lambda: by the divisibility chain, iff each invariant factor is."""
+    return jordan_symmetry_verdict(invariant_factors(M), q, i)
 
-    Every invariant factor must coincide with its own q**i-reciprocal
-    normalization; the divisibility chain forces per-factor matching, which
-    is equivalent to block-multiplicity symmetry under lambda -> q**i/lambda.
-    """
-    factors = invariant_factors(M)
-    for d in factors:
+
+def jordan_symmetry_verdict(jordan_data, q, i):
+    """True iff each polynomial of a degree-i action's Jordan data is its
+    own q**i-reciprocal partner."""
+    for d in jordan_data:
         if d.coeff(0) == 0:
             raise SingularActionError("0 is an eigenvalue; reciprocity undefined")
         if reciprocal_partner(d, q**i) != d:
             return False
     return True
-
-
-def is_semisimple(M):
-    """True iff M is diagonalizable over the algebraic closure: its largest
-    invariant factor, the minimal polynomial, is squarefree."""
-    minimal = invariant_factors(M)[-1]
-    return poly_gcd(minimal, minimal.derivative()).degree == 0
-
-
-def semisimple_jordan_symmetry(P, q, i):
-    """jordan_symmetry_check for a semisimple action with characteristic
-    polynomial P, without its matrix.
-
-    Every Jordan block has size 1, so the check asks that each eigenvalue
-    and its q**i-reciprocal occur equally often: P must equal its monic
-    reciprocal partner. Multiplicities count; (t-a)**2 * (t-q/a) fails
-    although its squarefree part is reciprocal."""
-    return reciprocal_partner(P, q**i) == P
 
 
 @dataclass(frozen=True)

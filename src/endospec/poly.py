@@ -151,8 +151,9 @@ class Poly:
         while e:
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return out
 
     def monic(self):
@@ -403,26 +404,56 @@ def _elementary(sums):
     return e
 
 
-def exterior_power_charpolys(P):
-    """Characteristic polynomials of the exterior powers of M, degrees
-    0..n, from P = charpoly(M) alone (M is n x n with integer entries).
+def exterior_power_charpolys(factors):
+    """Weight pieces of the charpolys of the exterior powers 0..n of an
+    n x n integer matrix M, from the invariant factors of t*id - M.
 
-    The m-th power sum of the k-th exterior power is e_k of the m-th powers
-    of the roots, and Newton's identities give that from the power sums
-    p_m, p_2m, ..., p_km of P; Newton again turns the C(n, k) power sums
-    of the exterior power into its coefficients."""
-    if not (P.is_monic() and P.is_integer()) or P.degree < 1:
-        raise ValidityError("need a monic nonconstant integer polynomial")
-    n = P.degree
-    sums = power_sums(P, max(k * comb(n, k) for k in range(1, n + 1)))
-    out = [Poly([-1, 1])]
-    for k in range(1, n + 1):
-        traces = [
-            _elementary([sums[j * m - 1] for j in range(1, k + 1)])[k]
-            for m in range(1, comb(n, k) + 1)
-        ]
-        e = _elementary(traces)
-        out.append(Poly.from_desc([c if j % 2 == 0 else -c for j, c in enumerate(e)]))
+    A Jordan block (t - lambda)**s gives lambda the weights s - 1, s - 3,
+    ..., 1 - s (Jacobson-Morozov). Entry k maps w >= 0 to P_(k,w): its roots
+    are the products of k roots whose weights sum to w, and its m-th power
+    sum is the x**k y**w coefficient of the product of 1 + x lambda**m
+    y**weight over the roots (Newton's identities, on each weight's power
+    sums p_m, p_2m, ...). P_(k,-w) = P_(k,w), so the k-th charpoly is
+    P_(k,0) times the squares of the others."""
+    if not all(f.is_monic() and f.is_integer() and f.degree >= 1 for f in factors):
+        raise ValidityError("need monic nonconstant integer invariant factors")
+    layers = {}  # weight: the roots that carry it
+    for f in factors:
+        # g[s] = gcd(g[s-1], g[s-1]'): roots of multiplicity e > s, e - s times
+        g = [f]
+        while g[-1].degree >= 1:
+            g.append(poly_gcd(g[-1], g[-1].derivative()))
+        g.append(g[-1])
+        for s in range(1, len(g) - 1):
+            exactly = (g[s - 1] * g[s + 1]).divmod_by(g[s] * g[s])[0]
+            for w in range(1 - s, s, 2):
+                layers[w] = layers.get(w, Poly([1])) * exactly
+    n = sum(Q.degree for Q in layers.values())
+    bound = max(k * comb(n, k) for k in range(n + 1))
+    graded = [(w, Q.degree, [Q.degree] + power_sums(Q, bound)) for w, Q in layers.items()]
+    traces = {}  # (k, w): [p_0, p_1, ...] of P_(k,w)
+    m, top = 0, n  # top: the largest k with a piece that needs p_m
+    while top >= 0:
+        product = {(0, 0): 1}  # (k, w): coefficient of x**k y**w
+        for weight, degree, p in graded:
+            part = _elementary([p[j * m] for j in range(1, min(degree, top) + 1)])
+            grown = {}
+            for (k, w), a in product.items():
+                for j, c in enumerate(part[: top - k + 1]):
+                    key = (k + j, w + j * weight)
+                    grown[key] = grown.get(key, 0) + a * c
+            product = grown
+        for key, c in product.items():
+            t = traces.setdefault(key, [])
+            if not t or m <= t[0]:
+                t.append(c)
+        m += 1
+        top = max((k for (k, _), t in traces.items() if t[0] >= m), default=-1)
+    out = [{} for _ in range(n + 1)]
+    for (k, w), t in sorted(traces.items()):
+        if w >= 0:
+            e = _elementary(t[1:])
+            out[k][w] = Poly.from_desc([c if j % 2 == 0 else -c for j, c in enumerate(e)])
     return out
 
 

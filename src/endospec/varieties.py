@@ -4,13 +4,15 @@ isogeny matrix on a power of an elliptic curve), Grassmannians, and a
 generic user-supplied model.
 
 A model is the bundle the verification layer consumes: for every degree
-0..2d a monic characteristic polynomial, optionally the acting matrix, and
-per-weight Hodge number lists.
+0..2d a monic characteristic polynomial, optionally the acting matrix and
+its Jordan data (a generic model's invariant factors, a Grassmannian's
+charpoly, an abelian model's read off degree 1), and per-weight Hodge
+number lists.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from math import comb
+from math import comb, prod
 from typing import Callable, Optional
 
 from endospec.errors import (
@@ -19,34 +21,39 @@ from endospec.errors import (
     SingularActionError,
     ValidityError,
 )
-from endospec.matrixops import ExactMatrix, exterior_power, polarization_witness
+from endospec.matrixops import ExactMatrix, exterior_power, invariant_factors
+from endospec.matrixops import polarization_witness
 from endospec.poly import Poly, charpoly, exterior_power_charpolys
 
 
 @dataclass(frozen=True)
 class CohomologyAction:
     """One degree's action: its characteristic polynomial and, when the
-    model has one, the acting matrix, built by make_matrix on first use."""
+    model has one, the acting matrix and its Jordan data, built on first
+    use. The Jordan data is a sequence of monic polynomials, each its own
+    q**degree-reciprocal partner exactly when the Jordan blocks are
+    symmetric under lambda -> q**degree/lambda."""
 
     degree: int
     betti: int
     charpoly: Poly
+    make_jordan_data: Optional[Callable[[], list]] = field(repr=False, compare=False)
     make_matrix: Optional[Callable[[], ExactMatrix]] = field(
         default=None, repr=False, compare=False
     )
-
-    @property
-    def has_matrix(self):
-        return self.make_matrix is not None
 
     @cached_property
     def matrix(self):
         return None if self.make_matrix is None else self.make_matrix()
 
+    @cached_property
+    def jordan_data(self):
+        return None if self.make_jordan_data is None else self.make_jordan_data()
 
-def _action(degree, poly, matrix=None, check_matrix=True):
-    """Validated action; a matrix is checked against the polynomial unless
-    check_matrix is False."""
+
+def _action(degree, poly, matrix=None):
+    """Validated action; a matrix must realize the polynomial, and its
+    invariant factors are the Jordan data."""
     if poly.degree != max(poly.degree, 0) or not poly.is_monic():
         raise ValidityError(f"degree {degree}: polynomial must be monic")
     betti = poly.degree
@@ -54,17 +61,14 @@ def _action(degree, poly, matrix=None, check_matrix=True):
         raise SingularActionError(
             f"degree {degree}: zero constant term, action is not invertible"
         )
-    if matrix is not None:
-        if not matrix.is_square or matrix.nrows != betti:
-            raise ShapeError(
-                f"degree {degree}: matrix size {matrix.nrows} != betti {betti}"
-            )
-        if check_matrix and charpoly(matrix.rows) != poly:
-            raise ConsistencyError(
-                f"degree {degree}: matrix does not realize the polynomial"
-            )
-    make_matrix = None if matrix is None else lambda: matrix
-    return CohomologyAction(degree, betti, poly, make_matrix)
+    if matrix is None:
+        return CohomologyAction(degree, betti, poly, None)
+    if not matrix.is_square or matrix.nrows != betti:
+        raise ShapeError(f"degree {degree}: matrix size {matrix.nrows} != betti {betti}")
+    if charpoly(matrix.rows) != poly:
+        raise ConsistencyError(f"degree {degree}: matrix does not realize the polynomial")
+    jordan = partial(invariant_factors, matrix)
+    return CohomologyAction(degree, betti, poly, jordan, lambda: matrix)
 
 
 @dataclass
@@ -75,9 +79,6 @@ class VarietyModel:
     actions: tuple
     hodge: tuple
     metadata: dict = field(default_factory=dict)
-    # Set by abelian_from_h1 alone: degree i acts by the i-th exterior power
-    # of matrix(1). dataclasses.replace resets it.
-    exterior_powers_of_h1: bool = field(default=False, init=False)
 
     def __post_init__(self):
         d = self.dimension
@@ -110,9 +111,6 @@ class VarietyModel:
     def matrix(self, i):
         return self.actions[i].matrix
 
-    def has_matrix(self, i):
-        return self.actions[i].has_matrix
-
     @property
     def betti_numbers(self):
         return [a.betti for a in self.actions]
@@ -132,9 +130,12 @@ def _abelian_hodge(d):
 def abelian_from_h1(d, M, q, kind="abelian", metadata=None):
     """Abelian model from the degree-1 action: degree i acts by the i-th
     exterior power, so Betti numbers are binomial and Hodge numbers are
-    products of binomials. Every characteristic polynomial comes from
-    charpoly(M) alone; an exterior power matrix is built only when asked
-    for."""
+    products of binomials. One Smith form, of M, gives the weight pieces
+    P_(i,w) of every degree (poly.exterior_power_charpolys). By
+    Clebsch-Gordan the i-th exterior power has m_(s-1) - m_(s+1) blocks of
+    size s at mu, m_w the multiplicity of mu in P_(i,w): the pieces with
+    w >= 0 are its Jordan data. Exterior power matrices are built only
+    when asked for."""
     if not isinstance(M, ExactMatrix):
         M = ExactMatrix(M)
     if not M.is_square or M.nrows != 2 * d:
@@ -143,17 +144,16 @@ def abelian_from_h1(d, M, q, kind="abelian", metadata=None):
         raise ValidityError("degree-1 action must have integer entries")
     if M.det() == 0:
         raise SingularActionError("degree-1 action is singular")
-    polys = exterior_power_charpolys(charpoly(M.rows))
-    actions = [
-        _action(0, polys[0], ExactMatrix([[1]])),
-        _action(1, polys[1], M, check_matrix=False),
-    ]
-    # M is integral with det M != 0, so every polys[i] is a valid action.
-    actions += [
-        CohomologyAction(i, polys[i].degree, polys[i], partial(exterior_power, M, i))
-        for i in range(2, 2 * d + 1)
-    ]
-    model = VarietyModel(
+    pieces = exterior_power_charpolys(invariant_factors(M))
+    matrices = [partial(ExactMatrix, [[1]]), lambda: M]
+    matrices += [partial(exterior_power, M, i) for i in range(2, 2 * d + 1)]
+    # M is integral with det M != 0, so every degree is a valid action.
+    actions = []
+    for i, (by_weight, matrix) in enumerate(zip(pieces, matrices)):
+        P = prod((Q * Q if w else Q for w, Q in by_weight.items()), start=Poly([1]))
+        jordan = partial(list, by_weight.values())
+        actions.append(CohomologyAction(i, P.degree, P, jordan, matrix))
+    return VarietyModel(
         kind=kind,
         dimension=d,
         q=q,
@@ -161,8 +161,6 @@ def abelian_from_h1(d, M, q, kind="abelian", metadata=None):
         hodge=_abelian_hodge(d),
         metadata=metadata or {},
     )
-    model.exterior_powers_of_h1 = True
-    return model
 
 
 def abelian_en(A, q):
@@ -234,20 +232,16 @@ def grassmannian(k, n, q, variant="scalar"):
     actions = []
     hodge = []
     for i in range(2 * d + 1):
-        if i % 2 == 1:
-            actions.append(_action(i, Poly([1])))
-            hodge.append(tuple([0] * (i + 1)))
-            continue
         j = i // 2
-        parts = box_partitions(k, n - k, j)
+        parts = box_partitions(k, n - k, j) if i % 2 == 0 else []
         b = len(parts)
+        hodge.append(tuple(b if jj == j else 0 for jj in range(i + 1)))
         if b == 0:
             actions.append(_action(i, Poly([1])))
-            hodge.append(tuple([0] * (i + 1)))
             continue
         scale = q**j
         if variant == "scalar":
-            mat = ExactMatrix.diagonal([scale] * b)
+            matrix = partial(ExactMatrix.diagonal, [scale] * b)
             poly = Poly.from_roots([scale] * b)
         else:
             index = {p: idx for idx, p in enumerate(parts)}
@@ -255,14 +249,14 @@ def grassmannian(k, n, q, variant="scalar"):
             rows = [[0] * b for _ in range(b)]
             for src, dst in enumerate(perm):
                 rows[dst][src] = scale
-            mat = ExactMatrix(rows)
+            matrix = partial(ExactMatrix, rows)
             fixed = sum(1 for idx, p in enumerate(perm) if p == idx)
             cycles = (b - fixed) // 2
             poly = Poly.from_roots([scale] * fixed) * Poly.from_desc(
                 [1, 0, -(scale * scale)]
             ) ** cycles
-        actions.append(_action(i, poly, mat, check_matrix=False))
-        hodge.append(tuple(b if jj == j else 0 for jj in range(i + 1)))
+        # q**j I and q**j (an involution) are semisimple: P is the Jordan data.
+        actions.append(CohomologyAction(i, b, poly, partial(list, [poly]), matrix))
     return VarietyModel(
         kind="grassmannian",
         dimension=d,
@@ -295,7 +289,7 @@ def generic_model(d, q, charpolys=None, matrices=None, hodge=None, strict=True):
             raise ValidityError(f"degree {i} has neither polynomial nor matrix")
         if poly is None:
             poly = charpoly(mat.rows)
-        actions.append(_action(i, poly, mat, check_matrix=True))
+        actions.append(_action(i, poly, mat))
     for i, expected in ((0, Poly.from_desc([1, -1])), (2 * d, Poly.from_desc([1, -(q**d)]))):
         if actions[i].charpoly != expected:
             message = (

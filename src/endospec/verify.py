@@ -6,6 +6,8 @@ jordan_symmetry, weil_weight, epsilon_congruence, even_multiplicity; per
 prime and degree: newton_slope_zero, newton_symmetry, newton_over_hodge;
 once per model: zeta_functional_equation. The newton_over_hodge verdict is
 advisory evidence and never fails a run.
+jordan_symmetry reads the Jordan data each degree's action carries, whatever
+family built the model.
 """
 
 from dataclasses import dataclass
@@ -21,11 +23,7 @@ from endospec.errors import (
     ValidityError,
 )
 from endospec.exactnum import NormalizedValuation, is_prime, perfect_sqrt
-from endospec.matrixops import (
-    is_semisimple,
-    jordan_symmetry_check,
-    semisimple_jordan_symmetry,
-)
+from endospec.matrixops import jordan_symmetry_verdict
 from endospec.poly import (
     Poly,
     coeff_strings,
@@ -326,9 +324,8 @@ def _epsilon(f):
     )
 
 
-def _degree_results(model, f, semisimple):
-    """The DEGREE_CHECKS of one degree with cohomology, read off its facts.
-    semisimple: the action is known to be semisimple."""
+def _degree_results(model, f):
+    """The DEGREE_CHECKS of one degree with cohomology, read off its facts."""
     i = f.degree
     d = model.dimension
     partner = model.charpoly(2 * d - i)
@@ -341,13 +338,10 @@ def _degree_results(model, f, semisimple):
             lambda: _sign(cross_duality_verdict(f, partner, d)),
         ),
     ]
-    if not model.has_matrix(i):
+    if model.action(i).make_jordan_data is None:
         out.append(_na("jordan_symmetry", i, reason="no matrix supplied"))
     else:
-        if semisimple:
-            js = lambda: (semisimple_jordan_symmetry(f.charpoly, f.q, i), ())
-        else:
-            js = lambda: (jordan_symmetry_check(model.matrix(i), f.q, i), ())
+        js = lambda: (jordan_symmetry_verdict(model.action(i).jordan_data, f.q, i), ())
         out.append(_guarded("jordan_symmetry", i, None, js))
     out.append(_guarded("weil_weight", i, None, lambda: _weight(f)))
     if f.fe_holds:
@@ -432,9 +426,6 @@ def full_report(model, primes, precision=60):
     results = []
     degree_rows = []
     facts = model_facts(model)
-    # An exterior power of a semisimple matrix is semisimple, so one Smith
-    # form of the degree-1 matrix replaces one per degree.
-    semisimple = model.exterior_powers_of_h1 and is_semisimple(model.matrix(1))
     for i in range(2 * d + 1):
         row = {"degree": i, "betti": model.betti(i)}
         degree_rows.append(row)
@@ -448,7 +439,7 @@ def full_report(model, primes, precision=60):
             row["epsilon"] = f.fe_result.epsilon
         row["mu_plus"] = f.mu_plus
         row["mu_minus"] = f.mu_minus
-        results.extend(_degree_results(model, f, semisimple))
+        results.extend(_degree_results(model, f))
     # A degree's Hodge polygon does not depend on the prime: build it once.
     hodge_polygon_of = cache(lambda i: hodge_polygon(i, model.hodge[i]))
     for prime in primes:

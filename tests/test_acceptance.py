@@ -13,12 +13,13 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
+from helpers import block_diag
+
 from endospec.cli import parse_descriptor
 from endospec.exactnum import NormalizedValuation
 from endospec.majorize import compound, majorizes
 from endospec.matrixops import (
     ExactMatrix,
-    block_diag,
     invariant_factors,
     jordan_symmetry_check,
 )

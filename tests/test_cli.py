@@ -116,6 +116,22 @@ def test_verify_bad_inputs(tmp_path):
     assert run_cli("verify", good, "--primes", "").returncode == 2
     low = run_cli("verify", good, "--primes", "2", "--precision", "10")
     assert low.returncode == 2
+    for q in ("--5", "\u00b2"):
+        malformed = write_descriptor(tmp_path, {**EXAMPLE_DESCRIPTOR, "q": q}, "q.json")
+        proc = run_cli("verify", malformed, "--primes", "2")
+        assert proc.returncode == 2
+        assert "q must be an integer or decimal string" in proc.stderr
+
+
+def test_generic_arrays_longer_than_the_degrees(tmp_path):
+    # d = 1 has degrees 0, 1, 2: a fourth entry is an error, not dropped
+    charpolys = GENERIC_DESCRIPTOR["charpolys"] + [["1", "-4"]]
+    extra_poly = {**GENERIC_DESCRIPTOR, "charpolys": charpolys}
+    extra_matrix = {**GENERIC_DESCRIPTOR, "matrices": [None, None, None, [["4"]]]}
+    for field, doc in (("charpolys", extra_poly), ("matrices", extra_matrix)):
+        proc = run_cli("verify", write_descriptor(tmp_path, doc), "--primes", "2")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"endospec: {field} has 4 entries")
 
 
 def test_polygons_document(tmp_path):

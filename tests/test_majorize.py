@@ -6,9 +6,10 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from helpers import top_k_sum
 
 from endospec.errors import ShapeError
-from endospec.majorize import compound, majorizes, top_k_sum
+from endospec.majorize import compound, majorizes
 
 
 def test_majorizes_examples():

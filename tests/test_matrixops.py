@@ -7,22 +7,20 @@ import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from helpers import block_diag
 
 from endospec.errors import ShapeError, SingularActionError, ValidityError
 from endospec.matrixops import (
     ExactMatrix,
     _is_positive_definite,
     _nullspace,
-    block_diag,
     exterior_power,
     invariant_factors,
-    is_semisimple,
     jordan_symmetry_check,
     matrix_from_strings,
     matrix_to_strings,
     pairing_check,
     polarization_witness,
-    semisimple_jordan_symmetry,
 )
 from endospec.poly import Poly, charpoly
 from endospec.verify import weil_weight_check
@@ -167,36 +165,6 @@ def test_jordan_symmetry_similarity_invariant():
         S = _random_unimodular(rng, M.nrows)
         conj = S @ M @ S.inverse()
         assert jordan_symmetry_check(M, 6, 1) == jordan_symmetry_check(conj, 6, 1)
-
-
-def test_is_semisimple():
-    assert is_semisimple(_diag(2, 2, 3))
-    assert is_semisimple(ExactMatrix([[1, -5], [1, 1]]))
-    assert is_semisimple(ExactMatrix([[0, 16], [16, 0]]))
-    assert not is_semisimple(ExactMatrix([[2, 1], [0, 2]]))
-    assert not is_semisimple(block_diag([ExactMatrix([[2, 1], [0, 2]]), _diag(3)]))
-
-
-def test_semisimple_shortcut_matches_smith_form_on_exterior_powers():
-    rotation = ExactMatrix([[1, -5], [1, 1]])
-    blocks = block_diag([ExactMatrix([[3, -4], [4, 3]]), ExactMatrix([[0, -5], [5, 0]])])
-    cases = [
-        (rotation.kron(ExactMatrix.identity(2)), 6),
-        (blocks, 25),
-        # (t-2)**2 (t-3) in degree 1: its squarefree part is 6-reciprocal,
-        # the multiplicities are not
-        (_diag(2, 2, 3), 6),
-        (_diag(2, 3, 4), 6),
-    ]
-    verdicts = []
-    for M, q in cases:
-        assert is_semisimple(M)
-        for k in range(1, M.nrows + 1):
-            L = exterior_power(M, k)
-            expected = jordan_symmetry_check(L, q, k)
-            assert semisimple_jordan_symmetry(charpoly(L.rows), q, k) == expected
-            verdicts.append(expected)
-    assert True in verdicts and False in verdicts
 
 
 def test_jordan_symmetry_rejects_singular():

@@ -192,18 +192,52 @@ def test_power_sums_match_matrix_traces():
 
 
 def test_exterior_power_charpolys_match_matrices():
-    from endospec.matrixops import ExactMatrix, exterior_power
+    from helpers import block_diag
+    from test_matrixops import _jordan_block, _random_unimodular
+
+    from endospec.matrixops import ExactMatrix, exterior_power, invariant_factors
 
     rng = random.Random(34)
+    matrices = []
     for _ in range(40):
         n = rng.randint(1, 6)
-        M = ExactMatrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
-        polys = exterior_power_charpolys(charpoly(M.rows))
-        assert polys[0] == Poly.from_desc([1, -1])
-        for k in range(1, n + 1):
-            assert polys[k] == charpoly(exterior_power(M, k).rows)
+        matrices.append(
+            ExactMatrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
+        )
+        blocks, left = [], n
+        while left:
+            size = rng.randint(1, left)
+            blocks.append(_jordan_block(rng.choice([-2, 1, 2, 3]), size))
+            left -= size
+        U = _random_unimodular(rng, n)
+        matrices.append(U @ block_diag(blocks) @ U.inverse())
+    for M in matrices:
+        pieces = exterior_power_charpolys(invariant_factors(M))
+        assert pieces[0] == {0: Poly.from_desc([1, -1])}
+        for k in range(1, M.nrows + 1):
+            P = Poly([1])
+            for w, Q in pieces[k].items():
+                P = P * Q ** (2 if w else 1)
+            assert P == charpoly(exterior_power(M, k).rows)
     with pytest.raises(ValidityError):
-        exterior_power_charpolys(Poly([Fraction(1, 2), 1]))
+        exterior_power_charpolys([Poly([Fraction(1, 2), 1])])
+    with pytest.raises(ValidityError):
+        exterior_power_charpolys([Poly([3])])
+
+
+def test_exterior_power_pieces_by_weight():
+    # Blocks of sizes 2 at 1 (weights 1, -1) and 1, 1 at 4 (weight 0).
+    factors = [Poly.from_roots([4]), Poly.from_roots([1, 1, 4])]
+    pieces = exterior_power_charpolys(factors)
+    assert pieces[1] == {0: Poly.from_roots([4, 4]), 1: Poly.from_roots([1])}
+    assert pieces[2] == {0: Poly.from_roots([1, 16]), 1: Poly.from_roots([4, 4])}
+    assert pieces[3] == {0: Poly.from_roots([4, 4]), 1: Poly.from_roots([16])}
+    assert pieces[4] == {0: Poly.from_roots([16])}
+    # a size-3 block gives weights 2, 0, -2
+    assert exterior_power_charpolys([Poly.from_roots([2, 2, 2])])[1] == {
+        0: Poly.from_roots([2]),
+        2: Poly.from_roots([2]),
+    }
 
 
 def test_sturm_counts_match_sympy():

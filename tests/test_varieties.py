@@ -1,5 +1,6 @@
 """Concrete variety models: abelian, Grassmannian, and generic."""
 
+import random
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -7,6 +8,9 @@ from itertools import combinations
 from math import comb, prod
 
 import pytest
+from helpers import block_diag
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from endospec import varieties
 from endospec.errors import (
@@ -18,8 +22,10 @@ from endospec.errors import (
 from endospec.matrixops import (
     ExactMatrix,
     _is_positive_definite,
-    block_diag,
     exterior_power,
+    invariant_factors,
+    jordan_symmetry_check,
+    jordan_symmetry_verdict,
 )
 from endospec.poly import Poly, charpoly
 from endospec.varieties import (
@@ -33,7 +39,7 @@ from endospec.varieties import (
 )
 from endospec.verify import full_report
 from test_acceptance import family_models
-from test_matrixops import bounded_search_witness
+from test_matrixops import _jordan_block, _random_unimodular, bounded_search_witness
 
 # isogeny matrix of the running abelian surface example, q = 6
 EXAMPLE_A = ExactMatrix([[1, -5], [1, 1]])
@@ -288,13 +294,19 @@ def test_generic_model_errors():
 
 def _eager(model):
     """The model as the matrix path builds it: every exterior power built,
-    its polynomial by Faddeev-LeVerrier, Jordan symmetry by Smith form."""
+    its polynomial by Faddeev-LeVerrier, its Jordan data by Smith form."""
     M = model.matrix(1)
     actions = [model.action(0)]
     for k in range(1, M.nrows + 1):
         L = exterior_power(M, k)
-        actions.append(CohomologyAction(k, L.nrows, charpoly(L.rows), lambda L=L: L))
+        jordan = lambda L=L: tuple(invariant_factors(L))
+        actions.append(CohomologyAction(k, L.nrows, charpoly(L.rows), jordan, lambda L=L: L))
     return replace(model, actions=tuple(actions))
+
+
+def _jordan_verdicts(model, primes=(2,)):
+    report = full_report(model, list(primes))
+    return {r.degree: r.status for r in report.results if r.check_id == "jordan_symmetry"}
 
 
 def _e4_q25():
@@ -319,13 +331,101 @@ def _test_abelian_models():
     return models
 
 
+def _non_semisimple_models():
+    """Conjugated E^2 and E^3 models with a 2 x 2 Jordan block in the
+    isogeny or in the degree-1 action, and the degrees that fail
+    jordan_symmetry."""
+    J = _jordan_block
+    U2 = ExactMatrix([[2, 1], [1, 1]])
+    U6 = _random_unimodular(random.Random(5), 6)
+    return [
+        (abelian_en(U2 @ J(5, 2) @ U2.inverse(), 25), []),
+        (abelian_en(U2 @ J(2, 2) @ U2.inverse(), 6), [1, 2, 3, 4]),
+        (abelian_from_h1(2, _U4 @ block_diag([J(1, 2), J(4, 1), J(4, 1)]) @ _U4.inverse(), 4),
+         [1, 3]),
+        (abelian_en(_U3 @ block_diag([J(5, 2), J(-5, 1)]) @ _U3.inverse(), 25), []),
+        (abelian_en(_U3 @ block_diag([J(2, 2), J(3, 1)]) @ _U3.inverse(), 6),
+         [1, 2, 3, 4, 5, 6]),
+        (abelian_from_h1(3, U6 @ block_diag([J(2, 2)] + [J(x, 1) for x in (1, 3, 3, 6)])
+                         @ U6.inverse(), 6),
+         [1, 2, 4, 5]),
+    ]
+
+
+def test_non_semisimple_failing_degrees():
+    for model, failing in _non_semisimple_models():
+        jordan = _jordan_verdicts(model)
+        assert [k for k, status in jordan.items() if status == "fail"] == failing
+
+
 def test_matrix_free_degrees_match_matrix_path():
-    for model in _test_abelian_models() + [_e4_q25()]:
+    """Every degree's polynomial, the product of its weight pieces, and its
+    jordan_symmetry verdict against the exterior power matrix."""
+    verdicts = set()
+    non_semisimple = [m for m, _ in _non_semisimple_models()]
+    for model in _test_abelian_models() + non_semisimple + [_e4_q25()]:
         eager = _eager(model)
+        jordan = _jordan_verdicts(model)
         for k in range(2 * model.dimension + 1):
             assert model.charpoly(k) == eager.charpoly(k)
+            # The eager Jordan data are the invariant factors of the
+            # exterior power: this is jordan_symmetry_check on it.
+            expected = jordan_symmetry_verdict(eager.action(k).jordan_data, model.q, k)
+            assert jordan[k] == ("pass" if expected else "fail")
+            verdicts.add(jordan[k])
         report = full_report(model, [2, 3, 5]).to_json()
         assert report == full_report(eager, [2, 3, 5]).to_json()
+    assert verdicts == {"pass", "fail"}
+
+
+@st.composite
+def _conjugated_jordan_matrices(draw):
+    """U J U^-1 for an integer Jordan matrix J of size 2 or 4 with nonzero
+    eigenvalues and a unimodular U."""
+    left = n = draw(st.sampled_from([2, 4]))
+    blocks = []
+    while left:
+        size = draw(st.integers(1, left))
+        blocks.append(_jordan_block(draw(st.sampled_from([-3, -2, 1, 2, 3, 4, 6])), size))
+        left -= size
+    U = _random_unimodular(random.Random(draw(st.integers(0, 2**16))), n)
+    return U @ block_diag(blocks) @ U.inverse()
+
+
+@settings(max_examples=40, deadline=None)
+@given(M=_conjugated_jordan_matrices(), q=st.sampled_from([2, 4, 6, 9, 12]))
+def test_jordan_data_matches_smith_form_on_conjugated_jordan_matrices(M, q):
+    model = abelian_from_h1(M.nrows // 2, M, q)
+    jordan = _jordan_verdicts(model)
+    for k in range(1, M.nrows + 1):
+        L = exterior_power(M, k)
+        assert model.charpoly(k) == charpoly(L.rows)
+        assert jordan[k] == ("pass" if jordan_symmetry_check(L, q, k) else "fail")
+
+
+@pytest.mark.parametrize("variant", ["scalar", "involution"])
+def test_grassmannian_jordan_data_matches_smith_form(variant):
+    for n in range(2, 7):
+        for k in range(1, n):
+            if variant == "involution" and n != 2 * k:
+                continue
+            model = grassmannian(k, n, 6, variant)
+            jordan = _jordan_verdicts(model)
+            for i in range(2 * model.dimension + 1):
+                if model.betti(i):
+                    expected = jordan_symmetry_check(model.matrix(i), 6, i)
+                    assert jordan[i] == ("pass" if expected else "fail")
+
+
+def test_non_semisimple_e4_reads_every_degree_off_degree_one():
+    # A is similar to 25 A^-1, so every exterior power of M = A (x) I2 is
+    # similar to 25**k times its inverse. Smith forms of the exterior
+    # power matrices took over 90 s; the guard is loose for a slow host.
+    B = block_diag([_jordan_block(5, 2), _rotation(3, 4)])
+    t0 = time.perf_counter()
+    jordan = _jordan_verdicts(abelian_en(_U4 @ B @ _U4.inverse(), 25), (2, 3, 5))
+    assert time.perf_counter() - t0 < 30
+    assert jordan == {k: "pass" for k in range(9)}
 
 
 def test_abelian_exterior_powers_are_lazy(monkeypatch):
@@ -342,11 +442,6 @@ def test_abelian_exterior_powers_are_lazy(monkeypatch):
     assert model.matrix(2) == exterior_power(model.matrix(1), 2)
     assert model.matrix(2) is model.matrix(2)
     assert built == [2]
-    # Only abelian_from_h1 marks a model as exterior powers of matrix(1).
-    assert model.exterior_powers_of_h1
-    assert not replace(model).exterior_powers_of_h1
-    with pytest.raises(ValueError):
-        replace(model, exterior_powers_of_h1=True)
 
 
 def test_abelian_e5_charpolys_from_eigenvalues(monkeypatch):

@@ -3,11 +3,12 @@
 import pytest
 import sympy
 from test_acceptance import grassmannian_models
+from helpers import block_diag
 from test_varieties import _e4_q25, _test_abelian_models
 
 from endospec import zeta
 from endospec.errors import DomainError, InapplicableModelError, ValidityError
-from endospec.matrixops import ExactMatrix, block_diag
+from endospec.matrixops import ExactMatrix
 from endospec.poly import Poly, functional_equation_check
 from endospec.varieties import abelian_en, generic_model, grassmannian
 from endospec.verify import full_report
