@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from endospec.errors import EndospecError, ValidityError
 from endospec.exactnum import NormalizedValuation
@@ -479,22 +480,15 @@ _PAD_L, _PAD_R, _PAD_T, _PAD_B = 64, 24, 40, 48
 
 
 def _svg_scale(polygons):
-    xmax = max(max(v[0] for v in p.vertices) for p in polygons)
-    ymax = max(max(v[1] for v in p.vertices) for p in polygons)
-    xmax = max(xmax, 1)
-    ymax = max(ymax, Fraction(1))
-    return xmax, ymax
+    xmax = max(x for p in polygons for x, _ in p.vertices)
+    ymax = max(y for p in polygons for _, y in p.vertices)
+    return max(xmax, 1), max(ymax, 1)
 
 
 def _svg_point(x, y, xmax, ymax):
     px = _PAD_L + Fraction(x) * (_SVG_W - _PAD_L - _PAD_R) / xmax
     py = _SVG_H - _PAD_B - Fraction(y) * (_SVG_H - _PAD_T - _PAD_B) / ymax
     return f"{float(px):.2f}", f"{float(py):.2f}"
-
-
-def _fmt_value(y):
-    f = Fraction(y)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def render_polygon_svg(NP, HP=None):
@@ -548,7 +542,7 @@ def render_polygon_svg(NP, HP=None):
             dy = -8 if above else 16
             parts.append(
                 f'<text x="{px}" y="{float(py) + dy:.2f}" text-anchor="middle" '
-                f'fill="{color}">({x}, {_fmt_value(y)})</text>'
+                f'fill="{color}">({x}, {y})</text>'
             )
     parts.append(
         f'<text x="{_PAD_L}" y="{_PAD_T - 16}" fill="#16417c">Newton (solid)</text>'
@@ -714,7 +708,9 @@ def _add_common(sub):
     )
 
 
+@cache
 def build_parser():
+    """Built once per process and shared: parsing leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="endospec",
         description=(
@@ -772,8 +768,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except EndospecError as exc:

@@ -485,11 +485,10 @@ def sturm_chain(P):
     return [Poly(f) for f in chain]
 
 
-def _scaled_value(P, x):
-    """b**n * P(a/b) for an integer polynomial P of degree n and a rational
-    x = a/b with b > 0: an integer with the sign of P(x), got without
-    rational arithmetic as the sum of c_k * a**k * b**(n-k)."""
-    a, b = x.numerator, x.denominator
+def _scaled_value(P, a, b):
+    """b**n * P(a/b) for an integer polynomial P of degree n and integers a
+    and b > 0: an integer with the sign of P(a/b), got without rational
+    arithmetic as the sum of c_k * a**k * b**(n-k)."""
     acc = 0
     b_pow = 1
     for c in reversed(P.coeffs_asc()):
@@ -498,7 +497,7 @@ def _scaled_value(P, x):
     return acc
 
 
-def _sign_variations(chain, x):
+def _sign_variations(chain, x, den):
     signs = []
     for f in chain:
         if x == inf:
@@ -506,17 +505,17 @@ def _sign_variations(chain, x):
         elif x == -inf:
             v = f.leading if f.degree % 2 == 0 else -f.leading
         else:
-            v = _scaled_value(f, x)
+            v = _scaled_value(f, x.numerator, x.denominator * den)
         if v:
             signs.append(v > 0)
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def count_real_roots(chain, lo=-inf, hi=inf):
-    """Distinct real roots of chain[0] in (lo, hi] by Sturm's theorem, from
-    its sturm_chain; lo and hi are rationals or -inf/inf. Exact when
-    chain[0] is squarefree; otherwise lo and hi must not be roots."""
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
+def count_real_roots(chain, lo=-inf, hi=inf, den=1):
+    """Distinct real roots of chain[0] in (lo/den, hi/den] by Sturm's theorem,
+    from its sturm_chain; lo and hi are rationals or -inf/inf, den > 0 an
+    integer. Exact when chain[0] is squarefree; else no end may be a root."""
+    return _sign_variations(chain, lo, den) - _sign_variations(chain, hi, den)
 
 
 def exact_divide_out(P, factor):

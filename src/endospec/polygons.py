@@ -1,13 +1,17 @@
 """Newton polygons of exact polynomials under normalized valuations, Hodge
 polygons from Hodge numbers, and the predicates comparing them.
 
-Both polygon kinds normal-form to the same data: vertices on the lower
-convex hull with strictly increasing integer abscissae, plus the slope
-multiset read off the segments. All coordinates are exact rationals.
+Both polygon kinds are the same data: the integer points of a strictly
+convex lower hull, starting at the origin with strictly increasing
+abscissae, over one positive denominator (v(q) for a normalized Newton
+polygon, 1 otherwise). Every check reads the integer points; the rational
+`vertices` and the slope multiset `slopes` are derived from them on
+request.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from endospec.errors import (
@@ -35,57 +39,56 @@ def _lower_hull(points):
     return hull
 
 
-def _polygon_data(hull, m):
-    """Vertices and slopes of the polygon through the integer points of
-    hull, with every ordinate divided by the positive integer m."""
-    vertices = tuple((x, Fraction(y, m)) for x, y in hull)
-    slopes = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        slopes.extend([Fraction(y2 - y1, m * (x2 - x1))] * (x2 - x1))
-    return vertices, tuple(slopes)
+def _segments(points):
+    """(dx, dy) of each segment between consecutive points."""
+    return [(x2 - x1, y2 - y1) for (x1, y1), (x2, y2) in zip(points, points[1:])]
 
 
-def _validate_polygon(vertices, slopes):
-    if not vertices or vertices[0] != (0, Fraction(0)):
-        raise ValidityError("polygon must start at the origin")
-    xs = [x for x, _ in vertices]
-    if any(b <= a for a, b in zip(xs, xs[1:])):
-        raise ValidityError("vertex abscissae must increase strictly")
-    if any(b < a for a, b in zip(slopes, slopes[1:])):
-        raise ValidityError("slopes must be nondecreasing")
-    if len(slopes) != xs[-1]:
-        raise ValidityError("slope count must equal the final abscissa")
-    if sum(slopes, Fraction(0)) != vertices[-1][1]:
-        raise ValidityError("slope sum must equal the final ordinate")
+class _IntegerPolygon:
+    """Integer points (x, y) standing for the vertices (x, y / den)."""
+
+    def __post_init__(self):
+        if self.den < 1:
+            raise ValidityError("the ordinate denominator must be positive")
+        if not self.points or self.points[0] != (0, 0):
+            raise ValidityError("polygon must start at the origin")
+        segments = _segments(self.points)
+        if any(dx <= 0 for dx, _ in segments):
+            raise ValidityError("vertex abscissae must increase strictly")
+        if any(dy1 * dx2 >= dy2 * dx1 for (dx1, dy1), (dx2, dy2) in zip(segments, segments[1:])):
+            raise ValidityError("slopes must increase strictly from vertex to vertex")
+
+    @property
+    def length(self):
+        return self.points[-1][0]
+
+    @property
+    def vertices(self):
+        return tuple((x, Fraction(y, self.den)) for x, y in self.points)
+
+    @property
+    def slopes(self):
+        """Segment slopes, each repeated over its horizontal length."""
+        return tuple(
+            s
+            for dx, dy in _segments(self.points)
+            for s in [Fraction(dy, self.den * dx)] * dx
+        )
 
 
 @dataclass(frozen=True)
-class NewtonPolygon:
-    vertices: tuple
-    slopes: tuple
+class NewtonPolygon(_IntegerPolygon):
+    points: tuple
+    den: int
     normalized: bool
 
-    def __post_init__(self):
-        _validate_polygon(self.vertices, self.slopes)
-
-    @property
-    def length(self):
-        return self.vertices[-1][0]
-
 
 @dataclass(frozen=True)
-class HodgePolygon:
+class HodgePolygon(_IntegerPolygon):
     weight: int
     hodge_numbers: tuple
-    vertices: tuple
-    slopes: tuple
-
-    def __post_init__(self):
-        _validate_polygon(self.vertices, self.slopes)
-
-    @property
-    def length(self):
-        return self.vertices[-1][0]
+    points: tuple
+    den = 1
 
 
 def newton_polygon(P, v):
@@ -102,8 +105,8 @@ def newton_polygon(P, v):
         for k, c in enumerate(P.coeffs_desc())
         if c
     ]
-    vertices, slopes = _polygon_data(_lower_hull(points), v.normalizer or 1)
-    return NewtonPolygon(vertices=vertices, slopes=slopes, normalized=v.normalized)
+    hull = tuple(_lower_hull(points))
+    return NewtonPolygon(points=hull, den=v.normalizer or 1, normalized=v.normalized)
 
 
 def hodge_polygon(weight, hodge_numbers):
@@ -121,31 +124,29 @@ def hodge_polygon(weight, hodge_numbers):
         if hk:
             x, y = points[-1]
             points.append((x + hk, y + k * hk))
-    vertices, slopes = _polygon_data(points, 1)
-    return HodgePolygon(
-        weight=weight, hodge_numbers=tuple(h), vertices=vertices, slopes=slopes
-    )
+    return HodgePolygon(weight=weight, hodge_numbers=tuple(h), points=tuple(points))
 
 
 def symmetry_check(NP, i):
     """True iff the slope multiset is invariant under s -> i - s and every
     slope lies in [0, i]. Only meaningful for normalized valuations."""
     if not NP.normalized:
-        raise InapplicableModelError(
-            "slope symmetry needs a valuation with v(q) = 1"
-        )
-    # s -> i - s reverses order, so it maps the sorted slopes onto
-    # themselves exactly when they pair up from both ends; then the largest
-    # slope is i minus the smallest, so [0, i] only needs the smallest >= 0.
-    slopes = NP.slopes
-    n = len(slopes)
-    if n and slopes[0] < 0:
+        raise InapplicableModelError("slope symmetry needs a valuation with v(q) = 1")
+    # Segment slopes increase strictly and s -> i - s reverses order, so the
+    # multiset maps onto itself exactly when segments pair up from both ends
+    # with equal lengths and slopes summing to i; then [0, i] only needs the
+    # smallest slope >= 0.
+    segments = _segments(NP.points)
+    if segments and segments[0][1] < 0:
         return False
-    return all(slopes[k] + slopes[n - 1 - k] == i for k in range((n + 1) // 2))
+    return all(
+        dx == dx2 and dy + dy2 == i * NP.den * dx
+        for (dx, dy), (dx2, dy2) in zip(segments, reversed(segments))
+    )
 
 
 def slope_zero_check(NP):
-    return all(s == 0 for s in NP.slopes)
+    return all(y == 0 for _, y in NP.points)
 
 
 @dataclass(frozen=True)
@@ -159,32 +160,40 @@ class PolygonComparison:
         return self.status == "holds"
 
 
+def _ordinates(polygon):
+    """(numerator, denominator) of the ordinate at each abscissa 1..length."""
+    for (x1, y1), (dx, dy) in zip(polygon.points, _segments(polygon.points)):
+        for t in range(1, dx + 1):
+            yield y1 * dx + dy * t, polygon.den * dx
+
+
 def np_ge_hp(NP, HP):
-    """Does NP lie on or above HP? Compared by partial slope sums, which
-    for convex polygons with unit-spaced slopes is pointwise comparison at
-    integer abscissae. Polygons of different lengths are incomparable."""
+    """Does NP lie on or above HP? Both are convex and piecewise linear
+    between integer abscissae, so comparing them at every integer abscissa
+    decides it. Polygons of different lengths are incomparable."""
     if NP.length != HP.length:
         return PolygonComparison(status="incomparable")
-    acc_n = Fraction(0)
-    acc_h = Fraction(0)
-    failure = None
-    for k, (sn, sh) in enumerate(zip(NP.slopes, HP.slopes), start=1):
-        acc_n += sn
-        acc_h += sh
-        if acc_n < acc_h and failure is None:
-            failure = k
-    endpoint_equal = acc_n == acc_h
-    if failure is not None:
-        return PolygonComparison(
-            status="fails", failure_x=failure, endpoint_equal=endpoint_equal
-        )
+    endpoint_equal = NP.points[-1][1] * HP.den == HP.points[-1][1] * NP.den
+    pairs = zip(_ordinates(NP), _ordinates(HP))
+    for x, ((yn, dn), (yh, dh)) in enumerate(pairs, start=1):
+        if yn * dh < yh * dn:
+            return PolygonComparison(
+                status="fails", failure_x=x, endpoint_equal=endpoint_equal
+            )
+    identical = len(NP.points) == len(HP.points) and all(
+        xn == xh and yn * HP.den == yh * NP.den
+        for (xn, yn), (xh, yh) in zip(NP.points, HP.points)
+    )
     return PolygonComparison(
-        status="holds",
-        endpoint_equal=endpoint_equal,
-        identical=NP.vertices == HP.vertices,
+        status="holds", endpoint_equal=endpoint_equal, identical=identical
     )
 
 
 def vertices_json(polygon):
     """Vertex list as [x, "num/den"] pairs for serialization."""
-    return [[x, str(y)] for x, y in polygon.vertices]
+    out = []
+    for x, y in polygon.points:
+        g = gcd(y, polygon.den)
+        den = polygon.den // g
+        out.append([x, f"{y // g}" if den == 1 else f"{y // g}/{den}"])
+    return out

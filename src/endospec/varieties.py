@@ -278,6 +278,9 @@ def generic_model(d, q, charpolys=None, matrices=None, hodge=None, strict=True):
         raise ValidityError("need d >= 0 and q > 1")
     charpolys = dict(charpolys or {})
     matrices = dict(matrices or {})
+    for name, given in (("charpolys", charpolys), ("matrices", matrices)):
+        if stray := sorted(set(given) - set(range(2 * d + 1))):
+            raise ValidityError(f"{name} has entries for degrees {stray} outside 0..{2 * d}")
     warnings = []
     actions = []
     for i in range(2 * d + 1):
@@ -299,17 +302,13 @@ def generic_model(d, q, charpolys=None, matrices=None, hodge=None, strict=True):
                 raise ValidityError(message)
             warnings.append(message)
     if hodge is None:
-        hodge_tuple = tuple(
-            tuple(None for _ in range(i + 1)) for i in range(2 * d + 1)
-        )
-    else:
-        hodge_tuple = tuple(tuple(h) for h in hodge)
+        hodge = [[None] * (i + 1) for i in range(2 * d + 1)]
     return VarietyModel(
         kind="generic",
         dimension=d,
         q=q,
         actions=tuple(actions),
-        hodge=hodge_tuple,
+        hodge=tuple(tuple(h) for h in hodge),
         metadata={"warnings": warnings, "strict": strict},
     )
 

@@ -26,6 +26,7 @@ from endospec.exactnum import NormalizedValuation, is_prime, perfect_sqrt
 from endospec.matrixops import jordan_symmetry_verdict
 from endospec.poly import (
     Poly,
+    _scaled_value,
     coeff_strings,
     count_real_roots,
     cross_duality_verdict,
@@ -207,20 +208,21 @@ def _real_root_off_circle(S, Q):
         return None
     chain = sturm_chain(S)
     bound = 1 + ceil(max(abs(a) for a in S.coeffs_asc()))
-    lo, hi = Fraction(-bound), Fraction(bound)
-    # Halve towards the smallest real root of `off` in (lo, hi] until it
-    # is the only root of S there and lo is not a root of S either.
+    # Halve (lo/den, hi/den], den a power of two, towards the smallest real
+    # root of `off` until it is the only root of S there and S(lo/den) != 0.
+    lo, hi, den = -bound, bound, 1
     while not (
-        count_real_roots(off_chain, lo, hi) == 1
-        and count_real_roots(chain, lo, hi) == 1
-        and S(lo) != 0
+        count_real_roots(off_chain, lo, hi, den) == 1
+        and count_real_roots(chain, lo, hi, den) == 1
+        and _scaled_value(chain[0], lo, den) != 0
     ):
-        mid = (lo + hi) / 2
-        if count_real_roots(off_chain, lo, mid):
+        lo, hi, den = 2 * lo, 2 * hi, 2 * den
+        mid = (lo + hi) // 2
+        if count_real_roots(off_chain, lo, mid, den):
             hi = mid
         else:
             lo = mid
-    return lo, hi
+    return Fraction(lo, den), Fraction(hi, den)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, JSON documents, schema conformance.
 
-Everything runs through subprocess so stream routing and exit codes are
-observed exactly as a shell would see them.
+Calls run through subprocess so stream routing and exit codes are observed
+exactly as a shell would see them; one test repeats calls in-process to hold
+the once-built argument parser to the same bytes.
 """
 
+import argparse
 import json
 import subprocess
 import sys
@@ -12,6 +14,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from endospec import cli
 from endospec.cli import SCHEMA, parse_descriptor, serialize_model
 
 EXAMPLE_DESCRIPTOR = {
@@ -217,6 +220,48 @@ def test_schema_command_matches_docs(tmp_path):
 def test_no_subcommand_is_usage_error():
     proc = run_cli()
     assert proc.returncode == 2
+
+
+def test_cached_parser_matches_fresh_processes(tmp_path, monkeypatch, capsys):
+    # argparse wraps usage text to the terminal width: pin it for both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    path = write_descriptor(tmp_path, EXAMPLE_DESCRIPTOR)
+    out = tmp_path / "report.json"
+    calls = [
+        ["verify", path, "--primes", "2,3"],
+        ["polygons", path, "--prime", "3", "--degree", "1"],
+        ["frobnicate", path],
+        ["zeta", path],
+        ["verify", path, "--primes", "2", "--out", str(out)],
+    ]
+    fresh = []
+    for argv in calls:
+        proc = run_cli(*argv)
+        written = out.read_text() if out.exists() else None
+        fresh.append((proc.returncode, proc.stdout, proc.stderr, written))
+    out.unlink()
+    assert [f[0] for f in fresh] == [0, 0, 2, 0, 0]
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv, expected in zip(calls, fresh):
+        capsys.readouterr()
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        written = out.read_text() if out.exists() else None
+        assert (code, captured.out, captured.err, written) == expected, argv
+    # one top-level parser and one per subcommand, each built once
+    assert progs.count("endospec") == 1
+    assert len(progs) == len(set(progs)) == 5
 
 
 @pytest.mark.parametrize(

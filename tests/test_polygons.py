@@ -2,11 +2,21 @@
 
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from helpers import (
+    fraction_hodge_polygon,
+    fraction_newton_polygon,
+    fraction_np_ge_hp,
+    fraction_slope_zero_check,
+    fraction_symmetry_check,
+    fraction_vertices_json,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from endospec import cli, polygons
 from endospec.errors import (
     InapplicableModelError,
     ShapeError,
@@ -18,6 +28,7 @@ from endospec.poly import Poly, reciprocal_partner
 from endospec.polygons import (
     HodgePolygon,
     NewtonPolygon,
+    PolygonComparison,
     hodge_polygon,
     newton_polygon,
     np_ge_hp,
@@ -25,6 +36,8 @@ from endospec.polygons import (
     symmetry_check,
     vertices_json,
 )
+from endospec.varieties import abelian_en, grassmannian
+from endospec.verify import full_report
 
 # weight-1 action on an abelian surface with q = 6
 EXAMPLE_P1 = Poly.from_desc([1, -4, 16, -24, 36])
@@ -151,23 +164,21 @@ def test_np_ge_hp_strictly_above():
 
 
 def test_np_ge_hp_fails_and_incomparable():
-    low = NewtonPolygon(
-        vertices=((0, F(0)), (1, F(0)), (2, F(1))),
-        slopes=(F(0), F(1)),
-        normalized=True,
-    )
-    high = NewtonPolygon(
-        vertices=((0, F(0)), (2, F(1))), slopes=(F(1, 2), F(1, 2)), normalized=True
-    )
+    low = NewtonPolygon(points=((0, 0), (1, 0), (2, 1)), den=1, normalized=True)
+    high = NewtonPolygon(points=((0, 0), (2, 1)), den=1, normalized=True)
+    assert high.slopes == (F(1, 2), F(1, 2))
     cmp = np_ge_hp(low, high)
     assert not cmp
     assert cmp.status == "fails"
     assert cmp.failure_x == 1
     assert cmp.endpoint_equal
     assert np_ge_hp(low, hodge_polygon(1, [2, 2])).status == "incomparable"
-    flat = NewtonPolygon(
-        vertices=((0, F(0)), (2, F(0))), slopes=(F(0), F(0)), normalized=True
+    # the same line over denominators 2 and 1: only the endpoint meets
+    halves = NewtonPolygon(points=((0, 0), (2, 1)), den=2, normalized=True)
+    assert np_ge_hp(high, halves) == PolygonComparison(
+        status="holds", endpoint_equal=False, identical=False
     )
+    flat = NewtonPolygon(points=((0, 0), (2, 0)), den=1, normalized=True)
     cmp2 = np_ge_hp(flat, hodge_polygon(1, [1, 1]))
     assert cmp2.status == "fails"
     assert cmp2.failure_x == 2
@@ -186,16 +197,21 @@ def test_np_ge_hp_order_properties():
 
 
 def test_polygon_validation():
-    with pytest.raises(ValidityError):
-        NewtonPolygon(vertices=((1, F(0)),), slopes=(), normalized=True)
-    with pytest.raises(ValidityError):
-        NewtonPolygon(
-            vertices=((0, F(0)), (2, F(1))), slopes=(F(1), F(0)), normalized=True
-        )
-    with pytest.raises(ValidityError):
-        NewtonPolygon(
-            vertices=((0, F(0)), (2, F(2))), slopes=(F(1, 2), F(1, 2)), normalized=True
-        )
+    cases = [
+        (((1, 0),), 1, "origin"),
+        ((), 1, "origin"),
+        (((0, 0), (2, 1), (2, 3)), 1, "abscissae"),
+        (((0, 0), (1, 1), (2, 1)), 1, "slopes"),
+        # collinear points: the hull keeps corners only
+        (((0, 0), (1, 1), (3, 3)), 2, "slopes"),
+        (((0, 0), (2, 1)), 0, "denominator"),
+    ]
+    for points, den, message in cases:
+        with pytest.raises(ValidityError, match=message):
+            NewtonPolygon(points=points, den=den, normalized=True)
+        if den == 1:
+            with pytest.raises(ValidityError, match=message):
+                HodgePolygon(weight=1, hodge_numbers=(1, 1), points=points)
 
 
 def test_vertices_json():
@@ -203,10 +219,12 @@ def test_vertices_json():
     assert vertices_json(NP) == [[0, "0"], [4, "2"]]
     HP = hodge_polygon(2, [0, 1, 0])
     assert vertices_json(HP) == [[0, "0"], [1, "1"]]
-    half = NewtonPolygon(
-        vertices=((0, F(0)), (2, F(1))), slopes=(F(1, 2), F(1, 2)), normalized=True
-    )
+    half = NewtonPolygon(points=((0, 0), (2, 1)), den=1, normalized=True)
     assert vertices_json(half) == [[0, "0"], [2, "1"]]
+    # ordinates over 4, reduced as Fraction would reduce them
+    quarters = NewtonPolygon(points=((0, 0), (1, -6), (3, -8), (5, 2)), den=4, normalized=True)
+    assert vertices_json(quarters) == [[0, "0"], [1, "-3/2"], [3, "-2"], [5, "1/2"]]
+    assert [[x, str(y)] for x, y in quarters.vertices] == vertices_json(quarters)
 
 
 def _naive_valuation(x, ell):
@@ -293,3 +311,74 @@ def test_newton_polygon_matches_fraction_reference(case):
     else:
         with pytest.raises(InapplicableModelError):
             symmetry_check(NP, i)
+
+
+@st.composite
+def _integer_polygon_cases(draw):
+    """A monic integer polynomial with nonzero constant term and
+    coefficients of assorted ell-adic valuations; half the cases are a
+    product of Weil factors t**2 - a*t + q**i, whose slopes pair up under
+    s -> i - s. With it: two primes in (2, 3, 5), q, the weight i, and
+    Hodge numbers of weight i that sum to the degree half the time."""
+    ell, other = draw(st.lists(st.sampled_from((2, 3, 5)), min_size=2, max_size=2))
+    q = draw(st.sampled_from((4, 6, 9, 25, 2**40)))
+    i = draw(st.integers(0, 4))
+
+    def adic(low):
+        unit = draw(st.integers(low, 30)) * draw(st.sampled_from((1, -1)))
+        return unit * draw(st.sampled_from((2, 3, 5))) ** draw(st.integers(0, 12))
+
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 7))
+        P = Poly([adic(1)] + [adic(0) for _ in range(n - 1)] + [1])
+    else:
+        P = Poly([1])
+        for _ in range(draw(st.integers(1, 4))):
+            P = P * Poly([q**i, -adic(0), 1])
+    n = P.degree
+    if draw(st.booleans()):
+        cuts = sorted(draw(st.lists(st.integers(0, n), min_size=i, max_size=i)))
+        h = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+    else:
+        h = draw(st.lists(st.integers(0, 4), min_size=i + 1, max_size=i + 1).filter(any))
+    return P, ell, other, q, i, h
+
+
+@settings(max_examples=300, deadline=None)
+@given(_integer_polygon_cases())
+def test_integer_polygons_match_fraction_oracle(case):
+    P, ell, other, q, i, h = case
+    v = NormalizedValuation(ell, q)
+    NP, oracle_NP = newton_polygon(P, v), fraction_newton_polygon(P, v)
+    w = NormalizedValuation(other, q)
+    NP2, oracle_NP2 = newton_polygon(P, w), fraction_newton_polygon(P, w)
+    HP, oracle_HP = hodge_polygon(i, h), fraction_hodge_polygon(h)
+    pairs = ((NP, oracle_NP), (NP2, oracle_NP2), (HP, oracle_HP))
+    for polygon, oracle in pairs:
+        assert polygon.vertices == oracle.vertices
+        assert polygon.slopes == oracle.slopes
+        assert vertices_json(polygon) == fraction_vertices_json(oracle)
+        assert slope_zero_check(polygon) == fraction_slope_zero_check(oracle)
+    for (a, oracle_a), (b, oracle_b) in product(pairs, repeat=2):
+        assert np_ge_hp(a, b) == fraction_np_ge_hp(oracle_a, oracle_b)
+    for polygon, oracle in pairs[:2]:
+        if oracle.normalized:
+            assert symmetry_check(polygon, i) == fraction_symmetry_check(oracle, i)
+        else:
+            with pytest.raises(InapplicableModelError):
+                symmetry_check(polygon, i)
+
+
+def test_reports_build_no_polygon_fractions(monkeypatch, tmp_path, capsys):
+    # full_report and the polygons command read only the integer points;
+    # Fraction in endospec.polygons is for the vertices/slopes accessors
+    monkeypatch.setattr(polygons, "Fraction", None)
+    for model in (abelian_en([[1, -5], [1, 1]], 6), grassmannian(2, 4, 9, "involution")):
+        report = full_report(model, [2, 3, 5])
+        assert not report.has_failures
+    path = tmp_path / "model.json"
+    path.write_text('{"kind": "abelian_en", "q": "6", "isogeny_matrix": [["1", "-5"], ["1", "1"]]}')
+    assert cli.main(["polygons", str(path), "--prime", "3", "--degree", "2"]) == 0
+    assert '"identical": true' in capsys.readouterr().out
+    with pytest.raises(TypeError):
+        newton_polygon(EXAMPLE_P1, NormalizedValuation(3, 6)).vertices

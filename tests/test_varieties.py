@@ -292,6 +292,25 @@ def test_generic_model_errors():
         )
 
 
+@pytest.mark.parametrize(
+    "charpolys_extra, matrices, message",
+    [
+        ({7: Poly.from_desc([1, 3])}, {}, r"charpolys has entries for degrees \[7\] outside 0\.\.2"),
+        ({}, {9: [[1]]}, r"matrices has entries for degrees \[9\] outside 0\.\.2"),
+        ({-1: Poly.from_desc([1, 3]), 3: Poly.from_desc([1])}, {}, r"degrees \[-1, 3\]"),
+    ],
+)
+def test_generic_model_rejects_stray_degrees(charpolys_extra, matrices, message):
+    charpolys = {
+        0: Poly.from_desc([1, -1]),
+        1: Poly.from_desc([1, -4, 4]),
+        2: Poly.from_desc([1, -4]),
+    }
+    assert generic_model(1, 4, charpolys=charpolys).betti_numbers == [1, 2, 1]
+    with pytest.raises(ValidityError, match=message):
+        generic_model(1, 4, charpolys={**charpolys, **charpolys_extra}, matrices=matrices)
+
+
 def _eager(model):
     """The model as the matrix path builds it: every exterior power built,
     its polynomial by Faddeev-LeVerrier, its Jordan data by Smith form."""

@@ -6,12 +6,13 @@ from math import isqrt
 
 import pytest
 import sympy
+from helpers import fraction_real_root_off_circle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from endospec.errors import DomainError, ValidityError
 from endospec.matrixops import ExactMatrix
-from endospec.poly import Poly
+from endospec.poly import Poly, squarefree_part
 from endospec import verify
 from endospec.varieties import abelian_en, abelian_from_h1, generic_model, grassmannian
 from endospec.verify import (
@@ -72,6 +73,21 @@ def test_weil_weight_real_roots_just_off_the_circle():
     t = sympy.symbols("t")
     oracle = sympy.Poly(P.coeffs_desc(), t)
     assert oracle.count_roots(sympy.Rational(lo), sympy.Rational(hi)) == 1
+
+
+@pytest.mark.parametrize("l, m", [(1, 6), (2, 3), (1, 10), (2, 5), (1, 15), (3, 5)])
+def test_real_root_bisection_matches_fraction_bisection(l, m):
+    # E^2 isogenies with eigenvalues l != m, l * m = q: every degree 1..3
+    # has a real root off the circle
+    q = l * m
+    model = abelian_en([[0, -q], [1, l + m]], q)
+    for i in (1, 2, 3):
+        S = squarefree_part(model.charpoly(i))
+        expected = fraction_real_root_off_circle(S, q**i)
+        assert expected is not None
+        assert verify._real_root_off_circle(S, q**i) == expected
+        res = weil_weight_check(model.charpoly(i), q, i)
+        assert tuple(map(str, res.failing_root)) == tuple(map(str, expected))
 
 
 def _on_circle_oracle(P, Q):
