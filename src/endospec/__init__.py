@@ -30,6 +30,7 @@ from endospec.poly import (
     Poly,
     charpoly,
     cross_duality_check,
+    degree_facts,
     duality_partner,
     functional_equation_check,
     half_weight_multiplicity,
@@ -62,6 +63,7 @@ from endospec.verify import (
 from endospec.zeta import (
     ZetaFunction,
     lefschetz_number,
+    model_facts,
     zeta_function,
     zeta_functional_equation,
     zeta_series_consistency,
@@ -93,6 +95,7 @@ __all__ = [
     "charpoly",
     "compound",
     "cross_duality_check",
+    "degree_facts",
     "duality_partner",
     "epsilon_congruence_check",
     "exterior_power",
@@ -106,6 +109,7 @@ __all__ = [
     "jordan_symmetry_check",
     "lefschetz_number",
     "majorizes",
+    "model_facts",
     "newton_polygon",
     "np_ge_hp",
     "pairing_check",

@@ -29,7 +29,7 @@ from endospec.verify import full_report
 from endospec.zeta import (
     model_facts,
     zeta_function,
-    zeta_functional_equation_verdict,
+    zeta_functional_equation,
     zeta_series_consistency,
     zeta_to_json,
 )
@@ -566,14 +566,21 @@ def _load_document(path):
         raise ValidityError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _write_text(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidityError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(args, payload, notes):
     """JSON goes to --out when given, else stdout; notes go to stderr
     unless silenced. Everything is newline-terminated and stable."""
     text = json.dumps(payload, indent=2) + "\n"
     json_to_stdout = args.json_only or not args.out
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
     if json_to_stdout:
         sys.stdout.write(text)
     if not (args.quiet or args.json_only):
@@ -646,8 +653,7 @@ def cmd_polygons(args):
         notes.append(f"hodge:  {vertices_json(HP)}")
         notes.append(f"newton over hodge: {cmp_.status}")
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render_polygon_svg(NP, HP))
+        _write_text(args.svg, render_polygon_svg(NP, HP))
         notes.append(f"svg written to {args.svg}")
     _emit(args, payload, notes)
     return 0
@@ -664,7 +670,7 @@ def cmd_zeta(args):
     ]
     failed = False
     try:
-        fe = zeta_functional_equation_verdict(zf, model_facts(model))
+        fe = zeta_functional_equation(zf, model_facts(model))
     except EndospecError as exc:
         payload["functional_equation"] = None
         notes.append(f"functional equation: not applicable ({exc})")

@@ -4,7 +4,7 @@ the eigenvalue-reciprocity test on Jordan data, bilinear pairing checks, and
 the exact decision whether a positive-definite polarization witness exists
 (one projection onto a kernel).
 
-Jordan symmetry is one predicate, jordan_symmetry_verdict, over the Jordan
+Jordan symmetry is one predicate, jordan_symmetry_check, over the Jordan
 data each degree of a model carries (varieties.CohomologyAction).
 
 Matrices carry int or Fraction entries and are immutable. Heavy integer
@@ -144,8 +144,9 @@ class ExactMatrix:
         while e:
             if e & 1:
                 out = out @ base
-            base = base @ base
             e >>= 1
+            if e:
+                base = base @ base
         return out
 
     def trace(self):
@@ -359,15 +360,11 @@ def invariant_factors(M):
     return [f for f in factors if f.degree >= 1]
 
 
-def jordan_symmetry_check(M, q, i):
-    """True iff the Jordan blocks of M are symmetric under lambda ->
-    q**i/lambda: by the divisibility chain, iff each invariant factor is."""
-    return jordan_symmetry_verdict(invariant_factors(M), q, i)
-
-
-def jordan_symmetry_verdict(jordan_data, q, i):
+def jordan_symmetry_check(jordan_data, q, i):
     """True iff each polynomial of a degree-i action's Jordan data is its
-    own q**i-reciprocal partner."""
+    own q**i-reciprocal partner. On the invariant factors of a matrix M
+    this says, by the divisibility chain, that the Jordan blocks of M are
+    symmetric under lambda -> q**i/lambda."""
     for d in jordan_data:
         if d.coeff(0) == 0:
             raise SingularActionError("0 is an eigenvalue; reciprocity undefined")

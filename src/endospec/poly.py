@@ -338,16 +338,13 @@ def duality_partner(P, q, d):
     return partner
 
 
-def cross_duality_check(P_i, P_dual, q, d, i):
-    """Test t**n * P_i(q**d/t) == (-1)**eps * q**(i*n/2) * P_dual(t).
+def cross_duality_check(facts, P_dual, d):
+    """Test t**n * P_i(q**d/t) == (-1)**eps * q**(i*n/2) * P_dual(t) for the
+    P_i, q and i of facts.
 
-    The realized sign must agree with the functional-equation sign of P_i.
+    The realized sign must agree with the functional-equation sign of P_i,
+    read from facts.
     """
-    return cross_duality_verdict(degree_facts(P_i, q, i), P_dual, d)
-
-
-def cross_duality_verdict(facts, P_dual, d):
-    """cross_duality_check with the functional equation of P_i read from facts."""
     P_i, q, i = facts.charpoly, facts.q, facts.degree
     n = P_i.degree
     if n != P_dual.degree:

@@ -12,7 +12,6 @@ family built the model.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import ceil
 from typing import Optional
 
@@ -23,14 +22,13 @@ from endospec.errors import (
     ValidityError,
 )
 from endospec.exactnum import NormalizedValuation, is_prime, perfect_sqrt
-from endospec.matrixops import jordan_symmetry_verdict
+from endospec.matrixops import jordan_symmetry_check
 from endospec.poly import (
     Poly,
     _scaled_value,
     coeff_strings,
     count_real_roots,
-    cross_duality_verdict,
-    degree_facts,
+    cross_duality_check,
     exact_divide_out,
     reciprocal_partner,
     squarefree_part,
@@ -48,7 +46,7 @@ from endospec.varieties import has_hodge_data
 from endospec.zeta import (
     model_facts,
     zeta_function,
-    zeta_functional_equation_verdict,
+    zeta_functional_equation,
     zeta_to_json,
 )
 
@@ -97,21 +95,13 @@ class WeilWeightResult:
         return self.passed
 
 
-def weil_weight_check(P, q, i, precision_digits=60):
-    """Exact weight check: every root of P has |lambda|**2 = q**i, and the
-    coefficientwise functional equation holds.
+def weil_weight_check(facts):
+    """Exact weight check on the P, q, i of facts: every root of P has
+    |lambda|**2 = q**i, and the functional equation read from facts holds.
 
-    precision_digits is accepted for compatibility and has no effect; it
-    must still be at least 30. On failure failing_root is a closed
-    rational interval (lo, hi) isolating a real root off the circle, or
-    None when no real root is off it."""
-    if precision_digits < 30:
-        raise DomainError("precision below 30 digits is not meaningful here")
-    return weil_weight_verdict(degree_facts(P, q, i))
-
-
-def weil_weight_verdict(facts):
-    """weil_weight_check with the functional equation read from facts."""
+    On failure failing_root is a closed rational interval (lo, hi)
+    isolating a real root off the circle, or None when no real root is
+    off it."""
     P, q, i = facts.charpoly, facts.q, facts.degree
     if not P.is_monic():
         raise ValidityError("weight check needs a monic polynomial")
@@ -236,13 +226,9 @@ class EpsilonCongruence:
         return self.holds
 
 
-def epsilon_congruence_check(P, q, i):
-    """Check epsilon = betti + mu(-q^{i/2}) mod 2, and epsilon = 0 for odd i."""
-    return epsilon_congruence_verdict(degree_facts(P, q, i))
-
-
-def epsilon_congruence_verdict(facts):
-    """epsilon_congruence_check read off facts."""
+def epsilon_congruence_check(facts):
+    """Check epsilon = betti + mu(-q^{i/2}) mod 2, and epsilon = 0 for odd
+    i, on the functional equation and multiplicities read from facts."""
     fe = facts.fe
     if not fe.holds:
         raise ValidityError("congruence needs a passing functional equation")
@@ -307,7 +293,7 @@ def _sign(res):
 
 
 def _weight(f):
-    res = weil_weight_verdict(f)
+    res = weil_weight_check(f)
     witness = []
     if not res.passed:
         if res.failing_root:
@@ -318,7 +304,7 @@ def _weight(f):
 
 
 def _epsilon(f):
-    res = epsilon_congruence_verdict(f)
+    res = epsilon_congruence_check(f)
     return res.holds, (
         ("epsilon", res.epsilon),
         ("betti", res.betti),
@@ -337,13 +323,13 @@ def _degree_results(model, f):
             "cross_duality",
             i,
             None,
-            lambda: _sign(cross_duality_verdict(f, partner, d)),
+            lambda: _sign(cross_duality_check(f, partner, d)),
         ),
     ]
     if model.action(i).make_jordan_data is None:
         out.append(_na("jordan_symmetry", i, reason="no matrix supplied"))
     else:
-        js = lambda: (jordan_symmetry_verdict(model.action(i).jordan_data, f.q, i), ())
+        js = lambda: (jordan_symmetry_check(model.action(i).jordan_data, f.q, i), ())
         out.append(_guarded("jordan_symmetry", i, None, js))
     out.append(_guarded("weil_weight", i, None, lambda: _weight(f)))
     if f.fe_holds:
@@ -360,9 +346,8 @@ def _degree_results(model, f):
     return out
 
 
-def _over_hodge(NP, row, HP):
+def _over_hodge(NP, HP):
     cmp_ = np_ge_hp(NP, HP)
-    row.setdefault("hodge_polygon", vertices_json(HP))
     if cmp_.status == "incomparable":
         return None, ()
     witness = [("endpoint_equal", cmp_.endpoint_equal)]
@@ -374,8 +359,8 @@ def _over_hodge(NP, row, HP):
 
 
 def _newton_results(model, row, i, prime, v, hodge_polygon_of):
-    """The NEWTON_CHECKS of degree i at one prime; records the polygons in row.
-    hodge_polygon_of(i) is the Hodge polygon of degree i."""
+    """The NEWTON_CHECKS of degree i at one prime; records the Newton polygon
+    in row. hodge_polygon_of(i) is the Hodge polygon of degree i."""
     if model.betti(i) == 0:
         reason = "no cohomology in this degree"
         return [_na(cid, i, prime, reason=reason) for cid in NEWTON_CHECKS]
@@ -396,7 +381,7 @@ def _newton_results(model, row, i, prime, v, hodge_polygon_of):
         _guarded("newton_symmetry", i, prime, lambda: (symmetry_check(NP, i), ())),
     ]
     if has_hodge_data(model, i):
-        nh = lambda: _over_hodge(NP, row, hodge_polygon_of(i))
+        nh = lambda: _over_hodge(NP, hodge_polygon_of(i))
         out.append(_guarded("newton_over_hodge", i, prime, nh))
     else:
         out.append(_na("newton_over_hodge", i, prime, reason="no Hodge data"))
@@ -404,7 +389,7 @@ def _newton_results(model, row, i, prime, v, hodge_polygon_of):
 
 
 def _zeta(zf, facts):
-    res = zeta_functional_equation_verdict(zf, facts)
+    res = zeta_functional_equation(zf, facts)
     witness = (
         ("sign", res.sign),
         ("expected_sign", res.expected_sign),
@@ -442,12 +427,22 @@ def full_report(model, primes, precision=60):
         row["mu_plus"] = f.mu_plus
         row["mu_minus"] = f.mu_minus
         results.extend(_degree_results(model, f))
-    # A degree's Hodge polygon does not depend on the prime: build it once.
-    hodge_polygon_of = cache(lambda i: hodge_polygon(i, model.hodge[i]))
+    # A degree's Hodge polygon does not depend on the prime: build it once,
+    # when a newton_over_hodge check first reads it, and record it in the
+    # degree's row after the last prime.
+    hodge_polygons = {}
+
+    def hodge_polygon_of(i):
+        if i not in hodge_polygons:
+            hodge_polygons[i] = hodge_polygon(i, model.hodge[i])
+        return hodge_polygons[i]
+
     for prime in primes:
         v = NormalizedValuation(prime, q)
         for i, row in enumerate(degree_rows):
             results.extend(_newton_results(model, row, i, prime, v, hodge_polygon_of))
+    for i, HP in hodge_polygons.items():
+        degree_rows[i]["hodge_polygon"] = vertices_json(HP)
     zf = zeta_function(model)
     results.append(
         _guarded("zeta_functional_equation", None, None, lambda: _zeta(zf, facts))

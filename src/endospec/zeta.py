@@ -83,23 +83,6 @@ def lefschetz_number_by_trace(model, n):
     return total
 
 
-def _log_derivative_series(F, order):
-    """Coefficients l_1..l_order of t*F'/F for F with constant term 1.
-
-    No divisions occur: l_n = n*f_n - sum l_k f_{n-k}, so integer input
-    stays integer."""
-    f = [F.coeff(k) for k in range(order + 1)]
-    if f[0] != 1:
-        raise ValidityError("series inversion needs constant term 1")
-    l = [0] * (order + 1)
-    for n in range(1, order + 1):
-        acc = n * f[n]
-        for k in range(1, n):
-            acc -= l[k] * f[n - k]
-        l[n] = acc
-    return l[1:]
-
-
 def zeta_series_consistency(model, order, zf=None):
     """Check t*Z'/Z = sum N_n t**n through the requested order; zf is the
     model's zeta_function when the caller has already built it."""
@@ -107,10 +90,12 @@ def zeta_series_consistency(model, order, zf=None):
         raise DomainError("order must be positive")
     if zf is None:
         zf = zeta_function(model)
-    ln = _log_derivative_series(zf.numerator, order)
-    ld = _log_derivative_series(zf.denominator, order)
+    # For F = N or D, F(0) = 1 gives F(t) = prod (1 - a t) over the roots a
+    # of rev F, so t*F'/F = -sum_n p_n(rev F) t**n.
+    pn = power_sums(zf.numerator.reversed_poly(), order)
+    pd = power_sums(zf.denominator.reversed_poly(), order)
     lefschetz = _lefschetz_numbers(model, order)
-    return all(a - b == n for a, b, n in zip(ln, ld, lefschetz))
+    return all(b - a == n for a, b, n in zip(pn, pd, lefschetz))
 
 
 @dataclass(frozen=True)
@@ -140,13 +125,6 @@ def _scaled_star(F, q, d):
     asc = F.coeffs_asc()
     s = q**d
     return Poly([c * s**j for j, c in enumerate(reversed(asc))])
-
-
-def zeta_functional_equation(model):
-    """Verify Z(1/(q**d t)) = (-1)**(chi+mu) q**(d chi/2) t**chi Z(t).
-
-    mu is the multiplicity of -q**(d/2) in the middle degree."""
-    return zeta_functional_equation_verdict(zeta_function(model), model_facts(model))
 
 
 def _sides_by_products(zf):
@@ -187,9 +165,11 @@ def _sides_by_dual_pairs(facts, q, d):
     return odd, even
 
 
-def zeta_functional_equation_verdict(zf, facts):
-    """zeta_functional_equation for zf, with each degree's functional
-    equation and the middle degree's mu read from model_facts.
+def zeta_functional_equation(zf, facts):
+    """Verify Z(1/(q**d t)) = (-1)**(chi+mu) q**(d chi/2) t**chi Z(t) for
+    zf = zeta_function(model) and facts = model_facts(model), which give
+    each degree's functional equation and mu, the multiplicity of
+    -q**(d/2) in the middle degree.
 
     With G(F) = q**(d*deg F) * t**deg(F) * F(1/(q**d t)), zf = N/D and
     e = d*chi, the identity cross-multiplies to q**(e/2) * G(N) * D =

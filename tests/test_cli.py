@@ -101,6 +101,25 @@ def test_verify_out_file(tmp_path):
     assert out.read_text() == direct.stdout
 
 
+@pytest.mark.parametrize("target", ["missing/x.json", "."])
+def test_verify_unwritable_out_is_bad_input(tmp_path, target):
+    path = write_descriptor(tmp_path, EXAMPLE_DESCRIPTOR)
+    out = tmp_path / target
+    proc = run_cli("verify", path, "--primes", "2,3", "--out", str(out), "--json-only")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"endospec: cannot write {out}: [Errno ")
+
+
+def test_polygons_unwritable_svg_is_bad_input(tmp_path):
+    path = write_descriptor(tmp_path, EXAMPLE_DESCRIPTOR)
+    svg = tmp_path / "missing" / "x.svg"
+    proc = run_cli("polygons", path, "--prime", "3", "--degree", "2", "--svg", str(svg))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"endospec: cannot write {svg}: [Errno ")
+
+
 def test_verify_bad_inputs(tmp_path):
     good = write_descriptor(tmp_path, EXAMPLE_DESCRIPTOR)
     missing = run_cli("verify", str(tmp_path / "nope.json"), "--primes", "2")

@@ -2,8 +2,9 @@
 zeta and polygons on one descriptor of each kind, and of one SVG overlay.
 
 The digests were recorded before the polygons moved to integer points and
-the argument parser was cached; a change that alters any document byte
-fails here. Regenerate them only for a deliberate change of the output.
+the argument parser was cached, those of generic_nondual and
+generic_zero_hodge_row before the checks took each degree's facts; a change
+that alters any document byte fails here. Regenerate them only for a deliberate change of the output.
 """
 
 import hashlib
@@ -75,6 +76,40 @@ DESCRIPTORS = (
         },
         ["--prime", "5", "--degree", "1"],
     ),
+    (
+        # every degree passes its own functional equation, but degree 3 is
+        # not the q^2-reciprocal of degree 1: cross duality fails at 1 and 3
+        # and the zeta functional equation compares polynomial products
+        "generic_nondual",
+        {
+            "kind": "generic",
+            "q": "4",
+            "d": 2,
+            "charpolys": [
+                ["1", "-1"],
+                # (t^2 + 4)(t^2 - 2t + 4)
+                ["1", "-2", "8", "-8", "16"],
+                ["1", "-8", "16"],
+                # (t^2 + 8t + 64)(t^2 + 64)
+                ["1", "8", "128", "512", "4096"],
+                ["1", "-16"],
+            ],
+        },
+        ["--prime", "2", "--degree", "3"],
+    ),
+    (
+        # the degree-1 Hodge numbers are all zero: no Hodge polygon to
+        # compare with or to record in that degree's row
+        "generic_zero_hodge_row",
+        {
+            "kind": "generic",
+            "q": "4",
+            "d": 1,
+            "charpolys": [["1", "-1"], ["1", "-3", "2"], ["1", "-4"]],
+            "hodge": [[1], [0, 0], [0, 1, 0]],
+        },
+        ["--prime", "2", "--degree", "1"],
+    ),
 )
 
 
@@ -110,6 +145,12 @@ DIGESTS = {
     ("generic_pushed", "verify"): (1, "2e9f297130e3cde5cf9e564565f5fd470eff5bf01b66fef49bea768ddd6bf2d3"),
     ("generic_pushed", "zeta"): (0, "36e88873acfb44279d6d8ea0264a27aec511a5d3974e7e0f06b8aee3d948c755"),
     ("generic_pushed", "polygons"): (0, "111fe59c7a0fb909540a997429639bda25d3466c206e29df1cfe2d2b99a41a16"),
+    ("generic_nondual", "verify"): (1, "6cdaadd527b77c8badc99f0b40e0a8146becc978c0f9394e25d4d4728413bbbf"),
+    ("generic_nondual", "zeta"): (1, "351148cc8177064d757c2e2612f91ff75dbba7849f0e8483d17aa3b68f38f4f7"),
+    ("generic_nondual", "polygons"): (0, "04e81278dd0107c241c531871ba1a32241ab0a17cbcb8a99b8c3d767c6a3b98a"),
+    ("generic_zero_hodge_row", "verify"): (1, "3291efa5c3837a5d81a02eb3d9a8e3ac9f53b1d82392d0159ea3eb40bb6e58ef"),
+    ("generic_zero_hodge_row", "zeta"): (0, "a17fe211b718b9ba5528584b4f6b4ac7e9af0a9f64e371d3223535b3aa723534"),
+    ("generic_zero_hodge_row", "polygons"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
 
 

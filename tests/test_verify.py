@@ -1,6 +1,7 @@
 """Weil weight check, epsilon congruence, and full report orchestration."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 from math import isqrt
 
@@ -10,9 +11,11 @@ from helpers import fraction_real_root_off_circle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from endospec import cli
 from endospec.errors import DomainError, ValidityError
 from endospec.matrixops import ExactMatrix
-from endospec.poly import Poly, squarefree_part
+from endospec.poly import Poly, degree_facts, squarefree_part
+from endospec.polygons import HodgePolygon
 from endospec import verify
 from endospec.varieties import abelian_en, abelian_from_h1, generic_model, grassmannian
 from endospec.verify import (
@@ -27,19 +30,19 @@ EXAMPLE_P1 = Poly.from_desc([1, -4, 16, -24, 36])
 
 
 def test_weil_weight_passes():
-    assert weil_weight_check(EXAMPLE_P1, 6, 1)
-    assert weil_weight_check(Poly.from_desc([1, -4, 4]), 4, 1)
-    assert weil_weight_check(Poly.from_desc([1, -36]), 6, 4)
-    assert weil_weight_check(Poly.from_desc([1]), 6, 3)
+    assert weil_weight_check(degree_facts(EXAMPLE_P1, 6, 1))
+    assert weil_weight_check(degree_facts(Poly.from_desc([1, -4, 4]), 4, 1))
+    assert weil_weight_check(degree_facts(Poly.from_desc([1, -36]), 6, 4))
+    assert weil_weight_check(degree_facts(Poly.from_desc([1]), 6, 3))
 
 
 def test_weil_weight_detects_wrong_modulus():
-    res = weil_weight_check(Poly.from_desc([1, -2]), 6, 1)
+    res = weil_weight_check(degree_facts(Poly.from_desc([1, -2]), 6, 1))
     assert not res
     lo, hi = res.failing_root
     assert lo <= 2 <= hi
     assert "modulus" in res.reason
-    both = weil_weight_check(Poly.from_desc([1, -5, 6]), 6, 1)
+    both = weil_weight_check(degree_facts(Poly.from_desc([1, -5, 6]), 6, 1))
     assert not both
     # the witness isolates one of the real roots 2 and 3, both off |t|^2 = 6
     lo, hi = both.failing_root
@@ -50,12 +53,12 @@ def test_weil_weight_exact_condition_catches_tiny_drift():
     # the roots 2 +- i*10**-10.5 lie 1e-21 off the circle |t|^2 = 4: the
     # squarefree part is not 4-reciprocal, and no real root is the witness
     drifted = Poly([Fraction(4) + Fraction(1, 10**21), Fraction(-4), Fraction(1)])
-    res = weil_weight_check(drifted, 4, 1)
+    res = weil_weight_check(degree_facts(drifted, 4, 1))
     assert not res
     assert res.failing_root is None
     assert "not q^i-reciprocal" in res.reason
     # t - 2 lies on |t|^2 = 4, but odd weight needs even degree
-    odd = weil_weight_check(Poly.from_desc([1, -2]), 4, 1)
+    odd = weil_weight_check(degree_facts(Poly.from_desc([1, -2]), 4, 1))
     assert not odd
     assert odd.failing_root is None
     assert "functional equation" in odd.reason
@@ -66,7 +69,7 @@ def test_weil_weight_real_roots_just_off_the_circle():
     # 60-digit numeric check passed them
     q = 10**42
     P = Poly([q**2, -(2 * q + 1), 1])
-    res = weil_weight_check(P, q, 2)
+    res = weil_weight_check(degree_facts(P, q, 2))
     assert not res
     assert "trace polynomial" in res.reason
     lo, hi = res.failing_root
@@ -86,7 +89,7 @@ def test_real_root_bisection_matches_fraction_bisection(l, m):
         expected = fraction_real_root_off_circle(S, q**i)
         assert expected is not None
         assert verify._real_root_off_circle(S, q**i) == expected
-        res = weil_weight_check(model.charpoly(i), q, i)
+        res = weil_weight_check(degree_facts(model.charpoly(i), q, i))
         assert tuple(map(str, res.failing_root)) == tuple(map(str, expected))
 
 
@@ -126,7 +129,7 @@ def weil_products(draw):
 @given(weil_products())
 def test_weil_weight_matches_construction_and_sympy(case):
     P, q, i, on_circle = case
-    res = weil_weight_check(P, q, i)
+    res = weil_weight_check(degree_facts(P, q, i))
     assert res.passed == on_circle == _on_circle_oracle(P, q**i)
     if not res.passed:
         assert "modulus" in res.reason
@@ -138,19 +141,17 @@ def test_weil_weight_matches_construction_and_sympy(case):
 
 
 def test_weil_weight_preconditions():
-    with pytest.raises(DomainError):
-        weil_weight_check(EXAMPLE_P1, 6, 1, precision_digits=20)
     with pytest.raises(ValidityError):
-        weil_weight_check(Poly.from_desc([2, -1]), 6, 1)
+        weil_weight_check(degree_facts(Poly.from_desc([2, -1]), 6, 1))
     with pytest.raises(ValidityError):
-        weil_weight_check(Poly.from_desc([1, -1, 0]), 6, 1)
+        weil_weight_check(degree_facts(Poly.from_desc([1, -1, 0]), 6, 1))
 
 
 def test_epsilon_congruence_examples():
-    res = epsilon_congruence_check(EXAMPLE_P1, 6, 1)
+    res = epsilon_congruence_check(degree_facts(EXAMPLE_P1, 6, 1))
     assert res.holds
     assert (res.epsilon, res.betti, res.mu_minus) == (0, 4, 0)
-    neg = epsilon_congruence_check(Poly.from_desc([1, 4]), 4, 2)
+    neg = epsilon_congruence_check(degree_facts(Poly.from_desc([1, 4]), 4, 2))
     assert neg.holds
     assert (neg.epsilon, neg.betti, neg.mu_minus) == (0, 1, 1)
 
@@ -158,7 +159,7 @@ def test_epsilon_congruence_examples():
 def test_epsilon_congruence_odd_degree_sign():
     # t**2 - 6 passes its functional equation with sign -1, which an odd
     # degree forbids even though the parity count matches
-    res = epsilon_congruence_check(Poly.from_desc([1, 0, -6]), 6, 1)
+    res = epsilon_congruence_check(degree_facts(Poly.from_desc([1, 0, -6]), 6, 1))
     assert not res.holds
     assert res.epsilon == 1
     assert res.mu_minus == 1
@@ -166,7 +167,7 @@ def test_epsilon_congruence_odd_degree_sign():
 
 def test_epsilon_congruence_needs_functional_equation():
     with pytest.raises(ValidityError):
-        epsilon_congruence_check(Poly.from_desc([1, -5, 4]), 6, 1)
+        epsilon_congruence_check(degree_facts(Poly.from_desc([1, -5, 4]), 6, 1))
 
 
 def _result_map(report):
@@ -341,3 +342,69 @@ def test_hodge_polygon_built_once_per_degree(monkeypatch):
     over_hodge = [r for r in report.results if r.check_id == "newton_over_hodge"]
     assert {r.degree for r in over_hodge if r.status != "not-applicable"} == set(built)
     assert sorted(built) == list(range(5))
+
+
+def test_each_hodge_polygon_is_serialized_once(monkeypatch):
+    # 5 Newton polygons at each of the primes 2 and 3, and the Hodge
+    # polygon of each degree once although both primes divide q = 6
+    serialized = []
+    real = verify.vertices_json
+    monkeypatch.setattr(verify, "vertices_json", lambda p: serialized.append(p) or real(p))
+    report = full_report(abelian_en(EXAMPLE_A, 6), [2, 3])
+    assert len(serialized) == 15
+    assert sum(isinstance(p, HodgePolygon) for p in serialized) == 5
+    assert all("hodge_polygon" in row for row in report.degree_table)
+
+
+def test_hodge_polygon_that_cannot_be_built_stays_out_of_its_row():
+    model = generic_model(
+        1,
+        4,
+        charpolys={
+            0: Poly.from_desc([1, -1]),
+            1: Poly.from_desc([1, -3, 2]),
+            2: Poly.from_desc([1, -4]),
+        },
+        hodge=[[1], [0, 0], [0, 1, 0]],
+    )
+    report = full_report(model, [2, 3])
+    assert ["hodge_polygon" in row for row in report.degree_table] == [True, False, True]
+    over_hodge = [r for r in report.results if r.check_id == "newton_over_hodge"]
+    (nh1,) = [r for r in over_hodge if (r.degree, r.prime) == (1, 2)]
+    assert nh1.status == "fail"
+    assert dict(nh1.witness)["error"] == "all Hodge numbers are zero: empty polygon"
+
+
+def test_report_and_cli_call_the_public_checks(monkeypatch, tmp_path, capsys):
+    """Each check is reached under its public name in the module that calls
+    it, the way a tracer that swaps those names sees it."""
+    calls = Counter()
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[module.__name__, name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    # once per degree of the E^2 example, the zeta check once per model
+    expected = {
+        "weil_weight_check": 5,
+        "epsilon_congruence_check": 5,
+        "cross_duality_check": 5,
+        "jordan_symmetry_check": 5,
+        "zeta_functional_equation": 1,
+    }
+    for name in expected:
+        spy(verify, name)
+    spy(cli, "zeta_functional_equation")
+    full_report(abelian_en(EXAMPLE_A, 6), [2, 3])
+    assert {name: calls["endospec.verify", name] for name in expected} == expected
+    path = tmp_path / "model.json"
+    descriptor = {"kind": "abelian_en", "q": "6", "isogeny_matrix": [[1, -5], [1, 1]]}
+    path.write_text(json.dumps(descriptor))
+    assert cli.main(["zeta", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["functional_equation"]["holds"]
+    assert calls["endospec.cli", "zeta_functional_equation"] == 1

@@ -29,6 +29,10 @@ def _elliptic(m):
     return abelian_en([[m]], m * m)
 
 
+def _functional_equation(model):
+    return zeta_functional_equation(zeta_function(model), model_facts(model))
+
+
 def test_lefschetz_multiplication_by_m():
     model = _elliptic(2)
     for n in range(1, 7):
@@ -119,7 +123,7 @@ def test_zeta_series_consistency():
 
 
 def test_zeta_functional_equation_elliptic():
-    res = zeta_functional_equation(_elliptic(2))
+    res = _functional_equation(_elliptic(2))
     assert res
     assert res.sign == 1
     assert res.expected_sign == 1
@@ -128,7 +132,7 @@ def test_zeta_functional_equation_elliptic():
 
 
 def test_zeta_functional_equation_example():
-    res = zeta_functional_equation(abelian_en(EXAMPLE_A, 6))
+    res = _functional_equation(abelian_en(EXAMPLE_A, 6))
     assert res.holds
     assert res.chi == 0
     assert res.mu == 0
@@ -136,12 +140,12 @@ def test_zeta_functional_equation_example():
 
 
 def test_zeta_functional_equation_grassmannian_variants():
-    scalar = zeta_functional_equation(grassmannian(2, 4, 4))
+    scalar = _functional_equation(grassmannian(2, 4, 4))
     assert scalar.holds
     assert scalar.chi == 6
     assert scalar.mu == 0
     assert scalar.sign == 1
-    swap = zeta_functional_equation(grassmannian(2, 4, 4, "involution"))
+    swap = _functional_equation(grassmannian(2, 4, 4, "involution"))
     assert swap.holds
     # -q**2 is an eigenvalue of the middle involution, flipping the sign
     assert swap.mu == 1
@@ -150,7 +154,7 @@ def test_zeta_functional_equation_grassmannian_variants():
 
 
 def test_zeta_functional_equation_odd_chi():
-    res = zeta_functional_equation(grassmannian(1, 2, 9))
+    res = _functional_equation(grassmannian(1, 2, 9))
     assert res.holds
     assert res.chi == 2
     assert res.sign == 1
@@ -167,7 +171,7 @@ def test_zeta_functional_equation_rejects_broken_weights():
         },
     )
     with pytest.raises(InapplicableModelError):
-        zeta_functional_equation(broken)
+        _functional_equation(broken)
 
 
 NON_DUAL = generic_model(
@@ -246,10 +250,10 @@ def _force_product_identity(monkeypatch):
 def test_zeta_functional_equation_sign_matches_sympy(monkeypatch, name):
     model = SIGN_MODELS[name]
     expected = _sympy_sign(model)
-    assert zeta_functional_equation(model).sign == expected
+    assert _functional_equation(model).sign == expected
     # the product identity gives the same sign; "non-dual" takes it anyway
     _force_product_identity(monkeypatch)
-    assert zeta_functional_equation(model).sign == expected
+    assert _functional_equation(model).sign == expected
 
 
 def test_zeta_functional_equation_fails_on_non_dual_degrees(monkeypatch):
@@ -259,7 +263,7 @@ def test_zeta_functional_equation_fails_on_non_dual_degrees(monkeypatch):
     calls = []
     products = zeta._sides_by_products
     monkeypatch.setattr(zeta, "_sides_by_products", lambda zf: calls.append(zf) or products(zf))
-    res = zeta_functional_equation(NON_DUAL)
+    res = _functional_equation(NON_DUAL)
     assert res.sign is None and not res.holds
     # degree 3 is not the q**2-reciprocal of degree 1: no dual pairs
     assert len(calls) == 1
@@ -270,7 +274,7 @@ def test_zeta_functional_equation_fails_on_non_dual_degrees(monkeypatch):
 
 def _zeta_outcome(model):
     try:
-        return zeta_functional_equation(model)
+        return _functional_equation(model)
     except InapplicableModelError as exc:
         return str(exc)
 
@@ -316,7 +320,7 @@ def test_e5_zeta_functional_equation_by_dual_pairs(monkeypatch):
     model = _e5_q25()
     zf = zeta_function(model)
     assert (zf.numerator.degree, zf.denominator.degree, zf.chi) == (512, 512, 0)
-    res = zeta_functional_equation(model)
+    res = zeta_functional_equation(zf, model_facts(model))
     assert res.holds and res.sign == 1 and res.mu == 4
     # The product identity itself (two products of degree-512 polynomials
     # with coefficients of some 12000 bits, the slow part of this test):
