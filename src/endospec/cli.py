@@ -34,16 +34,6 @@ from endospec.zeta import (
     zeta_to_json,
 )
 
-DESCRIPTOR_KINDS = ("abelian_en", "abelian", "grassmannian", "generic")
-
-_ALLOWED_KEYS = {
-    "abelian_en": {"kind", "q", "isogeny_matrix"},
-    "abelian": {"kind", "q", "d", "matrix"},
-    "grassmannian": {"kind", "q", "k", "n", "variant"},
-    "generic": {"kind", "q", "d", "charpolys", "matrices", "hodge", "strict"},
-}
-
-
 def _require(doc, key):
     if key not in doc:
         raise ValidityError(f"descriptor is missing required field '{key}'")
@@ -472,6 +462,17 @@ SCHEMA = {
     },
 }
 
+# Each descriptor kind's allowed fields, read off its schema definition, in
+# the schema's order of kinds.
+_ALLOWED_KEYS = {
+    spec["properties"]["kind"]["const"]: set(spec["properties"])
+    for spec in (
+        SCHEMA["$defs"][ref["$ref"].removeprefix("#/$defs/")]
+        for ref in SCHEMA["$defs"]["descriptor"]["oneOf"]
+    )
+}
+DESCRIPTOR_KINDS = tuple(_ALLOWED_KEYS)
+
 
 # SVG layout constants; coordinates are computed exactly and only formatted
 # to two decimals at the very end, which keeps output byte-stable.
@@ -631,9 +632,13 @@ def cmd_polygons(args):
         raise ValidityError(f"degree {i} has no cohomology")
     v = NormalizedValuation(args.prime, model.q)
     NP = newton_polygon(model.charpoly(i), v)
+    notes = [f"newton: {vertices_json(NP)}"]
     HP = None
     if has_hodge_data(model, i):
-        HP = hodge_polygon(i, model.hodge[i])
+        if any(model.hodge[i]):
+            HP = hodge_polygon(i, model.hodge[i])
+        else:
+            notes.append(f"hodge: none, all Hodge numbers of degree {i} are zero")
     payload = {
         "degree": i,
         "prime": str(args.prime),
@@ -641,7 +646,6 @@ def cmd_polygons(args):
         "hodge": vertices_json(HP) if HP is not None else None,
         "comparison": None,
     }
-    notes = [f"newton: {vertices_json(NP)}"]
     if HP is not None:
         cmp_ = np_ge_hp(NP, HP)
         payload["comparison"] = {

@@ -5,7 +5,9 @@ the exact decision whether a positive-definite polarization witness exists
 (one projection onto a kernel).
 
 Jordan symmetry is one predicate, jordan_symmetry_check, over the Jordan
-data each degree of a model carries (varieties.CohomologyAction).
+data each degree of a model carries (varieties.CohomologyAction): each
+polynomial D of degree n must satisfy t**n * D(q**i/t) = D(0) * D(t), the
+reciprocity identity that poly decides for every check.
 
 Matrices carry int or Fraction entries and are immutable. Heavy integer
 inner loops (determinants, minors, polynomial row updates) live in
@@ -37,7 +39,7 @@ from endospec.errors import (
     ValidityError,
 )
 from endospec.exactnum import parse_rational, perfect_sqrt
-from endospec.poly import Poly, poly_gcd, reciprocal_partner
+from endospec.poly import Poly, _reciprocity_failure, poly_gcd
 
 
 class ExactMatrix:
@@ -84,9 +86,6 @@ class ExactMatrix:
 
     def is_integer(self):
         return all(isinstance(x, int) for r in self.rows for x in r)
-
-    def entry(self, i, j):
-        return self.rows[i][j]
 
     def transpose(self):
         return ExactMatrix(list(zip(*self.rows)))
@@ -199,9 +198,6 @@ class ExactMatrix:
         if c == 1:
             return [list(map(int, r)) for r in self.rows], 1
         return [[int(x * c) for x in r] for r in self.rows], c
-
-    def charpoly(self):
-        return polymod.charpoly(self.rows)
 
     def kron(self, other):
         """Kronecker product, blocks of self scaled into copies of other."""
@@ -361,14 +357,15 @@ def invariant_factors(M):
 
 
 def jordan_symmetry_check(jordan_data, q, i):
-    """True iff each polynomial of a degree-i action's Jordan data is its
-    own q**i-reciprocal partner. On the invariant factors of a matrix M
+    """True iff each polynomial D of a degree-i action's Jordan data is its
+    own q**i-reciprocal partner, t**n * D(q**i/t) = D(0) * D(t) with
+    n = deg D. On the invariant factors of a matrix M
     this says, by the divisibility chain, that the Jordan blocks of M are
     symmetric under lambda -> q**i/lambda."""
     for d in jordan_data:
         if d.coeff(0) == 0:
             raise SingularActionError("0 is an eigenvalue; reciprocity undefined")
-        if reciprocal_partner(d, q**i) != d:
+        if _reciprocity_failure(d, d, q**i) is not None:
             return False
     return True
 

@@ -1,6 +1,8 @@
 """Dense exact univariate polynomials and the characteristic-polynomial
-transforms built on them: reciprocal/duality partners, the coefficientwise
-functional-equation test, power sums, and exact factor extraction.
+transforms built on them: reciprocal/duality partners, the reciprocity
+identity t**n * P(s/t) = P(0) * Q(t) behind the functional equation, cross
+duality, Jordan symmetry and the weight check's circle gate, power sums,
+and exact factor extraction.
 
 Coefficients are int or Fraction; arithmetic never leaves exact scalars,
 and the hot paths (gcd, Sturm sequences) run in integers. Storage is
@@ -278,12 +280,35 @@ class FunctionalEquationResult:
         return self.holds
 
 
+def _reciprocity_failure(P, Q, s):
+    """First j at which t**n * P(s/t) = P(0) * Q(t) fails, n = deg P: the
+    least j with a_(n-j) * s**(n-j) != a_0 * b_j over the ascending
+    coefficients a of P and b of Q, for monic P and Q and an integer s.
+    None when the identity holds, that is when the roots of Q are the
+    s/lambda over the roots lambda of P.
+
+    Every reciprocity test is this identity: the functional equation
+    (Q = P, s = q**i), cross duality (Q = P_{2d-i}, s = q**d), Jordan
+    symmetry and the weight check's circle gate. For Q = P index 0 reads
+    a_0**2 = s**n, and once it holds indices j and n - j are equivalent, so
+    only j <= n/2 are compared."""
+    n = P.degree
+    a = P.coeffs_asc()
+    last = n // 2 if Q is P else n
+    power = s**n
+    for j in range(last + 1):
+        if a[n - j] * power != a[0] * Q.coeff(j):
+            return j
+        power //= s
+    return None
+
+
 def functional_equation_check(P, q, i):
     """Test t**n * P(q**i/t) == (-1)**eps * q**(i*n/2) * P(t) coefficientwise.
 
-    With descending coefficients a_0..a_n (a_0 = 1) the identity reads
-    a_{n-k} = sigma * a_k * q**(i*(n/2 - k)) for a single sign sigma; the
-    exponent is an integer because odd i forces even n.
+    This is the reciprocity identity with Q = P and s = q**i. Its index 0
+    reads P(0)**2 = q**(i*n), so the sign is that of P(0); q**(i*n/2) is an
+    integer because odd i forces even n.
     """
     n = P.degree
     if n < 0 or not P.is_monic():
@@ -294,23 +319,10 @@ def functional_equation_check(P, q, i):
         raise ValidityError("weight must be nonnegative")
     if i % 2 == 1 and n % 2 == 1:
         raise ValidityError("odd weight requires even degree")
-    desc = P.coeffs_desc()
-
-    def weight_factor(k):
-        e2 = i * (n - 2 * k)
-        return q ** (e2 // 2)
-
-    full = weight_factor(0)
-    if desc[n] == full:
-        sigma = 1
-    elif desc[n] == -full:
-        sigma = -1
-    else:
-        return FunctionalEquationResult(False, failure_index=0)
-    for k in range(1, n // 2 + 1):
-        if desc[n - k] != sigma * desc[k] * weight_factor(k):
-            return FunctionalEquationResult(False, failure_index=k)
-    return FunctionalEquationResult(True, epsilon=(1 - sigma) // 2)
+    j = _reciprocity_failure(P, P, q**i)
+    if j is not None:
+        return FunctionalEquationResult(False, failure_index=j)
+    return FunctionalEquationResult(True, epsilon=int(P.coeff(0) < 0))
 
 
 def reciprocal_partner(P, s):
@@ -343,9 +355,10 @@ def cross_duality_check(facts, P_dual, d):
     P_i, q and i of facts.
 
     The realized sign must agree with the functional-equation sign of P_i,
-    read from facts.
+    read from facts. Once that equation holds (-1)**eps * q**(i*n/2) is
+    P_i(0), so this is the reciprocity identity with Q = P_dual, s = q**d.
     """
-    P_i, q, i = facts.charpoly, facts.q, facts.degree
+    P_i, q = facts.charpoly, facts.q
     n = P_i.degree
     if n != P_dual.degree:
         raise DualityViolationError(
@@ -358,14 +371,9 @@ def cross_duality_check(facts, P_dual, d):
     fe = facts.fe
     if not fe.holds:
         return FunctionalEquationResult(False, failure_index=fe.failure_index)
-    # A passing functional equation forces i*n even (odd weight needs even
-    # degree), so the scale is an integer.
-    scale = (1 - 2 * fe.epsilon) * q ** (i * n // 2)
-    asc = P_i.coeffs_asc()
-    s = q**d
-    for j in range(n + 1):
-        if asc[n - j] * s ** (n - j) != scale * P_dual.coeff(j):
-            return FunctionalEquationResult(False, failure_index=j)
+    j = _reciprocity_failure(P_i, P_dual, q**d)
+    if j is not None:
+        return FunctionalEquationResult(False, failure_index=j)
     return FunctionalEquationResult(True, epsilon=fe.epsilon)
 
 
@@ -532,23 +540,27 @@ def exact_divide_out(P, factor):
     return current, m
 
 
+def _real_circle_factors(Q):
+    """The real points +sqrt(Q) and -sqrt(Q) of |t|**2 = Q as rational
+    factors, keyed by sign: t - r and t + r when Q = r**2, else t**2 - Q
+    for both, the two points being Galois conjugate."""
+    r = perfect_sqrt(Q)
+    if r is None:
+        f = Poly([-Q, 0, 1])
+        return {1: f, -1: f}
+    return {1: Poly([-r, 1]), -1: Poly([r, 1])}
+
+
 def half_weight_multiplicity(P, q, i, sign):
     """Multiplicity of the eigenvalue sign * q**(i/2) in P.
 
-    For odd i with non-square q the two signs are Galois conjugate, so the
+    When q**i is not a square the two signs are Galois conjugate, so the
     multiplicity is read off the quadratic factor t**2 - q**i and is the
     same for both; otherwise the linear factor applies directly.
     """
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
-    if i % 2 == 0:
-        root = sign * q ** (i // 2)
-        return exact_divide_out(P, Poly([-root, 1]))[1]
-    r = perfect_sqrt(q)
-    if r is not None:
-        root = sign * r**i
-        return exact_divide_out(P, Poly([-root, 1]))[1]
-    return exact_divide_out(P, Poly([-(q**i), 0, 1]))[1]
+    return exact_divide_out(P, _real_circle_factors(q**i)[sign])[1]
 
 
 @dataclass(frozen=True)

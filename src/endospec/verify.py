@@ -21,16 +21,17 @@ from endospec.errors import (
     InapplicableModelError,
     ValidityError,
 )
-from endospec.exactnum import NormalizedValuation, is_prime, perfect_sqrt
+from endospec.exactnum import NormalizedValuation, is_prime
 from endospec.matrixops import jordan_symmetry_check
 from endospec.poly import (
     Poly,
+    _real_circle_factors,
+    _reciprocity_failure,
     _scaled_value,
     coeff_strings,
     count_real_roots,
     cross_duality_check,
     exact_divide_out,
-    reciprocal_partner,
     squarefree_part,
     sturm_chain,
 )
@@ -134,9 +135,7 @@ def weil_weight_check(facts):
 def _without_real_circle_points(S, Q):
     """S with the factors t - sqrt(Q), t + sqrt(Q) (or t**2 - Q when sqrt(Q)
     is irrational) divided out: the only real points of |t|**2 = Q."""
-    r = perfect_sqrt(Q)
-    factors = [Poly([-Q, 0, 1])] if r is None else [Poly([-r, 1]), Poly([r, 1])]
-    for f in factors:
+    for f in set(_real_circle_factors(Q).values()):
         S = exact_divide_out(S, f)[0]
     return S
 
@@ -152,7 +151,7 @@ def _circle_defect(S, Q):
     when x = t + Q/t is real in [-2 sqrt(Q), 2 sqrt(Q)]. U(y) = (-1)**m *
     R(sqrt(y)) * R(-sqrt(y)) has the roots x**2, so every root of S is on
     the circle exactly when every distinct root of U lies in [0, 4Q]."""
-    if reciprocal_partner(S, Q) != S:
+    if _reciprocity_failure(S, S, Q) is not None:
         return "squarefree part is not q^i-reciprocal"
     T = _without_real_circle_points(S, Q)
     m = T.degree // 2

@@ -5,18 +5,19 @@ The zeta function is held as a numerator/denominator pair of reversed
 characteristic polynomials (odd degrees up, even degrees down); series
 expansion happens only inside the log-derivative consistency check.
 
-The functional equation is decided in integers. When Poincare duality
-pairs the degrees (P_i(q**d t) = P_i(0) * rev P_{2d-i}(t) for every i),
-it reduces to comparing q**(d chi/2) * prod_odd P_i(0) with
-prod_even P_i(0); for any other model the cross-multiplied identity
-between numerator and denominator is checked in Z[t].
+The functional equation is decided in integers. When cross duality holds
+at every degree (t**n * P_i(q**d/t) = P_i(0) * P_{2d-i}(t), the one
+reciprocity identity of poly), it reduces to comparing
+q**(d chi/2) * prod_odd P_i(0) with prod_even P_i(0); for any other model
+the cross-multiplied identity between numerator and denominator is
+checked in Z[t].
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
-from endospec.errors import DomainError, InapplicableModelError, ValidityError
-from endospec.poly import Poly, degree_facts, power_sums
+from endospec.errors import DomainError, EndospecError, InapplicableModelError
+from endospec.poly import Poly, cross_duality_check, degree_facts, power_sums
 
 
 @dataclass(frozen=True)
@@ -67,20 +68,6 @@ def lefschetz_number(model, n):
     if n < 1:
         raise DomainError("iterate count must be positive")
     return _lefschetz_numbers(model, n)[-1]
-
-
-def lefschetz_number_by_trace(model, n):
-    """Same number from matrix traces; an independent code path."""
-    if n < 1:
-        raise DomainError("iterate count must be positive")
-    total = 0
-    for i, act in enumerate(model.actions):
-        if act.betti == 0:
-            continue
-        if act.matrix is None:
-            raise ValidityError(f"degree {i} carries no matrix")
-        total += (-1) ** i * act.matrix.power(n).trace()
-    return total
 
 
 def zeta_series_consistency(model, order, zf=None):
@@ -136,32 +123,28 @@ def _sides_by_products(zf):
     )
 
 
-def _sides_by_dual_pairs(facts, q, d):
-    """(prod over odd i of P_i(0), prod over even i of P_i(0)) when every
-    degree i is the q**d-reciprocal of degree 2d - i, else None.
+def _dual_pair_sides(facts, d):
+    """(prod over odd i of P_i(0), prod over even i of P_i(0)) when cross
+    duality holds at every degree, else None: a degree without a partner,
+    a partner of another degree or a check that raises sends the model to
+    the product identity.
 
-    With a_j, b_j the ascending coefficients of P_i, P_{2d-i} of degree n,
-    the pair condition a_j * q**(d*j) = a_0 * b_{n-j} says P_i(q**d t) =
-    P_i(0) * rev P_{2d-i}(t). As G(rev P_i) = P_i(q**d t), it gives
-    G(N) = N * prod_odd P_i(0) and G(D) = D * prod_even P_i(0), so the two
-    sides of the product identity share the factor N * D."""
-    s = q**d
+    Cross duality at i, t**n * P_i(q**d/t) = P_i(0) * P_{2d-i}(t), says
+    P_i(q**d t) = P_i(0) * rev P_{2d-i}(t). As G(rev P_i) = P_i(q**d t), it
+    gives G(N) = N * prod_odd P_i(0) and G(D) = D * prod_even P_i(0), so the
+    two sides of the product identity share the factor N * D."""
     odd = even = 1
     for i, f in facts.items():
         partner = facts.get(2 * d - i)
-        if partner is None or partner.charpoly.degree != f.charpoly.degree:
-            return None
-        a, b = f.charpoly.coeffs_asc(), partner.charpoly.coeffs_asc()
-        n = len(a) - 1
-        s_j = 1
-        for j in range(n + 1):
-            if a[j] * s_j != a[0] * b[n - j]:
+        try:
+            if partner is None or not cross_duality_check(f, partner.charpoly, d):
                 return None
-            s_j *= s
+        except EndospecError:
+            return None
         if i % 2:
-            odd *= a[0]
+            odd *= f.charpoly.coeff(0)
         else:
-            even *= a[0]
+            even *= f.charpoly.coeff(0)
     return odd, even
 
 
@@ -178,7 +161,7 @@ def zeta_functional_equation(zf, facts):
     degrees have even Betti numbers, the model enforces b_i = b_{2d-i}, and
     the middle Betti number can only be odd when d is even.
 
-    When Poincare duality pairs the degrees (_sides_by_dual_pairs), both
+    When cross duality holds at every degree (_dual_pair_sides), both
     sides share the factor N * D and the identity reduces to one between
     integers; otherwise the polynomial products are compared."""
     for f in facts.values():
@@ -188,7 +171,7 @@ def zeta_functional_equation(zf, facts):
             )
     q, d, chi = zf.q, zf.dimension, zf.chi
     e = d * chi
-    lhs, rhs = _sides_by_dual_pairs(facts, q, d) or _sides_by_products(zf)
+    lhs, rhs = _dual_pair_sides(facts, d) or _sides_by_products(zf)
     if e >= 0:
         lhs = lhs * q ** (e // 2)
     else:

@@ -4,10 +4,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from endospec.errors import InapplicableModelError, ShapeError, ValidityError
+from endospec.errors import (
+    DomainError,
+    InapplicableModelError,
+    ShapeError,
+    SingularActionError,
+    ValidityError,
+)
 from endospec.exactnum import rational_valuation
 from endospec.matrixops import ExactMatrix
-from endospec.poly import count_real_roots, sturm_chain
+from endospec.poly import (
+    FunctionalEquationResult,
+    count_real_roots,
+    reciprocal_partner,
+    sturm_chain,
+)
 from endospec.polygons import PolygonComparison, _lower_hull
 from endospec.verify import _without_real_circle_points
 
@@ -165,3 +176,98 @@ def fraction_real_root_off_circle(S, Q):
         else:
             lo = mid
     return lo, hi
+
+
+def lefschetz_number_by_trace(model, n):
+    """The Lefschetz number of the n-th iterate from matrix traces: an
+    independent path to zeta.lefschetz_number."""
+    if n < 1:
+        raise DomainError("iterate count must be positive")
+    total = 0
+    for i, act in enumerate(model.actions):
+        if act.betti == 0:
+            continue
+        if act.matrix is None:
+            raise ValidityError(f"degree {i} carries no matrix")
+        total += (-1) ** i * act.matrix.power(n).trace()
+    return total
+
+
+# -- Reciprocity tests, one loop each ---------------------------------------
+# The functional equation, cross duality, Jordan symmetry and the zeta
+# dual-pair route before they shared poly._reciprocity_failure.
+
+
+def loop_functional_equation(P, q, i):
+    """(holds, epsilon, failure_index) of the sign identity
+    a_{n-k} = sigma * a_k * q**(i*(n/2 - k)) on descending coefficients."""
+    n = P.degree
+    if n < 0 or not P.is_monic():
+        raise ValidityError("polynomial must be monic")
+    if P.coeff(0) == 0:
+        raise SingularActionError("zero constant term: 0 is an eigenvalue")
+    if i < 0:
+        raise ValidityError("weight must be nonnegative")
+    if i % 2 == 1 and n % 2 == 1:
+        raise ValidityError("odd weight requires even degree")
+    desc = P.coeffs_desc()
+
+    def weight_factor(k):
+        return q ** (i * (n - 2 * k) // 2)
+
+    full = weight_factor(0)
+    if desc[n] == full:
+        sigma = 1
+    elif desc[n] == -full:
+        sigma = -1
+    else:
+        return FunctionalEquationResult(False, failure_index=0)
+    for k in range(1, n // 2 + 1):
+        if desc[n - k] != sigma * desc[k] * weight_factor(k):
+            return FunctionalEquationResult(False, failure_index=k)
+    return FunctionalEquationResult(True, epsilon=(1 - sigma) // 2)
+
+
+def loop_cross_duality(P_i, P_dual, q, i, d):
+    """Cross duality of monic P_i, P_dual of one degree, scaled by the sign
+    of P_i's own functional equation."""
+    fe = loop_functional_equation(P_i, q, i)
+    if not fe.holds:
+        return FunctionalEquationResult(False, failure_index=fe.failure_index)
+    n = P_i.degree
+    scale = (1 - 2 * fe.epsilon) * q ** (i * n // 2)
+    asc = P_i.coeffs_asc()
+    s = q**d
+    for j in range(n + 1):
+        if asc[n - j] * s ** (n - j) != scale * P_dual.coeff(j):
+            return FunctionalEquationResult(False, failure_index=j)
+    return FunctionalEquationResult(True, epsilon=fe.epsilon)
+
+
+def is_own_reciprocal_partner(P, s):
+    """The Jordan-symmetry and circle-gate test: P equals the monic
+    polynomial whose roots are s/lambda."""
+    return reciprocal_partner(P, s) == P
+
+
+def sides_by_dual_pairs(facts, q, d):
+    """(prod odd P_i(0), prod even P_i(0)) when a_j * q**(d*j) =
+    a_0 * b_{n-j} for every degree i and its partner 2d - i, else None."""
+    s = q**d
+    odd = even = 1
+    for i, f in facts.items():
+        partner = facts.get(2 * d - i)
+        if partner is None or partner.charpoly.degree != f.charpoly.degree:
+            return None
+        a, b = f.charpoly.coeffs_asc(), partner.charpoly.coeffs_asc()
+        n = len(a) - 1
+        s_j = 1
+        for j in range(n + 1):
+            if a[j] * s_j != a[0] * b[n - j]:
+                return None
+            s_j *= s
+        if i % 2:
+            odd *= a[0]
+        else:
+            even *= a[0]
+    return odd, even

@@ -13,9 +13,15 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from helpers import block_diag
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from endospec import cli
 from endospec.cli import SCHEMA, parse_descriptor, serialize_model
+from endospec.matrixops import ExactMatrix
+from endospec.poly import Poly
+from endospec.varieties import abelian_en, abelian_from_h1, generic_model, grassmannian
 
 EXAMPLE_DESCRIPTOR = {
     "kind": "abelian_en",
@@ -180,6 +186,19 @@ def test_polygons_without_hodge(tmp_path):
     assert payload["comparison"] is None
 
 
+def test_polygons_zero_hodge_row(tmp_path):
+    doc = {**GENERIC_DESCRIPTOR, "hodge": [[1], [0, 0], [0, 1, 0]]}
+    path = write_descriptor(tmp_path, doc)
+    proc = run_cli("polygons", path, "--prime", "2", "--degree", "1")
+    assert proc.returncode == 0
+    payload = json.loads(proc.stdout)
+    validate(payload, "polygonOutput")
+    assert payload["newton"] == [[0, "0"], [2, "1"]]
+    assert payload["hodge"] is None
+    assert payload["comparison"] is None
+    assert "hodge: none, all Hodge numbers of degree 1 are zero" in proc.stderr
+
+
 def test_polygons_svg_deterministic(tmp_path):
     path = write_descriptor(tmp_path, EXAMPLE_DESCRIPTOR)
     svgs = []
@@ -312,3 +331,48 @@ def test_descriptor_accepts_plain_integers():
     model = parse_descriptor(doc)
     assert model.q == 6
     assert serialize_model(model) == EXAMPLE_DESCRIPTOR
+
+
+# (q, rotation blocks [[a, -b], [b, a]] with a**2 + b**2 = q)
+ROTATIONS = {5: ((1, 2), (2, -1)), 13: ((2, 3), (-3, 2)), 25: ((3, 4), (5, 0), (0, -5))}
+
+
+@st.composite
+def _models(draw):
+    """Generic models on Weil factors t**2 - a*t + q (d = 1; Hodge rows and
+    companion matrices each present or not), abelian and abelian_en models
+    on rotation blocks, and Grassmannians of both variants."""
+    family = draw(st.sampled_from(("generic", "abelian", "abelian_en", "grassmannian")))
+    if family == "grassmannian":
+        k = draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            return grassmannian(k, 2 * k, draw(st.sampled_from((3, 4, 2**64))), "involution")
+        n = draw(st.integers(k + 1, 6))
+        return grassmannian(k, n, draw(st.sampled_from((2, 9, 10**30))))
+    q = draw(st.sampled_from(sorted(ROTATIONS)))
+    if family == "generic":
+        traces = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3))
+        blocks = [ExactMatrix([[0, -q], [1, a]]) for a in traces]
+        P1 = Poly([1])
+        for a in traces:
+            P1 = P1 * Poly([q, -a, 1])
+        charpolys = {0: Poly([-1, 1]), 1: P1, 2: Poly([-q, 1])}
+        matrices = {0: [[1]], 1: block_diag(blocks), 2: [[q]]}
+        matrices = {i: m for i, m in matrices.items() if draw(st.booleans())}
+        g = len(traces)
+        hodge = [[1], [g, g], [0, 1, 0]] if draw(st.booleans()) else None
+        return generic_model(
+            1, q, charpolys=charpolys, matrices=matrices, hodge=hodge, strict=draw(st.booleans())
+        )
+    pairs = draw(st.lists(st.sampled_from(ROTATIONS[q]), min_size=1, max_size=2))
+    A = block_diag([ExactMatrix([[a, -b], [b, a]]) for a, b in pairs])
+    if family == "abelian":
+        return abelian_from_h1(len(pairs), A, q)
+    return abelian_en(A, q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_models())
+def test_serialized_models_round_trip(model):
+    canon = serialize_model(model)
+    assert serialize_model(parse_descriptor(canon)) == canon

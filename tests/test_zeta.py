@@ -3,7 +3,7 @@
 import pytest
 import sympy
 from test_acceptance import grassmannian_models
-from helpers import block_diag
+from helpers import block_diag, lefschetz_number_by_trace
 from test_varieties import _e4_q25, _test_abelian_models
 
 from endospec import zeta
@@ -14,7 +14,6 @@ from endospec.varieties import abelian_en, generic_model, grassmannian
 from endospec.verify import full_report
 from endospec.zeta import (
     lefschetz_number,
-    lefschetz_number_by_trace,
     model_facts,
     zeta_function,
     zeta_functional_equation,
@@ -243,7 +242,7 @@ SIGN_MODELS = {
 
 def _force_product_identity(monkeypatch):
     """Make every model take the product identity instead of dual pairs."""
-    monkeypatch.setattr(zeta, "_sides_by_dual_pairs", lambda *args: None)
+    monkeypatch.setattr(zeta, "_dual_pair_sides", lambda *args: None)
 
 
 @pytest.mark.parametrize("name", SIGN_MODELS)
@@ -301,7 +300,7 @@ def test_dual_pair_route_matches_product_identity(monkeypatch):
             continue
         # Poincare duality pairs the degrees of every other accepted model.
         facts = model_facts(model)
-        assert zeta._sides_by_dual_pairs(facts, model.q, model.dimension) is not None
+        assert zeta._dual_pair_sides(facts, model.dimension) is not None
     assert any(isinstance(o, str) for o in by_pairs)
     _force_product_identity(monkeypatch)
     assert [_zeta_outcome(m) for m in models] == by_pairs
