@@ -3,6 +3,8 @@ JSON reports and SVG polygon renderings.
 
 Model descriptors are JSON documents; every integer that can grow crosses
 the boundary as a decimal string so nothing is squeezed through a float.
+The JSON Schema of descriptors and outputs is the package's schema.json,
+read once at import; `endospec schema` prints it.
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 bad input or
 usage, 3 internal error.
 """
@@ -12,6 +14,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
+from pathlib import Path
 
 from endospec.errors import EndospecError, ValidityError
 from endospec.exactnum import NormalizedValuation
@@ -50,7 +53,11 @@ def _as_int(value, label):
     if isinstance(value, str):
         s = value.strip()
         if s.isascii() and s.removeprefix("-").isdigit():
-            return int(s)
+            try:
+                return int(s)
+            except ValueError as exc:  # past the int/str digit limit
+                limit = sys.get_int_max_str_digits()
+                raise ValidityError(f"{label} has more than {limit} digits") from exc
     raise ValidityError(f"{label} must be an integer or decimal string")
 
 
@@ -186,281 +193,7 @@ def serialize_model(model):
     return out
 
 
-_INT_STRING = {"type": "string", "pattern": "^-?[0-9]+$"}
-_RATIONAL_STRING = {"type": "string", "pattern": "^-?[0-9]+(/[1-9][0-9]*)?$"}
-_MATRIX = {
-    "type": "array",
-    "minItems": 1,
-    "items": {
-        "type": "array",
-        "minItems": 1,
-        "items": {"$ref": "#/$defs/rationalString"},
-    },
-}
-_POLYNOMIAL = {
-    "type": "array",
-    "minItems": 1,
-    "items": {"$ref": "#/$defs/rationalString"},
-}
-_VERTICES = {
-    "type": "array",
-    "minItems": 1,
-    "items": {
-        "type": "array",
-        "minItems": 2,
-        "maxItems": 2,
-        "prefixItems": [{"type": "integer"}, {"$ref": "#/$defs/rationalString"}],
-    },
-}
-
-SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "$id": "https://example.invalid/endospec/schema.json",
-    "title": "endospec wire formats",
-    "description": (
-        "Model descriptors accepted by the CLI and the JSON documents it "
-        "emits. Integers that can exceed float precision are decimal "
-        "strings; rational values are 'p' or 'p/q' strings."
-    ),
-    "oneOf": [
-        {"$ref": "#/$defs/descriptor"},
-        {"$ref": "#/$defs/report"},
-        {"$ref": "#/$defs/polygonOutput"},
-        {"$ref": "#/$defs/zetaOutput"},
-    ],
-    "$defs": {
-        "intString": _INT_STRING,
-        "rationalString": _RATIONAL_STRING,
-        "matrix": _MATRIX,
-        "polynomial": _POLYNOMIAL,
-        "vertices": _VERTICES,
-        "descriptor": {
-            "oneOf": [
-                {"$ref": "#/$defs/abelianEnDescriptor"},
-                {"$ref": "#/$defs/abelianDescriptor"},
-                {"$ref": "#/$defs/grassmannianDescriptor"},
-                {"$ref": "#/$defs/genericDescriptor"},
-            ]
-        },
-        "abelianEnDescriptor": {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "abelian_en"},
-                "q": {"$ref": "#/$defs/intString"},
-                "isogeny_matrix": {"$ref": "#/$defs/matrix"},
-            },
-            "required": ["kind", "q", "isogeny_matrix"],
-            "additionalProperties": False,
-        },
-        "abelianDescriptor": {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "abelian"},
-                "q": {"$ref": "#/$defs/intString"},
-                "d": {"type": "integer", "minimum": 1},
-                "matrix": {"$ref": "#/$defs/matrix"},
-            },
-            "required": ["kind", "q", "d", "matrix"],
-            "additionalProperties": False,
-        },
-        "grassmannianDescriptor": {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "grassmannian"},
-                "q": {"$ref": "#/$defs/intString"},
-                "k": {"type": "integer", "minimum": 1},
-                "n": {"type": "integer", "minimum": 2},
-                "variant": {"enum": ["scalar", "involution"]},
-            },
-            "required": ["kind", "q", "k", "n"],
-            "additionalProperties": False,
-        },
-        "genericDescriptor": {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "generic"},
-                "q": {"$ref": "#/$defs/intString"},
-                "d": {"type": "integer", "minimum": 0},
-                "charpolys": {
-                    "type": "array",
-                    "items": {
-                        "oneOf": [{"$ref": "#/$defs/polynomial"}, {"type": "null"}]
-                    },
-                },
-                "matrices": {
-                    "type": "array",
-                    "items": {"oneOf": [{"$ref": "#/$defs/matrix"}, {"type": "null"}]},
-                },
-                "hodge": {
-                    "type": "array",
-                    "items": {
-                        "type": "array",
-                        "items": {"type": ["integer", "null"]},
-                    },
-                },
-                "strict": {"type": "boolean"},
-            },
-            "required": ["kind", "q", "d"],
-            "additionalProperties": False,
-        },
-        "checkResult": {
-            "type": "object",
-            "properties": {
-                "check": {
-                    "enum": [
-                        "functional_equation",
-                        "cross_duality",
-                        "jordan_symmetry",
-                        "weil_weight",
-                        "epsilon_congruence",
-                        "even_multiplicity",
-                        "newton_slope_zero",
-                        "newton_symmetry",
-                        "newton_over_hodge",
-                        "zeta_functional_equation",
-                    ]
-                },
-                "status": {"enum": ["pass", "fail", "not-applicable", "incomparable"]},
-                "degree": {"type": "integer", "minimum": 0},
-                "prime": {"$ref": "#/$defs/intString"},
-                "witness": {"type": "object"},
-            },
-            "required": ["check", "status"],
-            "additionalProperties": False,
-        },
-        "degreeRow": {
-            "type": "object",
-            "properties": {
-                "degree": {"type": "integer", "minimum": 0},
-                "betti": {"type": "integer", "minimum": 0},
-                "charpoly": {"$ref": "#/$defs/polynomial"},
-                "epsilon": {"type": "integer"},
-                "mu_plus": {"type": "integer", "minimum": 0},
-                "mu_minus": {"type": "integer", "minimum": 0},
-                "newton_polygons": {
-                    "type": "object",
-                    "patternProperties": {
-                        "^[0-9]+$": {"$ref": "#/$defs/vertices"}
-                    },
-                    "additionalProperties": False,
-                },
-                "hodge_polygon": {"$ref": "#/$defs/vertices"},
-            },
-            "required": ["degree", "betti"],
-            "additionalProperties": False,
-        },
-        "zetaBody": {
-            "type": "object",
-            "properties": {
-                "numerator": {"$ref": "#/$defs/polynomial"},
-                "denominator": {"$ref": "#/$defs/polynomial"},
-                "chi": {"type": "integer"},
-            },
-            "required": ["numerator", "denominator", "chi"],
-            "additionalProperties": False,
-        },
-        "report": {
-            "type": "object",
-            "properties": {
-                "model": {
-                    "type": "object",
-                    "properties": {
-                        "kind": {"enum": ["abelian", "grassmannian", "generic"]},
-                        "dimension": {"type": "integer", "minimum": 0},
-                        "q": {"$ref": "#/$defs/intString"},
-                        "betti": {
-                            "type": "array",
-                            "items": {"type": "integer", "minimum": 0},
-                        },
-                        "primes": {
-                            "type": "array",
-                            "items": {"$ref": "#/$defs/intString"},
-                        },
-                        "precision": {"type": "integer", "minimum": 30},
-                    },
-                    "required": ["kind", "dimension", "q", "betti", "primes"],
-                },
-                "checks": {
-                    "type": "array",
-                    "items": {"$ref": "#/$defs/checkResult"},
-                },
-                "degrees": {
-                    "type": "array",
-                    "items": {"$ref": "#/$defs/degreeRow"},
-                },
-                "zeta": {"$ref": "#/$defs/zetaBody"},
-            },
-            "required": ["model", "checks", "degrees", "zeta"],
-            "additionalProperties": False,
-        },
-        "polygonOutput": {
-            "type": "object",
-            "properties": {
-                "degree": {"type": "integer", "minimum": 0},
-                "prime": {"$ref": "#/$defs/intString"},
-                "newton": {"$ref": "#/$defs/vertices"},
-                "hodge": {
-                    "oneOf": [{"$ref": "#/$defs/vertices"}, {"type": "null"}]
-                },
-                "comparison": {
-                    "oneOf": [
-                        {
-                            "type": "object",
-                            "properties": {
-                                "status": {
-                                    "enum": ["holds", "fails", "incomparable"]
-                                },
-                                "endpoint_equal": {"type": ["boolean", "null"]},
-                                "identical": {"type": ["boolean", "null"]},
-                                "failure_x": {"type": ["integer", "null"]},
-                            },
-                            "required": ["status"],
-                            "additionalProperties": False,
-                        },
-                        {"type": "null"},
-                    ]
-                },
-            },
-            "required": ["degree", "prime", "newton", "hodge", "comparison"],
-            "additionalProperties": False,
-        },
-        "zetaOutput": {
-            "type": "object",
-            "properties": {
-                "numerator": {"$ref": "#/$defs/polynomial"},
-                "denominator": {"$ref": "#/$defs/polynomial"},
-                "chi": {"type": "integer"},
-                "functional_equation": {
-                    "oneOf": [
-                        {
-                            "type": "object",
-                            "properties": {
-                                "holds": {"type": "boolean"},
-                                "sign": {"type": ["integer", "null"]},
-                                "expected_sign": {"type": "integer"},
-                                "mu": {"type": "integer", "minimum": 0},
-                            },
-                            "required": ["holds", "expected_sign"],
-                            "additionalProperties": False,
-                        },
-                        {"type": "null"},
-                    ]
-                },
-                "series_order": {"type": "integer", "minimum": 1},
-                "series_consistent": {"type": "boolean"},
-            },
-            "required": [
-                "numerator",
-                "denominator",
-                "chi",
-                "functional_equation",
-                "series_order",
-                "series_consistent",
-            ],
-            "additionalProperties": False,
-        },
-    },
-}
+SCHEMA = json.loads(Path(__file__).with_name("schema.json").read_text(encoding="utf-8"))
 
 # Each descriptor kind's allowed fields, read off its schema definition, in
 # the schema's order of kinds.
@@ -565,6 +298,8 @@ def _load_document(path):
         raise ValidityError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidityError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # bytes not UTF-8, an integer past the digit limit
+        raise ValidityError(f"cannot read {path}: {exc}") from exc
 
 
 def _write_text(path, text):

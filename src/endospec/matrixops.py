@@ -17,7 +17,7 @@ endospec._kernels.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 from typing import Optional
 
 from endospec import poly as polymod
@@ -181,23 +181,12 @@ class ExactMatrix:
     def det(self):
         if not self.is_square:
             raise ShapeError("determinant needs a square matrix")
-        scaled, c = self._cleared()
+        scaled, c = polymod._cleared(self.rows)
         d = det_int(scaled)
         if c == 1:
             return d
         v = Fraction(d, c**self.nrows)
         return int(v) if v.denominator == 1 else v
-
-    def _cleared(self):
-        """Integer row list and the common denominator that was cleared."""
-        c = 1
-        for r in self.rows:
-            for x in r:
-                if isinstance(x, Fraction):
-                    c = lcm(c, x.denominator)
-        if c == 1:
-            return [list(map(int, r)) for r in self.rows], 1
-        return [[int(x * c) for x in r] for r in self.rows], c
 
     def kron(self, other):
         """Kronecker product, blocks of self scaled into copies of other."""
@@ -231,7 +220,7 @@ def exterior_power(M, k):
     if not 1 <= k <= n:
         raise ShapeError(f"exterior power index {k} outside 1..{n}")
     subsets = [list(c) for c in combinations(range(n), k)]
-    scaled, c = M._cleared()
+    scaled, c = polymod._cleared(M.rows)
     minors = minor_dets_int(scaled, subsets, subsets)
     if c == 1:
         return ExactMatrix(minors)
@@ -327,7 +316,7 @@ def invariant_factors(M):
     """
     if not M.is_square:
         raise ShapeError("invariant factors need a square matrix")
-    scaled_rows, c = M._cleared()
+    scaled_rows, c = polymod._cleared(M.rows)
     diag = _diagonalize(_char_matrix(scaled_rows))
     factors = []
     for entry in diag:

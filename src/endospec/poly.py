@@ -9,7 +9,7 @@ and the hot paths (gcd, Sturm sequences) run in integers. Storage is
 ascending by degree; serialization is leading-first.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, gcd, inf, lcm
 from typing import Optional
@@ -246,24 +246,22 @@ def charpoly(rows):
     cleared to integers first so the fraction-free kernel does all the work:
     char_M(t) = char_{cM}(c*t) / c**n for any nonzero integer c.
     """
-    rows = [list(r) for r in getattr(rows, "rows", rows)]
+    rows = list(getattr(rows, "rows", rows))
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ShapeError("matrix is not square")
-    if any(isinstance(x, Fraction) for r in rows for x in r):
-        c = lcm(
-            *(
-                x.denominator
-                for r in rows
-                for x in r
-                if isinstance(x, Fraction)
-            )
-        )
-        scaled = [[int(x * c) for x in r] for r in rows]
-        desc = charpoly_int(scaled)
-        coeffs = [_ratio(desc[k], Fraction(c**k)) for k in range(n + 1)]
-        return _normalize_int_coeffs(Poly.from_desc(coeffs))
-    return Poly.from_desc(charpoly_int(rows))
+    scaled, c = _cleared(rows)
+    desc = charpoly_int(scaled)
+    if c == 1:
+        return Poly.from_desc(desc)
+    return Poly.from_desc([_ratio(desc[k], Fraction(c**k)) for k in range(n + 1)])
+
+
+def _cleared(rows):
+    """Integer rows c * rows and the common denominator c of the int and
+    Fraction entries."""
+    c = lcm(*(x.denominator for r in rows for x in r))
+    return [[int(x * c) for x in r] for r in rows], c
 
 
 @dataclass(frozen=True)
@@ -566,8 +564,8 @@ def half_weight_multiplicity(P, q, i, sign):
 @dataclass(frozen=True)
 class DegreeFacts:
     """What the per-degree checks read about P = charpoly in weight `degree`:
-    the functional-equation result or the error it raised, and the
-    multiplicities of the eigenvalues +q**(i/2) and -q**(i/2)."""
+    the functional-equation result or the error it raised, the multiplicities
+    of the eigenvalues +-q**(i/2) and, once with_dual has run, cross duality."""
 
     degree: int
     q: int
@@ -576,6 +574,8 @@ class DegreeFacts:
     fe_error: Optional[EndospecError]
     mu_plus: int
     mu_minus: int
+    dual_result: Optional[FunctionalEquationResult] = None
+    dual_error: Optional[EndospecError] = None
 
     @property
     def fe(self):
@@ -587,6 +587,20 @@ class DegreeFacts:
     @property
     def fe_holds(self):
         return self.fe_error is None and self.fe_result.holds
+
+    @property
+    def dual(self):
+        """The cross-duality result (None before with_dual); re-raises its error."""
+        if self.dual_error is not None:
+            raise self.dual_error
+        return self.dual_result
+
+    def with_dual(self, P_dual, d):
+        """These facts with cross_duality_check(self, P_dual, d) decided."""
+        try:
+            return replace(self, dual_result=cross_duality_check(self, P_dual, d))
+        except EndospecError as exc:
+            return replace(self, dual_error=exc)
 
 
 def degree_facts(P, q, i):

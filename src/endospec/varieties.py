@@ -93,6 +93,8 @@ class VarietyModel:
                 raise ValidityError(f"action at index {i} claims degree {act.degree}")
             if len(self.hodge[i]) != i + 1:
                 raise ShapeError(f"weight {i} needs {i + 1} Hodge numbers")
+            if any(x is not None and x < 0 for x in self.hodge[i]):
+                raise ValidityError(f"weight {i}: Hodge numbers must be nonnegative")
         for i in range(2 * d + 1):
             if self.actions[i].betti != self.actions[2 * d - i].betti:
                 raise ValidityError(

@@ -30,7 +30,6 @@ from endospec.poly import (
     _scaled_value,
     coeff_strings,
     count_real_roots,
-    cross_duality_check,
     exact_divide_out,
     squarefree_part,
     sturm_chain,
@@ -314,16 +313,9 @@ def _epsilon(f):
 def _degree_results(model, f):
     """The DEGREE_CHECKS of one degree with cohomology, read off its facts."""
     i = f.degree
-    d = model.dimension
-    partner = model.charpoly(2 * d - i)
     out = [
         _guarded("functional_equation", i, None, lambda: _sign(f.fe)),
-        _guarded(
-            "cross_duality",
-            i,
-            None,
-            lambda: _sign(cross_duality_check(f, partner, d)),
-        ),
+        _guarded("cross_duality", i, None, lambda: _sign(f.dual)),
     ]
     if model.action(i).make_jordan_data is None:
         out.append(_na("jordan_symmetry", i, reason="no matrix supplied"))

@@ -16,8 +16,8 @@ checked in Z[t].
 from dataclasses import dataclass
 from typing import Optional
 
-from endospec.errors import DomainError, EndospecError, InapplicableModelError
-from endospec.poly import Poly, cross_duality_check, degree_facts, power_sums
+from endospec.errors import DomainError, InapplicableModelError
+from endospec.poly import Poly, degree_facts, power_sums
 
 
 @dataclass(frozen=True)
@@ -98,10 +98,12 @@ class ZetaFunctionalEquation:
 
 
 def model_facts(model):
-    """DegreeFacts of every degree with cohomology, keyed by degree in order."""
+    """DegreeFacts of every degree with cohomology, keyed by degree in order,
+    each with its cross duality against degree 2d - i decided."""
+    q, d = model.q, model.dimension
     return {
-        act.degree: degree_facts(act.charpoly, model.q, act.degree)
-        for act in model.actions
+        i: degree_facts(act.charpoly, q, i).with_dual(model.charpoly(2 * d - i), d)
+        for i, act in enumerate(model.actions)
         if act.betti
     }
 
@@ -123,11 +125,11 @@ def _sides_by_products(zf):
     )
 
 
-def _dual_pair_sides(facts, d):
+def _dual_pair_sides(facts):
     """(prod over odd i of P_i(0), prod over even i of P_i(0)) when cross
-    duality holds at every degree, else None: a degree without a partner,
-    a partner of another degree or a check that raises sends the model to
-    the product identity.
+    duality, read from facts, holds at every degree, else None: a degree
+    whose check failed, raised or was not decided sends the model to the
+    product identity.
 
     Cross duality at i, t**n * P_i(q**d/t) = P_i(0) * P_{2d-i}(t), says
     P_i(q**d t) = P_i(0) * rev P_{2d-i}(t). As G(rev P_i) = P_i(q**d t), it
@@ -135,11 +137,7 @@ def _dual_pair_sides(facts, d):
     two sides of the product identity share the factor N * D."""
     odd = even = 1
     for i, f in facts.items():
-        partner = facts.get(2 * d - i)
-        try:
-            if partner is None or not cross_duality_check(f, partner.charpoly, d):
-                return None
-        except EndospecError:
+        if f.dual_error is not None or not f.dual_result:
             return None
         if i % 2:
             odd *= f.charpoly.coeff(0)
@@ -171,7 +169,7 @@ def zeta_functional_equation(zf, facts):
             )
     q, d, chi = zf.q, zf.dimension, zf.chi
     e = d * chi
-    lhs, rhs = _dual_pair_sides(facts, d) or _sides_by_products(zf)
+    lhs, rhs = _dual_pair_sides(facts) or _sides_by_products(zf)
     if e >= 0:
         lhs = lhs * q ** (e // 2)
     else:

@@ -9,7 +9,6 @@ import argparse
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import jsonschema
 import pytest
@@ -149,6 +148,34 @@ def test_verify_bad_inputs(tmp_path):
         proc = run_cli("verify", malformed, "--primes", "2")
         assert proc.returncode == 2
         assert "q must be an integer or decimal string" in proc.stderr
+    # integers past the int/str digit limit, as a decimal string and as a
+    # bare JSON number
+    big = "1" + "0" * 5000
+    huge = write_descriptor(tmp_path, {**GRASSMANNIAN_DESCRIPTOR, "q": big}, "huge.json")
+    proc = run_cli("verify", huge, "--primes", "2")
+    assert proc.returncode == 2
+    assert proc.stderr == f"endospec: q has more than {sys.get_int_max_str_digits()} digits\n"
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(GRASSMANNIAN_DESCRIPTOR).replace('"4"', big))
+    proc = run_cli("verify", str(bare), "--primes", "2")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"endospec: cannot read {bare}: Exceeds the limit")
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"kind": "\xe9"}')
+    proc = run_cli("verify", str(latin), "--primes", "2")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"endospec: cannot read {latin}: 'utf-8' codec")
+
+
+def test_negative_hodge_numbers_are_bad_input(tmp_path):
+    doc = {**GENERIC_DESCRIPTOR, "hodge": [[1], [-1, 1], [0, 1, 0]]}
+    path = write_descriptor(tmp_path, doc)
+    calls = (("verify", "--primes", "2"), ("polygons", "--prime", "2", "--degree", "1"))
+    for command, *options in calls:
+        proc = run_cli(command, path, *options)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "endospec: weight 1: Hodge numbers must be nonnegative\n"
 
 
 def test_generic_arrays_longer_than_the_degrees(tmp_path):
@@ -247,11 +274,10 @@ def test_zeta_inapplicable_functional_equation(tmp_path):
     assert payload["series_consistent"] is True
 
 
-def test_schema_command_matches_docs(tmp_path):
+def test_schema_command_prints_a_valid_schema():
+    # its bytes are pinned in test_golden_bytes
     proc = run_cli("schema", "--json-only")
     assert proc.returncode == 0
-    docs = Path(__file__).resolve().parent.parent / "docs" / "schema.json"
-    assert proc.stdout == docs.read_text()
     jsonschema.Draft202012Validator.check_schema(json.loads(proc.stdout))
 
 

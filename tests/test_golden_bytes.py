@@ -1,13 +1,15 @@
 """Byte stability of the CLI documents: the sha256 of stdout for verify,
-zeta and polygons on one descriptor of each kind, and of one SVG overlay.
+zeta and polygons on one descriptor of each kind, of one SVG overlay and
+of `endospec schema`.
 
 The digests were recorded before the polygons moved to integer points and
 the argument parser was cached, those of generic_nondual and
 generic_zero_hodge_row before the checks took each degree's facts. The
 generic_zero_hodge_row polygons digest was re-recorded when that call began
-to print its Newton polygon (it exited 2 with empty stdout). A change that
-alters any document byte fails here. Regenerate them only for a deliberate
-change of the output.
+to print its Newton polygon (it exited 2 with empty stdout). The schema
+digest was recorded while the schema was a dict literal in cli.py, before
+it became the package's schema.json. A change that alters any document byte
+fails here. Regenerate them only for a deliberate change of the output.
 """
 
 import hashlib
@@ -194,3 +196,12 @@ def test_svg_bytes_are_pinned(tmp_path, capsys):
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert hashlib.sha256(svg.read_bytes()).hexdigest() == SVG_DIGEST
+
+
+SCHEMA_DIGEST = "993239c780d66cd322d5b64a1152f7e163b6e676ecd2fe8c42b472e767332745"
+
+
+def test_schema_bytes_are_pinned(capsys):
+    capsys.readouterr()
+    assert cli.main(["schema", "--json-only"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SCHEMA_DIGEST

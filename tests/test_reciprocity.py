@@ -120,7 +120,8 @@ def test_one_identity_matches_the_per_check_loops(case):
 def _facts_cases(draw):
     """Degree facts of a model-shaped table, every degree passing its own
     functional equation: degree 2d - i is the q**d-reciprocal partner of
-    degree i, or is missing, or another q**(2d-i)-reciprocal polynomial."""
+    degree i, or is missing, or another q**(2d-i)-reciprocal polynomial.
+    Cross duality is decided at every degree whose partner is present."""
     q = draw(st.sampled_from(QS))
     d = draw(st.integers(1, 2))
     polys = {d: draw(_reciprocal(q**d))}
@@ -131,7 +132,11 @@ def _facts_cases(draw):
             polys[2 * d - i] = reciprocal_partner(polys[i], q**d)
         elif partner == "other":
             polys[2 * d - i] = draw(_reciprocal(q ** (2 * d - i)))
-    facts = {i: degree_facts(polys[i], q, i) for i in sorted(polys)}
+    facts = {}
+    for i in sorted(polys):
+        f = degree_facts(polys[i], q, i)
+        partner = polys.get(2 * d - i)
+        facts[i] = f if partner is None else f.with_dual(partner, d)
     return facts, q, d
 
 
@@ -140,4 +145,4 @@ def _facts_cases(draw):
 def test_dual_pair_route_matches_the_coefficient_loop(case):
     facts, q, d = case
     assert all(f.fe_holds for f in facts.values())
-    assert zeta._dual_pair_sides(facts, d) == sides_by_dual_pairs(facts, q, d)
+    assert zeta._dual_pair_sides(facts) == sides_by_dual_pairs(facts, q, d)

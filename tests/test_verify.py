@@ -16,7 +16,7 @@ from endospec.errors import DomainError, ValidityError
 from endospec.matrixops import ExactMatrix
 from endospec.poly import Poly, degree_facts, squarefree_part
 from endospec.polygons import HodgePolygon
-from endospec import verify
+from endospec import poly, verify, zeta
 from endospec.varieties import abelian_en, abelian_from_h1, generic_model, grassmannian
 from endospec.verify import (
     ADVISORY_CHECKS,
@@ -389,11 +389,11 @@ def test_report_and_cli_call_the_public_checks(monkeypatch, tmp_path, capsys):
 
         monkeypatch.setattr(module, name, counted)
 
-    # once per degree of the E^2 example, the zeta check once per model
+    # once per degree of the E^2 example, the zeta check once per model;
+    # cross duality is decided in the facts (next test)
     expected = {
         "weil_weight_check": 5,
         "epsilon_congruence_check": 5,
-        "cross_duality_check": 5,
         "jordan_symmetry_check": 5,
         "zeta_functional_equation": 1,
     }
@@ -408,3 +408,31 @@ def test_report_and_cli_call_the_public_checks(monkeypatch, tmp_path, capsys):
     assert cli.main(["zeta", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["functional_equation"]["holds"]
     assert calls["endospec.cli", "zeta_functional_equation"] == 1
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: abelian_en(EXAMPLE_A, 6), lambda: grassmannian(2, 4, 4)], ids=["E2", "G24"]
+)
+def test_cross_duality_is_decided_once_per_degree(monkeypatch, build):
+    """The report's cross_duality rows and the zeta dual-pair route read
+    one decision per degree with cohomology, made in model_facts."""
+    model = build()
+    calls = Counter()
+    real = poly.cross_duality_check
+
+    def counted(facts, P_dual, d):
+        calls[facts.degree] += 1
+        return real(facts, P_dual, d)
+
+    def refuse(zf):
+        raise AssertionError("the zeta check took the product identity")
+
+    monkeypatch.setattr(poly, "cross_duality_check", counted)
+    monkeypatch.setattr(zeta, "_sides_by_products", refuse)
+    report = full_report(model, [2, 3])
+    degrees = [i for i, b in enumerate(model.betti_numbers) if b]
+    assert calls == Counter(degrees)
+    rows = [r for r in report.results if r.check_id == "cross_duality" and r.degree in degrees]
+    assert [r.status for r in rows] == ["pass"] * len(degrees)
+    (zeta_row,) = [r for r in report.results if r.check_id == "zeta_functional_equation"]
+    assert zeta_row.status == "pass"

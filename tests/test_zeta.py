@@ -300,7 +300,7 @@ def test_dual_pair_route_matches_product_identity(monkeypatch):
             continue
         # Poincare duality pairs the degrees of every other accepted model.
         facts = model_facts(model)
-        assert zeta._dual_pair_sides(facts, model.dimension) is not None
+        assert zeta._dual_pair_sides(facts) is not None
     assert any(isinstance(o, str) for o in by_pairs)
     _force_product_identity(monkeypatch)
     assert [_zeta_outcome(m) for m in models] == by_pairs
