@@ -2,7 +2,9 @@
 
 All matrices are lists of lists of Python ints, polynomials are lists of
 ints in ascending degree order with no trailing zeros (the zero polynomial
-is the empty list).
+is the empty list). The two product kernels, mat_mul_int and poly_mul_int,
+only add and multiply, so they also take Fraction entries and tuples: every
+Poly and ExactMatrix product runs on them.
 """
 
 from math import gcd

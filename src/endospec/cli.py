@@ -51,10 +51,9 @@ def _as_int(value, label):
     if isinstance(value, int):
         return value
     if isinstance(value, str):
-        s = value.strip()
-        if s.isascii() and s.removeprefix("-").isdigit():
+        if value.isascii() and value.removeprefix("-").isdigit():
             try:
-                return int(s)
+                return int(value)
             except ValueError as exc:  # past the int/str digit limit
                 limit = sys.get_int_max_str_digits()
                 raise ValidityError(f"{label} has more than {limit} digits") from exc
@@ -67,6 +66,12 @@ def _as_small_int(value, label):
     return value
 
 
+def _as_entry(value, label):
+    """A matrix or polynomial entry as the string exactnum.parse_rational
+    reads; bare ints are tolerated."""
+    return value if isinstance(value, str) else str(_as_int(value, label))
+
+
 def _as_matrix(value, label):
     if (
         not isinstance(value, list)
@@ -75,9 +80,7 @@ def _as_matrix(value, label):
     ):
         raise ValidityError(f"{label} must be a nonempty array of rows")
     try:
-        return matrix_from_strings(
-            [[x if isinstance(x, str) else str(_as_int(x, label)) for x in r] for r in value]
-        )
+        return matrix_from_strings([[_as_entry(x, label) for x in r] for r in value])
     except (EndospecError, ValueError) as exc:
         raise ValidityError(f"{label}: {exc}") from exc
 
@@ -86,9 +89,7 @@ def _as_poly(value, label):
     if not isinstance(value, list) or not value:
         raise ValidityError(f"{label} must be a nonempty coefficient array")
     try:
-        return poly_from_strings(
-            [x if isinstance(x, str) else str(_as_int(x, label)) for x in value]
-        )
+        return poly_from_strings([_as_entry(x, label) for x in value])
     except (EndospecError, ValueError) as exc:
         raise ValidityError(f"{label}: {exc}") from exc
 

@@ -8,12 +8,15 @@ perfect squares) the checks decide with. A power q**(e/2) is compared as
 the integer square root of q**e, so no irrational ring is needed.
 """
 
+import re
 from fractions import Fraction
 from math import isqrt
 
 from endospec.errors import DomainError
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The schema's rationalString; [0-9] matches ASCII digits only.
+_RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
 def is_prime(n):
@@ -130,11 +133,15 @@ def valuate(x, v):
 
 
 def parse_rational(s):
-    """Parse a decimal or "p/q" fraction string to an exact scalar."""
-    s = s.strip()
+    """Parse a rational literal, an ASCII decimal integer optionally over a
+    positive denominator ("-3", "7/2"), to an exact scalar. Nothing else is
+    one: no spaces, signs other than a leading minus, exponents, separators
+    or non-ASCII digits."""
+    if not _RATIONAL.fullmatch(s):
+        raise DomainError(f"not a rational literal: {s!r}")
     try:
         f = Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:  # past the int/str digit limit
         raise DomainError(f"not a rational literal: {s!r}") from exc
     if f.denominator == 1:
         return int(f)

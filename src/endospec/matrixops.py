@@ -103,14 +103,7 @@ class ExactMatrix:
             raise ShapeError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        if self.is_integer() and other.is_integer():
-            return ExactMatrix(
-                mat_mul_int([list(r) for r in self.rows], [list(r) for r in other.rows])
-            )
-        cols = list(zip(*other.rows))
-        return ExactMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
-        )
+        return ExactMatrix(mat_mul_int(self.rows, other.rows))
 
     def __mul__(self, scalar):
         return ExactMatrix([[x * scalar for x in r] for r in self.rows])
@@ -182,11 +175,7 @@ class ExactMatrix:
         if not self.is_square:
             raise ShapeError("determinant needs a square matrix")
         scaled, c = polymod._cleared(self.rows)
-        d = det_int(scaled)
-        if c == 1:
-            return d
-        v = Fraction(d, c**self.nrows)
-        return int(v) if v.denominator == 1 else v
+        return polymod._ratio(det_int(scaled), c**self.nrows)
 
     def kron(self, other):
         """Kronecker product, blocks of self scaled into copies of other."""
@@ -222,9 +211,7 @@ def exterior_power(M, k):
     subsets = [list(c) for c in combinations(range(n), k)]
     scaled, c = polymod._cleared(M.rows)
     minors = minor_dets_int(scaled, subsets, subsets)
-    if c == 1:
-        return ExactMatrix(minors)
-    scale = Fraction(c**k)
+    scale = c**k
     return ExactMatrix([[polymod._ratio(x, scale) for x in row] for row in minors])
 
 
@@ -317,14 +304,11 @@ def invariant_factors(M):
     if not M.is_square:
         raise ShapeError("invariant factors need a square matrix")
     scaled_rows, c = polymod._cleared(M.rows)
-    diag = _diagonalize(_char_matrix(scaled_rows))
-    factors = []
-    for entry in diag:
-        p = Poly(entry)
-        if c != 1:
-            # M = N/c: substitute t -> c*t in each factor of t*id - N.
-            p = Poly([co * c**k for k, co in enumerate(p.coeffs_asc())])
-        factors.append(p.monic())
+    # M = N/c: substitute t -> c*t in each factor of t*id - N.
+    factors = [
+        Poly([co * c**k for k, co in enumerate(entry)]).monic()
+        for entry in _diagonalize(_char_matrix(scaled_rows))
+    ]
     # Repair the divisibility chain: replacing a non-dividing pair (a, b)
     # with (gcd, lcm) preserves the product and the elementary divisors.
     changed = True

@@ -9,8 +9,9 @@ and the hot paths (gcd, Sturm sequences) run in integers. Storage is
 ascending by degree; serialization is leading-first.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, gcd, inf, lcm
 from typing import Optional
 
@@ -126,16 +127,7 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return self.scale(other)
-        if self.is_zero or other.is_zero:
-            return Poly([])
-        if self.is_integer() and other.is_integer():
-            return Poly(poly_mul_int(list(self._asc), list(other._asc)))
-        out = [0] * (len(self._asc) + len(other._asc) - 1)
-        for i, ci in enumerate(self._asc):
-            if ci:
-                for j, cj in enumerate(other._asc):
-                    out[i + j] = out[i + j] + ci * cj
-        return Poly(out)
+        return Poly(poly_mul_int(self._asc, other._asc))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -229,16 +221,6 @@ def _ratio(c, lead):
     return int(v) if v.denominator == 1 else v
 
 
-def _normalize_int_coeffs(p):
-    """Demote Fraction coefficients to int when every one is integral."""
-    if all(
-        isinstance(c, int) or (isinstance(c, Fraction) and c.denominator == 1)
-        for c in p.coeffs_asc()
-    ):
-        return Poly([int(c) for c in p.coeffs_asc()])
-    return p
-
-
 def charpoly(rows):
     """Monic characteristic polynomial det(t*id - M) of a square exact matrix.
 
@@ -252,9 +234,7 @@ def charpoly(rows):
         raise ShapeError("matrix is not square")
     scaled, c = _cleared(rows)
     desc = charpoly_int(scaled)
-    if c == 1:
-        return Poly.from_desc(desc)
-    return Poly.from_desc([_ratio(desc[k], Fraction(c**k)) for k in range(n + 1)])
+    return Poly.from_desc([_ratio(desc[k], c**k) for k in range(n + 1)])
 
 
 def _cleared(rows):
@@ -563,54 +543,48 @@ def half_weight_multiplicity(P, q, i, sign):
 
 @dataclass(frozen=True)
 class DegreeFacts:
-    """What the per-degree checks read about P = charpoly in weight `degree`:
-    the functional-equation result or the error it raised, the multiplicities
-    of the eigenvalues +-q**(i/2) and, once with_dual has run, cross duality."""
+    """What the per-degree checks read about P = charpoly in weight `degree`,
+    each fact computed when first read: the functional-equation result
+    (fe), the multiplicities of the eigenvalues +-q**(i/2) and, when the
+    facts carry the partner P_(2d-i) and the dimension d, cross duality
+    (dual, else None). A fact whose computation raised raises again when
+    read."""
 
     degree: int
     q: int
     charpoly: Poly
-    fe_result: Optional[FunctionalEquationResult]
-    fe_error: Optional[EndospecError]
-    mu_plus: int
-    mu_minus: int
-    dual_result: Optional[FunctionalEquationResult] = None
-    dual_error: Optional[EndospecError] = None
+    partner: Optional[Poly] = None
+    dimension: Optional[int] = None
 
-    @property
+    @cached_property
     def fe(self):
-        """The functional-equation result; re-raises the error it raised."""
-        if self.fe_error is not None:
-            raise self.fe_error
-        return self.fe_result
+        return functional_equation_check(self.charpoly, self.q, self.degree)
 
     @property
     def fe_holds(self):
-        return self.fe_error is None and self.fe_result.holds
-
-    @property
-    def dual(self):
-        """The cross-duality result (None before with_dual); re-raises its error."""
-        if self.dual_error is not None:
-            raise self.dual_error
-        return self.dual_result
-
-    def with_dual(self, P_dual, d):
-        """These facts with cross_duality_check(self, P_dual, d) decided."""
         try:
-            return replace(self, dual_result=cross_duality_check(self, P_dual, d))
-        except EndospecError as exc:
-            return replace(self, dual_error=exc)
+            return self.fe.holds
+        except EndospecError:
+            return False
+
+    @cached_property
+    def mu_plus(self):
+        return half_weight_multiplicity(self.charpoly, self.q, self.degree, 1)
+
+    @cached_property
+    def mu_minus(self):
+        return half_weight_multiplicity(self.charpoly, self.q, self.degree, -1)
+
+    @cached_property
+    def dual(self):
+        if self.partner is None:
+            return None
+        return cross_duality_check(self, self.partner, self.dimension)
 
 
 def degree_facts(P, q, i):
-    """DegreeFacts of P in weight i; each fact is computed exactly once."""
-    try:
-        fe, error = functional_equation_check(P, q, i), None
-    except EndospecError as exc:
-        fe, error = None, exc
-    mu = [half_weight_multiplicity(P, q, i, sign) for sign in (1, -1)]
-    return DegreeFacts(i, q, P, fe, error, *mu)
+    """DegreeFacts of P in weight i, without a partner."""
+    return DegreeFacts(i, q, P)
 
 
 def poly_gcd(P, Q):
@@ -638,7 +612,7 @@ def squarefree_part(P):
     quot, rem = P.divmod_by(g)
     if not rem.is_zero:
         raise ConsistencyError("gcd did not divide its argument")
-    return _normalize_int_coeffs(quot.monic())
+    return quot.monic()
 
 
 def coeff_strings(P):

@@ -129,7 +129,7 @@ def _abelian_hodge(d):
     )
 
 
-def abelian_from_h1(d, M, q, kind="abelian", metadata=None):
+def abelian_from_h1(d, M, q, metadata=None):
     """Abelian model from the degree-1 action: degree i acts by the i-th
     exterior power, so Betti numbers are binomial and Hodge numbers are
     products of binomials. One Smith form, of M, gives the weight pieces
@@ -156,7 +156,7 @@ def abelian_from_h1(d, M, q, kind="abelian", metadata=None):
         jordan = partial(list, by_weight.values())
         actions.append(CohomologyAction(i, P.degree, P, jordan, matrix))
     return VarietyModel(
-        kind=kind,
+        kind="abelian",
         dimension=d,
         q=q,
         actions=tuple(actions),
@@ -185,7 +185,7 @@ def abelian_en(A, q):
         "polarization_witness": witness,
         "polarization_verified": witness is not None,
     }
-    return abelian_from_h1(n, M, q, kind="abelian", metadata=metadata)
+    return abelian_from_h1(n, M, q, metadata=metadata)
 
 
 def box_partitions(rows, cols, size):

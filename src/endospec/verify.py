@@ -414,7 +414,7 @@ def full_report(model, primes, precision=60):
         f = facts[i]
         row["charpoly"] = coeff_strings(f.charpoly)
         if f.fe_holds:
-            row["epsilon"] = f.fe_result.epsilon
+            row["epsilon"] = f.fe.epsilon
         row["mu_plus"] = f.mu_plus
         row["mu_minus"] = f.mu_minus
         results.extend(_degree_results(model, f))

@@ -16,8 +16,8 @@ checked in Z[t].
 from dataclasses import dataclass
 from typing import Optional
 
-from endospec.errors import DomainError, InapplicableModelError
-from endospec.poly import Poly, degree_facts, power_sums
+from endospec.errors import DomainError, EndospecError, InapplicableModelError
+from endospec.poly import DegreeFacts, Poly, power_sums
 
 
 @dataclass(frozen=True)
@@ -99,10 +99,10 @@ class ZetaFunctionalEquation:
 
 def model_facts(model):
     """DegreeFacts of every degree with cohomology, keyed by degree in order,
-    each with its cross duality against degree 2d - i decided."""
+    each with degree 2d - i as its cross-duality partner."""
     q, d = model.q, model.dimension
     return {
-        i: degree_facts(act.charpoly, q, i).with_dual(model.charpoly(2 * d - i), d)
+        i: DegreeFacts(i, q, act.charpoly, model.charpoly(2 * d - i), d)
         for i, act in enumerate(model.actions)
         if act.betti
     }
@@ -136,13 +136,16 @@ def _dual_pair_sides(facts):
     gives G(N) = N * prod_odd P_i(0) and G(D) = D * prod_even P_i(0), so the
     two sides of the product identity share the factor N * D."""
     odd = even = 1
-    for i, f in facts.items():
-        if f.dual_error is not None or not f.dual_result:
-            return None
-        if i % 2:
-            odd *= f.charpoly.coeff(0)
-        else:
-            even *= f.charpoly.coeff(0)
+    try:
+        for i, f in facts.items():
+            if not f.dual:
+                return None
+            if i % 2:
+                odd *= f.charpoly.coeff(0)
+            else:
+                even *= f.charpoly.coeff(0)
+    except EndospecError:
+        return None
     return odd, even
 
 

@@ -15,6 +15,7 @@ from endospec.exactnum import rational_valuation
 from endospec.matrixops import ExactMatrix
 from endospec.poly import (
     FunctionalEquationResult,
+    Poly,
     count_real_roots,
     reciprocal_partner,
     sturm_chain,
@@ -271,3 +272,26 @@ def sides_by_dual_pairs(facts, q, d):
         else:
             even *= a[0]
     return odd, even
+
+
+# -- Fraction products -------------------------------------------------------
+# Poly.__mul__ and ExactMatrix.__matmul__ before every operand went to the
+# integer product kernels: these loops ran whenever an operand held a
+# Fraction, after a shortcut for a zero polynomial operand.
+
+
+def loop_poly_mul(P, Q):
+    if P.is_zero or Q.is_zero:
+        return Poly([])
+    a, b = P.coeffs_asc(), Q.coeffs_asc()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ci in enumerate(a):
+        if ci:
+            for j, cj in enumerate(b):
+                out[i + j] = out[i + j] + ci * cj
+    return Poly(out)
+
+
+def loop_mat_mul(A, B):
+    cols = list(zip(*B.rows))
+    return ExactMatrix([[sum(a * b for a, b in zip(row, col)) for col in cols] for row in A.rows])

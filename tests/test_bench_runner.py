@@ -1,6 +1,8 @@
-"""The benchmark runner's time limit (`perfbench/run.py`), checked on an
-operation that cannot finish: its report is repeated until the alarm
-strikes, so the test holds however fast a single report becomes.
+"""The benchmark runner (`perfbench/run.py`): its time limit, checked on an
+operation that cannot finish (its report is repeated until the alarm
+strikes, so the test holds however fast a single report becomes), and its
+contract that an operation either gives a correct document or fails the
+way an entry of KNOWN_DEFECTS explains.
 
     PYTHONPATH=src python -m pytest tests/test_bench_runner.py
 """
@@ -21,8 +23,15 @@ ENDLESS = "E4-q25"
 
 
 @pytest.fixture
-def runner(tmp_path, monkeypatch):
+def alarm():
     old = signal.signal(signal.SIGALRM, run._on_alarm)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, old)
+
+
+@pytest.fixture
+def runner(tmp_path, monkeypatch, alarm):
     runner = run.Runner("abelian_scale", workloads.make_ops("abelian_scale", 1), tmp_path)
     api = runner._api
 
@@ -33,9 +42,7 @@ def runner(tmp_path, monkeypatch):
             api(op)
 
     monkeypatch.setattr(runner, "_api", endless)
-    yield runner
-    signal.setitimer(signal.ITIMER_REAL, 0)
-    signal.signal(signal.SIGALRM, old)
+    return runner
 
 
 def by_id(runner, op_id):
@@ -52,3 +59,20 @@ def test_timeout_is_reported_and_not_rerun(runner):
     runner.ops = [by_id(runner, ENDLESS), by_id(runner, "E2-q25-a3")]
     _, results = runner.run_pass()
     assert [(r[0].op_id, r[1]) for r in results] == [("E2-q25-a3", "ok")]
+
+
+def test_big_grassmannians_are_ok_or_a_known_defect(tmp_path, alarm):
+    """Each seed-1 grassmannian_sweep operation with a 100-bit q and n <= 8
+    (n = 9 reaches the 1 s limit) gives a correct document or raises as a
+    KNOWN_DEFECTS entry explains. Any other exception, such as one raised
+    in another function than the entry names, makes the benchmark print
+    `correct: false`."""
+    ops = {
+        op.op_id: op
+        for op in workloads.make_ops("grassmannian_sweep", 1)
+        if op.op_id.endswith("-big") and op.payload["n"] <= 8
+    }
+    runner = run.Runner("grassmannian_sweep", list(ops.values()), tmp_path)
+    for op in ops.values():
+        outcome, _, _, reason, defect = runner.run_op(op)
+        assert outcome == "ok" or (outcome == "raised" and defect), (op.op_id, reason)

@@ -165,10 +165,28 @@ def test_verify_bad_inputs(tmp_path):
     proc = run_cli("verify", str(latin), "--primes", "2")
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"endospec: cannot read {latin}: 'utf-8' codec")
+    # entries the schema's rationalString refuses, and q with spaces
+    for entry in ("1e1", " 3 ", "+2", "\u0663", "1_0", "1.5", "1/0"):
+        matrix = [[entry, "-5"], ["1", "1"]]
+        doc = {**EXAMPLE_DESCRIPTOR, "isogeny_matrix": matrix}
+        with pytest.raises(jsonschema.ValidationError):
+            validate(doc, "descriptor")
+        proc = run_cli("verify", write_descriptor(tmp_path, doc, "entry.json"), "--primes", "2")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"endospec: isogeny_matrix: not a rational literal: {entry!r}\n"
+    spaced = write_descriptor(tmp_path, {**EXAMPLE_DESCRIPTOR, "q": " 6 "}, "spaced.json")
+    proc = run_cli("verify", spaced, "--primes", "2")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "q must be an integer or decimal string" in proc.stderr
 
 
 def test_negative_hodge_numbers_are_bad_input(tmp_path):
     doc = {**GENERIC_DESCRIPTOR, "hodge": [[1], [-1, 1], [0, 1, 0]]}
+    validate(GENERIC_DESCRIPTOR, "descriptor")
+    with pytest.raises(jsonschema.ValidationError):
+        validate(doc, "descriptor")
     path = write_descriptor(tmp_path, doc)
     calls = (("verify", "--primes", "2"), ("polygons", "--prime", "2", "--degree", "1"))
     for command, *options in calls:

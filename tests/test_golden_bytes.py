@@ -8,8 +8,10 @@ generic_zero_hodge_row before the checks took each degree's facts. The
 generic_zero_hodge_row polygons digest was re-recorded when that call began
 to print its Newton polygon (it exited 2 with empty stdout). The schema
 digest was recorded while the schema was a dict literal in cli.py, before
-it became the package's schema.json. A change that alters any document byte
-fails here. Regenerate them only for a deliberate change of the output.
+it became the package's schema.json, and re-recorded when the generic
+descriptor's Hodge numbers gained "minimum": 0. A change that alters any
+document byte fails here. Regenerate them only for a deliberate change of
+the output.
 """
 
 import hashlib
@@ -198,7 +200,7 @@ def test_svg_bytes_are_pinned(tmp_path, capsys):
     assert hashlib.sha256(svg.read_bytes()).hexdigest() == SVG_DIGEST
 
 
-SCHEMA_DIGEST = "993239c780d66cd322d5b64a1152f7e163b6e676ecd2fe8c42b472e767332745"
+SCHEMA_DIGEST = "a657df3b60a0fa47a15a37a514189742cd0b6bcae941249c4258d2654b000f07"
 
 
 def test_schema_bytes_are_pinned(capsys):

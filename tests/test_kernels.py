@@ -1,6 +1,15 @@
-"""Integer kernels: small cases, big integers, and the exported names."""
+"""Integer kernels: small cases, big integers, the exported names, and the
+Poly and ExactMatrix products they run for int and Fraction entries alike."""
+
+from fractions import Fraction
+
+from helpers import loop_mat_mul, loop_poly_mul
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import endospec._kernels as kernels
+from endospec.matrixops import ExactMatrix
+from endospec.poly import Poly
 
 KERNEL_NAMES = [
     "mat_mul_int",
@@ -53,3 +62,39 @@ def test_big_integer_path():
 def test_all_kernels_exported():
     for name in KERNEL_NAMES:
         assert callable(getattr(kernels, name))
+
+
+# int and Fraction entries mixed, zeros and negatives included
+SCALARS = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.sampled_from([0, Fraction(0), Fraction(3, 1)]),
+)
+
+
+def _typed(values):
+    """Values with their types, so an int and an equal Fraction differ."""
+    return [(type(x), x) for x in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(SCALARS, max_size=5), st.lists(SCALARS, max_size=5))
+@example([], [Fraction(1, 2)])
+@example([Fraction(0), 0], [-3])
+@example([Fraction(-1, 2)], [2, 0, Fraction(2, 3)])
+def test_poly_products_match_the_fraction_loop(a, b):
+    # empty lists and all-zero lists are the zero polynomial
+    P, Q = Poly(a), Poly(b)
+    assert _typed((P * Q).coeffs_asc()) == _typed(loop_poly_mul(P, Q).coeffs_asc())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_matrix_products_match_the_fraction_loop(n, inner, m, data):
+    def matrix(rows, cols):
+        row = st.lists(SCALARS, min_size=cols, max_size=cols)
+        return ExactMatrix(data.draw(st.lists(row, min_size=rows, max_size=rows)))
+
+    A, B = matrix(n, inner), matrix(inner, m)
+    got, want = (A @ B).rows, loop_mat_mul(A, B).rows
+    assert [_typed(r) for r in got] == [_typed(r) for r in want]

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from endospec.errors import (
     ConsistencyError,
     DualityViolationError,
+    EndospecError,
     ShapeError,
     SingularActionError,
     ValidityError,
 )
 from endospec.poly import (
+    DegreeFacts,
     Poly,
     charpoly,
     coeff_strings,
@@ -169,6 +171,24 @@ def test_cross_duality_detects_wrong_partner():
     facts = degree_facts(Poly.from_desc([1, -1]), 6, 0)
     res = cross_duality_check(facts, Poly.from_desc([1, -7]), 1)
     assert not res.holds
+
+
+@pytest.mark.parametrize(
+    "P, i",
+    [(Poly.from_desc([2, -1]), 0), (Poly.from_desc([1, -2]), 1)],
+    ids=["non-monic", "odd-weight-odd-degree"],
+)
+def test_a_fact_that_raised_raises_again_when_read(P, i):
+    facts = DegreeFacts(i, 4, P, P, 1)
+
+    def error(name):
+        with pytest.raises(EndospecError) as info:
+            getattr(facts, name)
+        return type(info.value)
+
+    for name in ("fe", "dual"):
+        assert error(name) is error(name) is ValidityError
+    assert facts.fe_holds is False
 
 
 def test_power_sums_examples():

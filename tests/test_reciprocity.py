@@ -19,6 +19,7 @@ from endospec import zeta
 from endospec.errors import EndospecError
 from endospec.matrixops import jordan_symmetry_check
 from endospec.poly import (
+    DegreeFacts,
     Poly,
     cross_duality_check,
     degree_facts,
@@ -132,11 +133,9 @@ def _facts_cases(draw):
             polys[2 * d - i] = reciprocal_partner(polys[i], q**d)
         elif partner == "other":
             polys[2 * d - i] = draw(_reciprocal(q ** (2 * d - i)))
-    facts = {}
-    for i in sorted(polys):
-        f = degree_facts(polys[i], q, i)
-        partner = polys.get(2 * d - i)
-        facts[i] = f if partner is None else f.with_dual(partner, d)
+    facts = {
+        i: DegreeFacts(i, q, polys[i], polys.get(2 * d - i), d) for i in sorted(polys)
+    }
     return facts, q, d
 
 

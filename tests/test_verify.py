@@ -414,24 +414,38 @@ def test_report_and_cli_call_the_public_checks(monkeypatch, tmp_path, capsys):
     "build", [lambda: abelian_en(EXAMPLE_A, 6), lambda: grassmannian(2, 4, 4)], ids=["E2", "G24"]
 )
 def test_cross_duality_is_decided_once_per_degree(monkeypatch, build):
-    """The report's cross_duality rows and the zeta dual-pair route read
-    one decision per degree with cohomology, made in model_facts."""
+    """The report's rows and the zeta check read one decision per degree
+    with cohomology of each fact in model_facts: its functional equation,
+    its cross duality (the zeta dual-pair route included) and the
+    multiplicity of each of +-q**(i/2)."""
     model = build()
     calls = Counter()
-    real = poly.cross_duality_check
 
-    def counted(facts, P_dual, d):
-        calls[facts.degree] += 1
-        return real(facts, P_dual, d)
+    def count(name, degree_of):
+        real = getattr(poly, name)
+
+        def counted(*args):
+            calls[name, degree_of(*args)] += 1
+            return real(*args)
+
+        monkeypatch.setattr(poly, name, counted)
+
+    count("cross_duality_check", lambda facts, P_dual, d: facts.degree)
+    count("functional_equation_check", lambda P, q, i: i)
+    count("half_weight_multiplicity", lambda P, q, i, sign: i)
 
     def refuse(zf):
         raise AssertionError("the zeta check took the product identity")
 
-    monkeypatch.setattr(poly, "cross_duality_check", counted)
     monkeypatch.setattr(zeta, "_sides_by_products", refuse)
     report = full_report(model, [2, 3])
     degrees = [i for i, b in enumerate(model.betti_numbers) if b]
-    assert calls == Counter(degrees)
+    expected = Counter()
+    for i in degrees:
+        expected["cross_duality_check", i] = 1
+        expected["functional_equation_check", i] = 1
+        expected["half_weight_multiplicity", i] = 2
+    assert calls == expected
     rows = [r for r in report.results if r.check_id == "cross_duality" and r.degree in degrees]
     assert [r.status for r in rows] == ["pass"] * len(degrees)
     (zeta_row,) = [r for r in report.results if r.check_id == "zeta_functional_equation"]
