@@ -17,6 +17,8 @@ from endospec.errors import DomainError
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # The schema's rationalString; [0-9] matches ASCII digits only.
 _RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+# Longer refused literals are echoed cut short, with their length.
+_SHOWN_CHARS = 40
 
 
 def is_prime(n):
@@ -132,17 +134,25 @@ def valuate(x, v):
     return v.valuate(x)
 
 
+def _shown(s):
+    """s for an error message: whole when short, else its first
+    _SHOWN_CHARS characters and its length."""
+    if len(s) <= _SHOWN_CHARS:
+        return repr(s)
+    return f"{s[:_SHOWN_CHARS]!r}... ({len(s)} characters)"
+
+
 def parse_rational(s):
     """Parse a rational literal, an ASCII decimal integer optionally over a
     positive denominator ("-3", "7/2"), to an exact scalar. Nothing else is
     one: no spaces, signs other than a leading minus, exponents, separators
     or non-ASCII digits."""
     if not _RATIONAL.fullmatch(s):
-        raise DomainError(f"not a rational literal: {s!r}")
+        raise DomainError(f"not a rational literal: {_shown(s)}")
     try:
         f = Fraction(s)
     except ValueError as exc:  # past the int/str digit limit
-        raise DomainError(f"not a rational literal: {s!r}") from exc
+        raise DomainError(f"not a rational literal: {_shown(s)}") from exc
     if f.denominator == 1:
         return int(f)
     return f

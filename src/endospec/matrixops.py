@@ -4,6 +4,10 @@ the eigenvalue-reciprocity test on Jordan data, bilinear pairing checks, and
 the exact decision whether a positive-definite polarization witness exists
 (one projection onto a kernel).
 
+Kernels, inverses and leading principal minors come from one fraction-free
+Gauss-Jordan elimination over the integers (Bareiss 1968): every entry
+stays an integer minor of the input while it runs.
+
 Jordan symmetry is one predicate, jordan_symmetry_check, over the Jordan
 data each degree of a model carries (varieties.CohomologyAction): each
 polynomial D of degree n must satisfy t**n * D(q**i/t) = D(0) * D(t), the
@@ -147,29 +151,17 @@ class ExactMatrix:
         return sum(self.rows[i][i] for i in range(self.nrows))
 
     def inverse(self):
-        """Exact inverse by Gauss-Jordan over Fraction."""
+        """Exact inverse: the integer rows N = c * self, c clearing the
+        denominators, reduced beside the identity to [p * id | p * N**-1]."""
         if not self.is_square:
             raise ShapeError("inverse needs a square matrix")
         n = self.nrows
-        aug = [
-            [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(self.rows)
-        ]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if aug[r][col]), None)
-            if pivot is None:
-                raise SingularActionError("matrix is not invertible")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = 1 / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-        out = [
-            [int(x) if x.denominator == 1 else x for x in row[n:]] for row in aug
-        ]
-        return ExactMatrix(out)
+        scaled, c = polymod._cleared(self.rows)
+        aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(scaled)]
+        pivots, p = _row_reduce(aug)
+        if pivots[-1] != n - 1:
+            raise SingularActionError("matrix is not invertible")
+        return ExactMatrix([[polymod._ratio(c * x, p) for x in row[n:]] for row in aug])
 
     def det(self):
         if not self.is_square:
@@ -377,45 +369,68 @@ def pairing_check(M, B, q, i):
     return PairingResult(True)
 
 
-def _nullspace(rows):
-    """Basis of the right kernel of a Fraction matrix, exact Gauss-Jordan."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [[Fraction(x) for x in r] for r in rows]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if a[i][c]), None)
+def _pivot_step(a, r, c, prev):
+    """One fraction-free Gauss-Jordan step on the integer rows a, in place:
+    clear column c off every row but r with the pivot p = a[r][c] != 0,
+    then divide by prev, the previous step's pivot (1 at the first step).
+    By Sylvester's identity every division is exact and each entry stays
+    an integer minor: with no row swapped, p is the leading principal
+    minor of order r + 1. Returns p."""
+    p = a[r][c]
+    pivot_row = a[r]
+    for i, row in enumerate(a):
+        if i != r:
+            f = row[c]
+            a[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+    return p
+
+
+def _row_reduce(a):
+    """Fraction-free reduced row echelon form of the integer rows a, in
+    place: (pivot columns, last pivot p). Each pivot row then holds p on
+    its pivot column and 0 on the others, and a / p is the reduced row
+    echelon form."""
+    pivots, p = [], 1
+    for c in range(len(a[0])):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        p = _pivot_step(a, r, c, p)
         pivots.append(c)
-        r += 1
-        if r == m:
+        if len(pivots) == len(a):
             break
-    free = [c for c in range(n) if c not in pivots]
+    return pivots, p
+
+
+def _nullspace(rows):
+    """Integer basis of the right kernel of an integer matrix: for each
+    free column, p times the reduced-echelon basis vector."""
+    a = [list(r) for r in rows]
+    pivots, p = _row_reduce(a)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for pr, pc in enumerate(pivots):
-            v[pc] = -a[pr][fc]
+    for fc in range(len(a[0])):
+        if fc in pivots:
+            continue
+        v = [0] * len(a[0])
+        v[fc] = p
+        for r, pc in enumerate(pivots):
+            v[pc] = -a[r][fc]
         basis.append(v)
     return basis
 
 
 def _is_positive_definite(D):
-    n = D.nrows
-    for k in range(1, n + 1):
-        minor = ExactMatrix([r[:k] for r in D.rows[:k]])
-        if minor.det() <= 0:
+    """Sylvester's criterion: every leading principal minor of the
+    symmetric D is positive, read off the pivots of one fraction-free pass
+    that never swaps rows (a zero pivot already fails)."""
+    a, _ = polymod._cleared(D.rows)
+    p = 1
+    for k in range(len(a)):
+        if a[k][k] <= 0:
             return False
+        p = _pivot_step(a, k, k, p)
     return True
 
 

@@ -1,20 +1,21 @@
 """Dense exact univariate polynomials and the characteristic-polynomial
 transforms built on them: reciprocal/duality partners, the reciprocity
 identity t**n * P(s/t) = P(0) * Q(t) behind the functional equation, cross
-duality, Jordan symmetry and the weight check's circle gate, power sums,
-and exact factor extraction.
+duality, Jordan symmetry and the weight check's circle gate, the exact
+circle test, power sums, and exact factor extraction. DegreeFacts gathers
+what the checks read about one degree.
 
 Coefficients are int or Fraction; arithmetic never leaves exact scalars,
 and the hot paths (gcd, Sturm sequences) run in integers. Storage is
 ascending by degree; serialization is leading-first.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import comb, gcd, inf, lcm
 from typing import Optional
 
+from endospec import polygons
 from endospec._kernels import charpoly_int, poly_mul_int, poly_pseudo_divmod_int
 from endospec.errors import (
     ConsistencyError,
@@ -541,22 +542,106 @@ def half_weight_multiplicity(P, q, i, sign):
     return exact_divide_out(P, _real_circle_factors(q**i)[sign])[1]
 
 
+def _without_real_circle_points(S, Q):
+    """S with the factors t - sqrt(Q), t + sqrt(Q) (or t**2 - Q when sqrt(Q)
+    is irrational) divided out: the only real points of |t|**2 = Q."""
+    for f in set(_real_circle_factors(Q).values()):
+        S = exact_divide_out(S, f)[0]
+    return S
+
+
+def _circle_defect(S, Q):
+    """None when every root of the squarefree monic S has |t|**2 = Q, else
+    the exact test that failed (Kedlaya, "Search techniques for
+    root-unitary polynomials", 2008).
+
+    Roots on the circle come in pairs t, Q/t = conj(t), so S must equal its
+    Q-reciprocal partner. Without the real points +-sqrt(Q) the rest is
+    T = t**m * R(t + Q/t) with R rational, and t lies on the circle exactly
+    when x = t + Q/t is real in [-2 sqrt(Q), 2 sqrt(Q)]. U(y) = (-1)**m *
+    R(sqrt(y)) * R(-sqrt(y)) has the roots x**2, so every root of S is on
+    the circle exactly when every distinct root of U lies in [0, 4Q]."""
+    if _reciprocity_failure(S, S, Q) is not None:
+        return "squarefree part is not q^i-reciprocal"
+    T = _without_real_circle_points(S, Q)
+    m = T.degree // 2
+    c = T.coeffs_asc()
+    # T/t**m = c_m + sum_j c_{m+j} (t**j + (Q/t)**j), as c_{m-j} = Q**j c_{m+j};
+    # D_j = t**j + (Q/t)**j in x = t + Q/t: D_j = x D_{j-1} - Q D_{j-2}.
+    x = Poly([0, 1])
+    R = Poly([c[m]])
+    d_prev, d = Poly([2]), x
+    for j in range(1, m + 1):
+        R = R + d.scale(c[m + j])
+        d_prev, d = d, x * d - d_prev.scale(Q)
+    r = R.coeffs_asc()
+    even, odd = Poly(r[0::2]), Poly(r[1::2])
+    U = even * even - x * odd * odd
+    if m % 2:
+        U = -U
+    # A root y = 0 (t = +-i sqrt(Q)) is on the circle; y = 4Q would need
+    # t = +-sqrt(Q), which is divided out, so neither end is a root of W.
+    asc = U.coeffs_asc()
+    W = Poly(asc[next(k for k, a in enumerate(asc) if a) :])
+    if W.degree < 1:
+        return None
+    chain = sturm_chain(W)
+    distinct = W.degree - chain[-1].degree
+    inside = count_real_roots(chain, 0, 4 * Q)
+    if inside < distinct:
+        return (
+            f"{distinct - inside} of {distinct} distinct nonzero roots of the "
+            "trace polynomial lie outside [0, 4q^i]"
+        )
+    return None
+
+
+class _fact:
+    """functools.cached_property without the lock it takes on every first
+    read in Python 3.11, which costs as much as a small fact: the value is
+    stored in the instance's __dict__, where later reads find it first. A
+    computation that raised stores nothing, so it raises again when read."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, facts, owner=None):
+        if facts is None:
+            return self
+        value = facts.__dict__[self.name] = self.compute(facts)
+        return value
+
+
 @dataclass(frozen=True)
 class DegreeFacts:
     """What the per-degree checks read about P = charpoly in weight `degree`,
     each fact computed when first read: the functional-equation result
-    (fe), the multiplicities of the eigenvalues +-q**(i/2) and, when the
-    facts carry the partner P_(2d-i) and the dimension d, cross duality
-    (dual, else None). A fact whose computation raised raises again when
-    read."""
+    (fe), the multiplicities of the eigenvalues +-q**(i/2), the squarefree
+    part, the circle defect (None when every root has |t|**2 = q**i), the
+    Newton polygon at each prime and, when the facts carry the partner
+    P_(2d-i) and the dimension d, cross duality (dual, else None). A fact
+    whose computation raised raises again when read.
+
+    h1 is the facts of degree 1 when this degree acts by the degree-th
+    exterior power of degree 1's action, so every root of P is a product
+    of `degree` roots of P_1. Then the circle defect is None whenever
+    degree 1's is (|t|**2 multiplies), and the Newton polygon at any prime
+    is built from the k-fold compounds of degree 1's root slopes
+    (valuations add): neither reads P."""
 
     degree: int
     q: int
     charpoly: Poly
     partner: Optional[Poly] = None
     dimension: Optional[int] = None
+    h1: Optional["DegreeFacts"] = None
+    _polygons: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @cached_property
+    @_fact
     def fe(self):
         return functional_equation_check(self.charpoly, self.q, self.degree)
 
@@ -567,19 +652,40 @@ class DegreeFacts:
         except EndospecError:
             return False
 
-    @cached_property
+    @_fact
     def mu_plus(self):
         return half_weight_multiplicity(self.charpoly, self.q, self.degree, 1)
 
-    @cached_property
+    @_fact
     def mu_minus(self):
         return half_weight_multiplicity(self.charpoly, self.q, self.degree, -1)
 
-    @cached_property
+    @_fact
     def dual(self):
         if self.partner is None:
             return None
         return cross_duality_check(self, self.partner, self.dimension)
+
+    @_fact
+    def squarefree(self):
+        return squarefree_part(self.charpoly)
+
+    @_fact
+    def circle_defect(self):
+        if self.h1 is not None and self.h1.circle_defect is None:
+            return None
+        return _circle_defect(self.squarefree, self.q**self.degree)
+
+    def newton_polygon(self, v):
+        """Newton polygon of P under v, a valuation normalized against q."""
+        NP = self._polygons.get(v.prime)
+        if NP is None:
+            if self.h1 is None:
+                NP = polygons.newton_polygon(self.charpoly, v)
+            else:
+                NP = polygons.compound_newton_polygon(self.h1.newton_polygon(v), self.degree)
+            self._polygons[v.prime] = NP
+        return NP
 
 
 def degree_facts(P, q, i):

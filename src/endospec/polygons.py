@@ -7,11 +7,15 @@ abscissae, over one positive denominator (v(q) for a normalized Newton
 polygon, 1 otherwise). Every check reads the integer points; the rational
 `vertices` and the slope multiset `slopes` are derived from them on
 request.
+
+A Newton polygon is read off the valuations of a polynomial's
+coefficients, or, for a polynomial whose roots are the k-fold products of
+another's, off the k-fold compounds of the other's root slopes.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional
 
 from endospec.errors import (
@@ -21,6 +25,7 @@ from endospec.errors import (
     ValidityError,
 )
 from endospec.exactnum import rational_valuation
+from endospec.majorize import compound
 
 
 def _lower_hull(points):
@@ -107,6 +112,26 @@ def newton_polygon(P, v):
     ]
     hull = tuple(_lower_hull(points))
     return NewtonPolygon(points=hull, den=v.normalizer or 1, normalized=v.normalized)
+
+
+def compound_newton_polygon(NP, k):
+    """Newton polygon, under NP's valuation, of the monic integer polynomial
+    whose roots are the products of k of the roots of NP's polynomial, for
+    k >= 1: valuations add, so its root slopes are the k-fold compounds of
+    NP's slopes, and no coefficient is valuated. Slopes are scaled to
+    integers by the least common length of NP's segments; the vertices of
+    an integer polynomial's polygon have integer ordinates again."""
+    segments = _segments(NP.points)
+    scale = lcm(*(dx for dx, _ in segments))
+    slopes = [dy * (scale // dx) for dx, dy in segments for _ in range(dx)]
+    sums = sorted(compound(slopes, k))
+    points = [(0, 0)]
+    y = 0
+    for x, s in enumerate(sums, start=1):
+        y += s
+        if x == len(sums) or sums[x] != s:
+            points.append((x, y // scale))
+    return NewtonPolygon(points=tuple(points), den=NP.den, normalized=NP.normalized)
 
 
 def hodge_polygon(weight, hodge_numbers):

@@ -73,12 +73,19 @@ def _action(degree, poly, matrix=None):
 
 @dataclass
 class VarietyModel:
+    """exterior_powers is True only on a model abelian_from_h1 built: each
+    degree i acts by the i-th exterior power of degree 1's action, so the
+    checks may read the weight and Newton polygons of every degree off
+    degree 1. Any other model, hand-built or copied with replace, has it
+    False and every degree is decided from its own polynomial."""
+
     kind: str
     dimension: int
     q: int
     actions: tuple
     hodge: tuple
     metadata: dict = field(default_factory=dict)
+    exterior_powers: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.dimension
@@ -137,7 +144,8 @@ def abelian_from_h1(d, M, q, metadata=None):
     Clebsch-Gordan the i-th exterior power has m_(s-1) - m_(s+1) blocks of
     size s at mu, m_w the multiplicity of mu in P_(i,w): the pieces with
     w >= 0 are its Jordan data. Exterior power matrices are built only
-    when asked for."""
+    when asked for. The model is marked as exterior powers of degree 1
+    (VarietyModel.exterior_powers)."""
     if not isinstance(M, ExactMatrix):
         M = ExactMatrix(M)
     if not M.is_square or M.nrows != 2 * d:
@@ -155,7 +163,7 @@ def abelian_from_h1(d, M, q, metadata=None):
         P = prod((Q * Q if w else Q for w, Q in by_weight.items()), start=Poly([1]))
         jordan = partial(list, by_weight.values())
         actions.append(CohomologyAction(i, P.degree, P, jordan, matrix))
-    return VarietyModel(
+    model = VarietyModel(
         kind="abelian",
         dimension=d,
         q=q,
@@ -163,6 +171,8 @@ def abelian_from_h1(d, M, q, metadata=None):
         hodge=_abelian_hodge(d),
         metadata=metadata or {},
     )
+    model.exterior_powers = True
+    return model
 
 
 def abelian_en(A, q):

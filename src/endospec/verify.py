@@ -24,19 +24,14 @@ from endospec.errors import (
 from endospec.exactnum import NormalizedValuation, is_prime
 from endospec.matrixops import jordan_symmetry_check
 from endospec.poly import (
-    Poly,
-    _real_circle_factors,
-    _reciprocity_failure,
     _scaled_value,
+    _without_real_circle_points,
     coeff_strings,
     count_real_roots,
-    exact_divide_out,
-    squarefree_part,
     sturm_chain,
 )
 from endospec.polygons import (
     hodge_polygon,
-    newton_polygon,
     np_ge_hp,
     slope_zero_check,
     symmetry_check,
@@ -97,7 +92,8 @@ class WeilWeightResult:
 
 def weil_weight_check(facts):
     """Exact weight check on the P, q, i of facts: every root of P has
-    |lambda|**2 = q**i, and the functional equation read from facts holds.
+    |lambda|**2 = q**i (the circle defect read from facts is None), and
+    the functional equation read from facts holds.
 
     On failure failing_root is a closed rational interval (lo, hi)
     isolating a real root off the circle, or None when no real root is
@@ -109,12 +105,11 @@ def weil_weight_check(facts):
         raise ValidityError("zero constant term: 0 is never a Weil number")
     if P.degree == 0:
         return WeilWeightResult(True)
-    S = squarefree_part(P)
-    defect = _circle_defect(S, q**i)
+    defect = facts.circle_defect
     if defect is not None:
         return WeilWeightResult(
             False,
-            failing_root=_real_root_off_circle(S, q**i),
+            failing_root=_real_root_off_circle(facts.squarefree, q**i),
             reason=f"root modulus off the half-weight circle: {defect}",
         )
     try:
@@ -129,60 +124,6 @@ def weil_weight_check(facts):
             reason=f"functional equation fails at coefficient {fe.failure_index}",
         )
     return WeilWeightResult(True)
-
-
-def _without_real_circle_points(S, Q):
-    """S with the factors t - sqrt(Q), t + sqrt(Q) (or t**2 - Q when sqrt(Q)
-    is irrational) divided out: the only real points of |t|**2 = Q."""
-    for f in set(_real_circle_factors(Q).values()):
-        S = exact_divide_out(S, f)[0]
-    return S
-
-
-def _circle_defect(S, Q):
-    """None when every root of the squarefree monic S has |t|**2 = Q, else
-    the exact test that failed (Kedlaya, "Search techniques for
-    root-unitary polynomials", 2008).
-
-    Roots on the circle come in pairs t, Q/t = conj(t), so S must equal its
-    Q-reciprocal partner. Without the real points +-sqrt(Q) the rest is
-    T = t**m * R(t + Q/t) with R rational, and t lies on the circle exactly
-    when x = t + Q/t is real in [-2 sqrt(Q), 2 sqrt(Q)]. U(y) = (-1)**m *
-    R(sqrt(y)) * R(-sqrt(y)) has the roots x**2, so every root of S is on
-    the circle exactly when every distinct root of U lies in [0, 4Q]."""
-    if _reciprocity_failure(S, S, Q) is not None:
-        return "squarefree part is not q^i-reciprocal"
-    T = _without_real_circle_points(S, Q)
-    m = T.degree // 2
-    c = T.coeffs_asc()
-    # T/t**m = c_m + sum_j c_{m+j} (t**j + (Q/t)**j), as c_{m-j} = Q**j c_{m+j};
-    # D_j = t**j + (Q/t)**j in x = t + Q/t: D_j = x D_{j-1} - Q D_{j-2}.
-    x = Poly([0, 1])
-    R = Poly([c[m]])
-    d_prev, d = Poly([2]), x
-    for j in range(1, m + 1):
-        R = R + d.scale(c[m + j])
-        d_prev, d = d, x * d - d_prev.scale(Q)
-    r = R.coeffs_asc()
-    even, odd = Poly(r[0::2]), Poly(r[1::2])
-    U = even * even - x * odd * odd
-    if m % 2:
-        U = -U
-    # A root y = 0 (t = +-i sqrt(Q)) is on the circle; y = 4Q would need
-    # t = +-sqrt(Q), which is divided out, so neither end is a root of W.
-    asc = U.coeffs_asc()
-    W = Poly(asc[next(k for k, a in enumerate(asc) if a) :])
-    if W.degree < 1:
-        return None
-    chain = sturm_chain(W)
-    distinct = W.degree - chain[-1].degree
-    inside = count_real_roots(chain, 0, 4 * Q)
-    if inside < distinct:
-        return (
-            f"{distinct - inside} of {distinct} distinct nonzero roots of the "
-            "trace polynomial lie outside [0, 4q^i]"
-        )
-    return None
 
 
 def _real_root_off_circle(S, Q):
@@ -349,13 +290,14 @@ def _over_hodge(NP, HP):
     return bool(cmp_), witness
 
 
-def _newton_results(model, row, i, prime, v, hodge_polygon_of):
-    """The NEWTON_CHECKS of degree i at one prime; records the Newton polygon
-    in row. hodge_polygon_of(i) is the Hodge polygon of degree i."""
-    if model.betti(i) == 0:
+def _newton_results(model, row, i, f, prime, v, hodge_polygon_of):
+    """The NEWTON_CHECKS of degree i, with facts f (None without cohomology),
+    at one prime; records the Newton polygon in row. hodge_polygon_of(i) is
+    the Hodge polygon of degree i."""
+    if f is None:
         reason = "no cohomology in this degree"
         return [_na(cid, i, prime, reason=reason) for cid in NEWTON_CHECKS]
-    NP = newton_polygon(model.charpoly(i), v)
+    NP = f.newton_polygon(v)
     vertices = vertices_json(NP)
     row.setdefault("newton_polygons", {})[str(prime)] = vertices
     if not v.normalized:
@@ -397,6 +339,9 @@ def full_report(model, primes, precision=60):
     for p in primes:
         if not is_prime(p):
             raise DomainError(f"{p} is not prime")
+    if len(set(primes)) < len(primes):
+        repeated = sorted({p for p in primes if primes.count(p) > 1})
+        raise ValidityError(f"primes repeated: {', '.join(map(str, repeated))}")
     if precision < 30:
         raise DomainError("precision below 30 digits is not meaningful here")
     q = model.q
@@ -431,7 +376,8 @@ def full_report(model, primes, precision=60):
     for prime in primes:
         v = NormalizedValuation(prime, q)
         for i, row in enumerate(degree_rows):
-            results.extend(_newton_results(model, row, i, prime, v, hodge_polygon_of))
+            f = facts.get(i)
+            results.extend(_newton_results(model, row, i, f, prime, v, hodge_polygon_of))
     for i, HP in hodge_polygons.items():
         degree_rows[i]["hodge_polygon"] = vertices_json(HP)
     zf = zeta_function(model)

@@ -11,9 +11,15 @@ reciprocity identity of poly), it reduces to comparing
 q**(d chi/2) * prod_odd P_i(0) with prod_even P_i(0); for any other model
 the cross-multiplied identity between numerator and denominator is
 checked in Z[t].
+
+Power sums of iterate n have about n times as many digits as the largest
+root, so a series check to order N holds about N**2/2 times that many
+digits per degree. An order whose estimate passes MAX_SERIES_DIGITS is
+refused before any work.
 """
 
 from dataclasses import dataclass
+from math import log10
 from typing import Optional
 
 from endospec.errors import DomainError, EndospecError, InapplicableModelError
@@ -51,6 +57,37 @@ def zeta_function(model):
     )
 
 
+# Decimal digits all power sums of a series check may hold, about 4 MB of
+# integers. E^4 with q = 25 reaches it at order 730, checked in about 2 s
+# on a 2-vCPU VM; the E^2 example (q = 6) at order 1629, in 0.05 s.
+MAX_SERIES_DIGITS = 10**7
+
+
+def _root_digits(P):
+    """Decimal digits of Fujiwara's bound 2 * max_j |a_j|**(1/j) on the
+    roots of the monic P = t**n + a_1 t**(n-1) + ... + a_n."""
+    bits = max(
+        (abs(a).numerator.bit_length() / j for j, a in enumerate(P.coeffs_desc()) if j and a),
+        default=0,
+    )
+    return (1 + bits) * log10(2)
+
+
+def _check_order(model, order):
+    """Refuse an order below 1, or one whose power sums would pass
+    MAX_SERIES_DIGITS: the n-th power sums of a degree have about
+    n * _root_digits digits."""
+    if order < 1:
+        raise DomainError("order must be positive")
+    per_order = sum(_root_digits(act.charpoly) for act in model.actions if act.betti)
+    digits = order * (order + 1) // 2 * per_order
+    if digits > MAX_SERIES_DIGITS:
+        raise DomainError(
+            f"order {order} needs about {digits:.3g} digits of power sums, "
+            f"more than the bound of {MAX_SERIES_DIGITS:.0e}"
+        )
+
+
 def _lefschetz_numbers(model, order):
     """N_1..N_order: per degree, the power sums up to order, computed once."""
     totals = [0] * order
@@ -65,16 +102,14 @@ def _lefschetz_numbers(model, order):
 
 def lefschetz_number(model, n):
     """Alternating sum of n-th power sums across all degrees."""
-    if n < 1:
-        raise DomainError("iterate count must be positive")
+    _check_order(model, n)
     return _lefschetz_numbers(model, n)[-1]
 
 
 def zeta_series_consistency(model, order, zf=None):
     """Check t*Z'/Z = sum N_n t**n through the requested order; zf is the
     model's zeta_function when the caller has already built it."""
-    if order < 1:
-        raise DomainError("order must be positive")
+    _check_order(model, order)
     if zf is None:
         zf = zeta_function(model)
     # For F = N or D, F(0) = 1 gives F(t) = prod (1 - a t) over the roots a
@@ -99,13 +134,16 @@ class ZetaFunctionalEquation:
 
 def model_facts(model):
     """DegreeFacts of every degree with cohomology, keyed by degree in order,
-    each with degree 2d - i as its cross-duality partner."""
+    each with degree 2d - i as its cross-duality partner. When the model's
+    degrees are exterior powers of degree 1 (abelian_from_h1), every degree
+    from 2 on reads its weight and Newton polygons off degree 1's facts."""
     q, d = model.q, model.dimension
-    return {
-        i: DegreeFacts(i, q, act.charpoly, model.charpoly(2 * d - i), d)
-        for i, act in enumerate(model.actions)
-        if act.betti
-    }
+    facts = {}
+    for i, act in enumerate(model.actions):
+        if act.betti:
+            h1 = facts[1] if model.exterior_powers and i >= 2 else None
+            facts[i] = DegreeFacts(i, q, act.charpoly, model.charpoly(2 * d - i), d, h1)
+    return facts
 
 
 def _scaled_star(F, q, d):

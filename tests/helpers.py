@@ -16,12 +16,12 @@ from endospec.matrixops import ExactMatrix
 from endospec.poly import (
     FunctionalEquationResult,
     Poly,
+    _without_real_circle_points,
     count_real_roots,
     reciprocal_partner,
     sturm_chain,
 )
 from endospec.polygons import PolygonComparison, _lower_hull
-from endospec.verify import _without_real_circle_points
 
 
 def block_diag(blocks):
@@ -295,3 +295,66 @@ def loop_poly_mul(P, Q):
 def loop_mat_mul(A, B):
     cols = list(zip(*B.rows))
     return ExactMatrix([[sum(a * b for a, b in zip(row, col)) for col in cols] for row in A.rows])
+
+
+# -- Fraction Gauss-Jordan ---------------------------------------------------
+# matrixops._nullspace and ExactMatrix.inverse before both ran on one
+# fraction-free integer elimination.
+
+
+def fraction_nullspace(rows):
+    """Basis of the right kernel of a Fraction matrix, exact Gauss-Jordan:
+    for each free column, the reduced-echelon basis vector."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    a = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, m) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        pv = a[r][c]
+        a[r] = [x / pv for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    free = [c for c in range(n) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for pr, pc in enumerate(pivots):
+            v[pc] = -a[pr][fc]
+        basis.append(v)
+    return basis
+
+
+def fraction_inverse(M):
+    """Exact inverse by Gauss-Jordan over Fraction."""
+    if not M.is_square:
+        raise ShapeError("inverse needs a square matrix")
+    n = M.nrows
+    aug = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(M.rows)
+    ]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
+        if pivot is None:
+            raise SingularActionError("matrix is not invertible")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    out = [[int(x) if x.denominator == 1 else x for x in row[n:]] for row in aug]
+    return ExactMatrix(out)

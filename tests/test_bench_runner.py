@@ -2,7 +2,8 @@
 operation that cannot finish (its report is repeated until the alarm
 strikes, so the test holds however fast a single report becomes), and its
 contract that an operation either gives a correct document or fails the
-way an entry of KNOWN_DEFECTS explains.
+way an entry of KNOWN_DEFECTS explains. The abelian operations must give
+the verdicts known from their construction.
 
     PYTHONPATH=src python -m pytest tests/test_bench_runner.py
 """
@@ -76,3 +77,22 @@ def test_big_grassmannians_are_ok_or_a_known_defect(tmp_path, alarm):
     for op in ops.values():
         outcome, _, _, reason, defect = runner.run_op(op)
         assert outcome == "ok" or (outcome == "raised" and defect), (op.op_id, reason)
+
+
+def test_abelian_operations_give_the_constructed_verdicts(tmp_path, alarm):
+    """Every distinct seed-1 abelian_scale operation, and the seed-1
+    cli_mixed operations on rotation (polarized) and nonpolarized isogenies,
+    give the verdict their construction fixes: these guard the reports
+    that read every degree off degree 1."""
+    for workload, family in (("abelian_scale", "rotation"), ("cli_mixed", "rotation"),
+                             ("cli_mixed", "nonpolarized")):
+        ops = {
+            op.op_id: op
+            for op in workloads.make_ops(workload, 1)
+            if op.facts["family"] == family
+        }
+        assert ops
+        runner = run.Runner(workload, list(ops.values()), tmp_path)
+        for op in ops.values():
+            outcome, _, _, reason, _ = runner.run_op(op)
+            assert outcome == "ok", (workload, op.op_id, reason)

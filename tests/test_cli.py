@@ -9,6 +9,7 @@ import argparse
 import json
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
@@ -280,6 +281,47 @@ def test_zeta_document(tmp_path):
     assert payload["functional_equation"]["holds"] is True
     assert payload["series_consistent"] is True
     assert payload["series_order"] == 6
+
+
+def test_zeta_refuses_an_order_past_the_digit_bound(tmp_path, capsys):
+    """The power sums of order 10**9 would hold about 10**18 digits: the
+    order is refused before any power sum is formed."""
+    path = write_descriptor(tmp_path, EXAMPLE_DESCRIPTOR)
+    t0 = time.perf_counter()
+    assert cli.main(["zeta", path, "--order", str(10**9)]) == 2
+    assert time.perf_counter() - t0 < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("endospec: order 1000000000 needs about 3.76e+18 digits of power sums")
+    assert err.endswith("more than the bound of 1e+07\n")
+    assert cli.main(["zeta", path, "--order", "1000", "--json-only"]) == 0
+    assert json.loads(capsys.readouterr().out)["series_consistent"] is True
+
+
+def test_verify_refuses_repeated_primes(tmp_path, capsys):
+    """A repeated prime would report each of its checks and write its
+    Newton polygons twice."""
+    path = write_descriptor(tmp_path, EXAMPLE_DESCRIPTOR)
+    for spec, named in (("2,2", "2"), ("3,2,3,5,2", "2, 3")):
+        assert cli.main(["verify", path, "--primes", spec]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"endospec: primes repeated: {named}\n"
+
+
+def test_long_refused_literals_are_cut_short(tmp_path, capsys):
+    big = "1" + "0" * 5000
+    for entry, shown in (
+        (big, f"{big[:40]!r}... (5001 characters)"),
+        ("1/" + big, f"{('1/' + big)[:40]!r}... (5003 characters)"),
+        ("x" * 41, f"{'x' * 40!r}... (41 characters)"),
+        ("x" * 40, repr("x" * 40)),
+    ):
+        doc = {**EXAMPLE_DESCRIPTOR, "isogeny_matrix": [[entry, "-5"], ["1", "1"]]}
+        assert cli.main(["verify", write_descriptor(tmp_path, doc), "--primes", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"endospec: isogeny_matrix: not a rational literal: {shown}\n"
 
 
 def test_zeta_inapplicable_functional_equation(tmp_path):

@@ -7,8 +7,9 @@ import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from helpers import block_diag
+from helpers import block_diag, fraction_inverse, fraction_nullspace
 
+from endospec import matrixops
 from endospec.errors import ShapeError, SingularActionError, ValidityError
 from endospec.matrixops import (
     ExactMatrix,
@@ -278,7 +279,7 @@ def bounded_search_witness(A, q):
         ]
         for i, j in pairs
     ]
-    kernel = _nullspace(constraint)
+    kernel = fraction_nullspace(constraint)
 
     def form(vec):
         D = [[0] * n for _ in range(n)]
@@ -356,6 +357,92 @@ def _conjugated_rotations(rng, count):
         B = block_diag([ExactMatrix(b) for b in blocks])
         S = _random_unimodular(rng, B.nrows)
         yield S @ B @ S.inverse(), q
+
+
+_int_matrices = st.integers(1, 5).flatmap(
+    lambda m: st.integers(1, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-4, 4) | st.just(0), min_size=n, max_size=n),
+            min_size=m,
+            max_size=m,
+        )
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_int_matrices)
+@example([[0, 0], [0, 0]])
+@example([[0, 2, 4], [0, 1, 2]])
+@example([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
+def test_integer_kernel_is_the_fraction_kernel_scaled(rows):
+    """Each integer kernel vector is a nonzero multiple of the reduced-
+    echelon vector of the same free column, so both span one space."""
+    kernel, oracle = _nullspace(rows), fraction_nullspace(rows)
+    assert len(kernel) == len(oracle)
+    for v, w in zip(kernel, oracle):
+        assert all(isinstance(x, int) for x in v)
+        scale = next(x / y for x, y in zip(v, w) if y)
+        assert scale and all(x == scale * y for x, y in zip(v, w))
+        assert all(sum(a * x for a, x in zip(r, v)) == 0 for r in rows)
+
+
+_rational_squares = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(
+            st.integers(-6, 6) | st.fractions(-6, 6, max_denominator=5),
+            min_size=n,
+            max_size=n,
+        ),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_squares)
+@example([[1, 2], [2, 4]])
+@example([[0, 1], [1, 0]])
+@example([[Fraction(1, 2), 0], [0, Fraction(-1, 3)]])
+def test_inverse_matches_fraction_gauss_jordan(rows):
+    M = ExactMatrix(rows)
+    try:
+        expected = fraction_inverse(M)
+    except SingularActionError:
+        with pytest.raises(SingularActionError):
+            M.inverse()
+        return
+    inverse = M.inverse()
+    assert inverse == expected
+    assert [type(x) for r in inverse.rows for x in r] == [
+        type(x) for r in expected.rows for x in r
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rational_squares)
+def test_positive_definite_reads_leading_minors(rows):
+    n = len(rows)
+    D = ExactMatrix([[rows[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)])
+    minors = [ExactMatrix([r[:k] for r in D.rows[:k]]).det() for k in range(1, n + 1)]
+    assert _is_positive_definite(D) == all(m > 0 for m in minors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_square_matrices, st.sampled_from((2, 3, 4, 5, 9, 25)))
+@example([[3, -4], [4, 3]], 25)
+@example([[3, 2, -6], [4, 21, -18], [4, 16, -13]], 25)
+@example([[3, 0, 0], [0, 3, 0], [0, 0, -3]], 9)
+def test_polarization_witness_does_not_depend_on_the_kernel_basis(rows, q):
+    """The witness is the primitive form of one projection, so the Fraction
+    kernels and inverse give the same one."""
+    A = ExactMatrix(rows)
+    W = polarization_witness(A, q)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrixops, "_nullspace", fraction_nullspace)
+        mp.setattr(ExactMatrix, "inverse", fraction_inverse)
+        assert polarization_witness(A, q) == W
 
 
 def test_polarization_witness_finds_every_bounded_search_hit():

@@ -21,13 +21,13 @@ from endospec.matrixops import jordan_symmetry_check
 from endospec.poly import (
     DegreeFacts,
     Poly,
+    _circle_defect,
     cross_duality_check,
     degree_facts,
     functional_equation_check,
     reciprocal_partner,
     squarefree_part,
 )
-from endospec.verify import _circle_defect
 
 # square and non-square q
 QS = (2, 3, 4, 6, 9, 25)

@@ -2,6 +2,7 @@
 
 import random
 import time
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -12,7 +13,7 @@ from helpers import block_diag
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from endospec import varieties
+from endospec import polygons, poly, varieties
 from endospec.errors import (
     ConsistencyError,
     ShapeError,
@@ -26,9 +27,12 @@ from endospec.matrixops import (
     invariant_factors,
     jordan_symmetry_check,
 )
-from endospec.poly import Poly, charpoly
+from endospec.exactnum import NormalizedValuation
+from endospec.poly import Poly, _circle_defect, charpoly, squarefree_part
+from endospec.polygons import newton_polygon
 from endospec.varieties import (
     CohomologyAction,
+    VarietyModel,
     abelian_en,
     abelian_from_h1,
     box_partitions,
@@ -37,6 +41,7 @@ from endospec.varieties import (
     has_hodge_data,
 )
 from endospec.verify import full_report
+from endospec.zeta import model_facts
 from test_acceptance import family_models
 from test_matrixops import _jordan_block, _random_unimodular, bounded_search_witness
 
@@ -479,3 +484,79 @@ def test_abelian_e5_charpolys_from_eigenvalues(monkeypatch):
     for k in range(11):
         expected = Poly.from_roots([prod(s) for s in combinations(roots, k)])
         assert model.charpoly(k) == expected
+
+
+def _off_weight_models():
+    """Abelian descriptors whose det M is not a power of q, so degree 1
+    fails its weight, with d = 1, 2, 3."""
+    rng = random.Random(13)
+    models = [abelian_from_h1(1, [[1, 1], [0, 2]], 3), abelian_from_h1(1, [[0, -7], [1, 1]], 4)]
+    for d, q in ((2, 5), (2, 4), (3, 9)):
+        while True:
+            M = ExactMatrix([[rng.randint(-3, 3) for _ in range(2 * d)] for _ in range(2 * d)])
+            if M.det():
+                break
+        models.append(abelian_from_h1(d, M, q))
+    return models
+
+
+def test_abelian_degrees_read_weight_and_newton_polygons_off_degree_one():
+    """Every derived fact of every abelian test model with d <= 4, passing
+    and failing, non-semisimple included, against the direct computation
+    on P_k: the circle defect of its squarefree part, and its Newton
+    polygon at primes that divide q and primes that do not. The reports
+    of the failing models match the direct route's; the passing ones are
+    matched in test_matrix_free_degrees_match_matrix_path."""
+    models = _test_abelian_models() + [m for m, _ in _non_semisimple_models()]
+    models += [_e4_q25()] + _off_weight_models()
+    on_circle, divides = set(), set()
+    for model in models:
+        assert model.exterior_powers
+        facts = model_facts(model)
+        for i, f in facts.items():
+            assert (f.h1 is facts[1]) == (i >= 2)
+            direct = _circle_defect(squarefree_part(f.charpoly), model.q**i)
+            if f.h1 is None or f.h1.circle_defect is not None:
+                assert f.circle_defect == direct
+            else:
+                assert f.circle_defect is None is direct
+            on_circle.add(direct is None)
+            for prime in (2, 3, 5, 7):
+                v = NormalizedValuation(prime, model.q)
+                assert f.newton_polygon(v) == newton_polygon(f.charpoly, v)
+                divides.add(v.normalized)
+    assert on_circle == divides == {True, False}
+    for model in _off_weight_models():
+        direct = replace(model)
+        assert not direct.exterior_powers
+        assert full_report(model, [2, 3, 5]).to_json() == full_report(direct, [2, 3, 5]).to_json()
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("hand_built", [False, True], ids=["abelian_from_h1", "hand-built"])
+def test_only_abelian_from_h1_derives_degrees(monkeypatch, hand_built):
+    """abelian_from_h1 builds the squarefree part and the Newton polygons
+    of degrees 0 and 1 only, when degree 1 passes. A VarietyModel built by
+    hand from the same actions decides every degree from its own
+    polynomial, with the same report."""
+    model = abelian_en(EXAMPLE_A, 6)
+    expected = full_report(model, [2, 3]).to_json()
+    degrees = 2
+    if hand_built:
+        model = VarietyModel("abelian", model.dimension, model.q, model.actions, model.hodge,
+                             model.metadata)
+        degrees = 5
+    calls = Counter()
+    _count_calls(monkeypatch, poly, "squarefree_part", calls)
+    _count_calls(monkeypatch, polygons, "newton_polygon", calls)
+    assert full_report(model, [2, 3]).to_json() == expected
+    assert calls == {"squarefree_part": degrees, "newton_polygon": 2 * degrees}

@@ -63,6 +63,11 @@ def test_lefschetz_preconditions():
     model = _elliptic(2)
     with pytest.raises(DomainError):
         lefschetz_number(model, 0)
+    for order in (0, 10**9):
+        with pytest.raises(DomainError, match="order"):
+            zeta.zeta_series_consistency(model, order)
+    with pytest.raises(DomainError, match="digits of power sums"):
+        lefschetz_number(model, 10**9)
     bare = generic_model(
         1,
         4,
