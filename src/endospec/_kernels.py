@@ -4,7 +4,8 @@ All matrices are lists of lists of Python ints, polynomials are lists of
 ints in ascending degree order with no trailing zeros (the zero polynomial
 is the empty list). The two product kernels, mat_mul_int and poly_mul_int,
 only add and multiply, so they also take Fraction entries and tuples: every
-Poly and ExactMatrix product runs on them.
+Poly and ExactMatrix product runs on them. So does poly_pseudo_divmod_int,
+which is how poly.exact_divide_out divides by a monic factor.
 """
 
 from math import gcd
@@ -116,7 +117,8 @@ def poly_mul_int(a, b):
 def poly_pseudo_divmod_int(a, b):
     """c, q, r with c*a = q*b + r over Z[t] and deg r < deg b.
 
-    c is a power of the leading coefficient of b, never zero: the Smith
+    c is a power of the leading coefficient of b, never zero (1 when b is
+    monic, and then q and r are never rescaled): the Smith
     form's row update row <- c*row - q*pivot_row stays unimodular over the
     rationals, and r*sign(c) is a positive multiple of the remainder.
     """
@@ -129,9 +131,10 @@ def poly_pseudo_divmod_int(a, b):
         f = r[k]
         if not f:
             continue
-        c *= lb
-        q = [lb * x for x in q]
-        r = [lb * x for x in r]
+        if lb != 1:
+            c *= lb
+            q = [lb * x for x in q]
+            r = [lb * x for x in r]
         q[k - db] += f
         for j, bj in enumerate(b):
             r[k - db + j] -= f * bj

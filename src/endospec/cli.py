@@ -311,10 +311,89 @@ def _write_text(path, text):
         raise ValidityError(f"cannot write {path}: {exc}") from exc
 
 
+_ascii_string = json.encoder.encode_basestring_ascii
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json_key(key):
+    """A dict key's text as json.dumps writes it."""
+    if isinstance(key, str):
+        return _ascii_string(key)
+    if key is None or isinstance(key, (int, float)):
+        return _ascii_string(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json_text(doc):
+    """json.dumps(doc, indent=2), byte for byte, without the pure-Python
+    encoder that indent selects: one walk appends the text to one list."""
+    pieces = []
+    _json_walk(doc, "\n", pieces.append)
+    return "".join(pieces)
+
+
+def _json_walk(doc, indent, put):
+    """put the text of doc, indent being the newline and indentation before
+    its closing bracket. Strings go through the C escaper and ints through
+    int formatting (which raises the same ValueError past the int/str digit
+    limit); a str or int item goes in one piece with its separator and key.
+    Exact types take these paths; subclasses and other scalars, floats
+    among them, get the same text by slower ones. A module-level function,
+    not a closure over put: a closure that calls itself is a reference
+    cycle, which would keep every document's pieces until the cyclic
+    garbage collector runs."""
+    t = type(doc)
+    if t is dict:
+        if not doc:
+            put("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for k, v in doc.items():
+            key = _ascii_string(k) if type(k) is str else _json_key(k)
+            if type(v) is str:
+                put(f"{sep}{key}: {_ascii_string(v)}")
+            elif type(v) is int:
+                put(f"{sep}{key}: {v}")
+            else:
+                put(f"{sep}{key}: ")
+                _json_walk(v, inner, put)
+            sep = "," + inner
+        put(indent + "}")
+    elif t is list or t is tuple:
+        if not doc:
+            put("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for v in doc:
+            if type(v) is str:
+                put(sep + _ascii_string(v))
+            elif type(v) is int:
+                put(f"{sep}{v}")
+            else:
+                put(sep)
+                _json_walk(v, inner, put)
+            sep = "," + inner
+        put(indent + "]")
+    elif t is str:
+        put(_ascii_string(doc))
+    elif t is int:
+        put(f"{doc}")
+    elif doc is None or t is bool:
+        put(_JSON_CONSTANTS[doc])
+    elif isinstance(doc, dict):
+        _json_walk(dict(doc), indent, put)
+    elif isinstance(doc, (list, tuple)):
+        _json_walk(list(doc), indent, put)
+    else:
+        put(json.dumps(doc))
+
+
 def _emit(args, payload, notes):
     """JSON goes to --out when given, else stdout; notes go to stderr
     unless silenced. Everything is newline-terminated and stable."""
-    text = json.dumps(payload, indent=2) + "\n"
+    text = _json_text(payload) + "\n"
     json_to_stdout = args.json_only or not args.out
     if args.out:
         _write_text(args.out, text)

@@ -150,6 +150,8 @@ def parse_rational(s):
     if not _RATIONAL.fullmatch(s):
         raise DomainError(f"not a rational literal: {_shown(s)}")
     try:
+        if "/" not in s:
+            return int(s)
         f = Fraction(s)
     except ValueError as exc:  # past the int/str digit limit
         raise DomainError(f"not a rational literal: {_shown(s)}") from exc

@@ -466,24 +466,34 @@ def polarization_witness(A, q):
                 x += a[v][i] * a[u][j]
             row.append(x - q if (u, v) == (i, j) else x)
         constraint.append(row)
-    kernel = _nullspace(constraint)
+    # Primitive integer bases, whatever basis _nullspace gives.
+    kernel = [polymod._primitive(v) for v in _nullspace(constraint)]
     if not kernel:
         return None
-    K = ExactMatrix(kernel).transpose()
-    Nt = ExactMatrix(_nullspace([list(col) for col in zip(*constraint)]))
-    identity_form = ExactMatrix([[int(u == v)] for u, v in pairs])
-    try:
-        y = (Nt @ K).inverse() @ (Nt @ identity_form)
-    except SingularActionError:
+    cokernel = [polymod._primitive(v) for v in _nullspace([list(c) for c in zip(*constraint)])]
+    # (Nt K | Nt e), with K's columns the kernel vectors and N's the
+    # cokernel's, row reduced without fractions: when Nt K is nonsingular
+    # pivot row r reads p * y_r in its last column.
+    diagonal = [idx for idx, (u, v) in enumerate(pairs) if u == v]
+    system = [
+        [sum(x * y for x, y in zip(row, vec)) for vec in kernel]
+        + [sum(row[idx] for idx in diagonal)]
+        for row in cokernel
+    ]
+    pivots, p = _row_reduce(system)
+    if pivots != list(range(len(kernel))):
         return None
-    coords = [r[0] for r in (K @ y).rows]
+    # |p| times D = K y: a positive multiple has the same primitive form.
+    scaled_y = [r[-1] if p > 0 else -r[-1] for r in system]
     D = [[0] * n for _ in range(n)]
-    for (u, v), x in zip(pairs, coords):
-        D[u][v] = D[v][u] = x
+    for (u, v), *column in zip(pairs, *kernel):
+        D[u][v] = D[v][u] = sum(x * y for x, y in zip(column, scaled_y))
     if not _is_positive_definite(ExactMatrix(D)):
         return None
     flat = polymod._primitive([x for r in D for x in r])
-    witness = ExactMatrix([flat[u * n : (u + 1) * n] for u in range(n)])
-    if A.transpose() @ witness @ A != witness * q:
+    witness = [flat[u * n : (u + 1) * n] for u in range(n)]
+    if mat_mul_int(mat_mul_int(list(zip(*a)), witness), a) != [
+        [x * q for x in r] for r in witness
+    ]:
         raise ConsistencyError("kernel arithmetic produced a bad witness")
-    return witness
+    return ExactMatrix(witness)

@@ -503,20 +503,20 @@ def count_real_roots(chain, lo=-inf, hi=inf, den=1):
 
 
 def exact_divide_out(P, factor):
-    """Maximal m with factor**m dividing P exactly; returns (quotient, m)."""
+    """Maximal m with factor**m dividing P exactly; returns (quotient, m).
+    Divides the coefficient lists: a monic factor keeps every step exact."""
     if factor.degree < 1:
         raise ValidityError("factor must be nonconstant")
     if not factor.is_monic():
         raise ValidityError("factor must be monic")
-    m = 0
-    current = P
-    while not current.is_zero:
-        quot, rem = current.divmod_by(factor)
-        if not rem.is_zero:
+    f = factor.coeffs_asc()
+    a, m = P.coeffs_asc(), 0
+    while a:
+        _, quot, rem = poly_pseudo_divmod_int(a, f)
+        if rem:
             break
-        current = quot
-        m += 1
-    return current, m
+        a, m = quot, m + 1
+    return (Poly(a) if m else P), m
 
 
 def _real_circle_factors(Q):
@@ -550,10 +550,11 @@ def _without_real_circle_points(S, Q):
     return S
 
 
-def _circle_defect(S, Q):
+def _circle_defect(S, T, Q):
     """None when every root of the squarefree monic S has |t|**2 = Q, else
     the exact test that failed (Kedlaya, "Search techniques for
-    root-unitary polynomials", 2008).
+    root-unitary polynomials", 2008). T is S without its real circle
+    points (_without_real_circle_points).
 
     Roots on the circle come in pairs t, Q/t = conj(t), so S must equal its
     Q-reciprocal partner. Without the real points +-sqrt(Q) the rest is
@@ -563,7 +564,6 @@ def _circle_defect(S, Q):
     the circle exactly when every distinct root of U lies in [0, 4Q]."""
     if _reciprocity_failure(S, S, Q) is not None:
         return "squarefree part is not q^i-reciprocal"
-    T = _without_real_circle_points(S, Q)
     m = T.degree // 2
     c = T.coeffs_asc()
     # T/t**m = c_m + sum_j c_{m+j} (t**j + (Q/t)**j), as c_{m-j} = Q**j c_{m+j};
@@ -621,7 +621,8 @@ class DegreeFacts:
     """What the per-degree checks read about P = charpoly in weight `degree`,
     each fact computed when first read: the functional-equation result
     (fe), the multiplicities of the eigenvalues +-q**(i/2), the squarefree
-    part, the circle defect (None when every root has |t|**2 = q**i), the
+    part, that part without its real points of |t|**2 = q**i (circle_free),
+    the circle defect (None when every root has |t|**2 = q**i), the
     Newton polygon at each prime and, when the facts carry the partner
     P_(2d-i) and the dimension d, cross duality (dual, else None). A fact
     whose computation raised raises again when read.
@@ -671,10 +672,14 @@ class DegreeFacts:
         return squarefree_part(self.charpoly)
 
     @_fact
+    def circle_free(self):
+        return _without_real_circle_points(self.squarefree, self.q**self.degree)
+
+    @_fact
     def circle_defect(self):
         if self.h1 is not None and self.h1.circle_defect is None:
             return None
-        return _circle_defect(self.squarefree, self.q**self.degree)
+        return _circle_defect(self.squarefree, self.circle_free, self.q**self.degree)
 
     def newton_polygon(self, v):
         """Newton polygon of P under v, a valuation normalized against q."""

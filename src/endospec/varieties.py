@@ -11,7 +11,7 @@ number lists.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from math import comb, prod
 from typing import Callable, Optional
 
@@ -23,7 +23,7 @@ from endospec.errors import (
 )
 from endospec.matrixops import ExactMatrix, exterior_power, invariant_factors
 from endospec.matrixops import polarization_witness
-from endospec.poly import Poly, charpoly, exterior_power_charpolys
+from endospec.poly import Poly, _fact, charpoly, exterior_power_charpolys
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,8 @@ class CohomologyAction:
     model has one, the acting matrix and its Jordan data, built on first
     use. The Jordan data is a sequence of monic polynomials, each its own
     q**degree-reciprocal partner exactly when the Jordan blocks are
-    symmetric under lambda -> q**degree/lambda."""
+    symmetric under lambda -> q**degree/lambda. Both are cached like
+    DegreeFacts' facts (poly._fact): a build that raised raises again."""
 
     degree: int
     betti: int
@@ -42,11 +43,11 @@ class CohomologyAction:
         default=None, repr=False, compare=False
     )
 
-    @cached_property
+    @_fact
     def matrix(self):
         return None if self.make_matrix is None else self.make_matrix()
 
-    @cached_property
+    @_fact
     def jordan_data(self):
         return None if self.make_jordan_data is None else self.make_jordan_data()
 
@@ -150,11 +151,21 @@ def abelian_from_h1(d, M, q, metadata=None):
         M = ExactMatrix(M)
     if not M.is_square or M.nrows != 2 * d:
         raise ShapeError(f"degree-1 action must be {2 * d}x{2 * d}")
-    if not M.is_integer():
-        raise ValidityError("degree-1 action must have integer entries")
+    _require_integer(M)
     if M.det() == 0:
         raise SingularActionError("degree-1 action is singular")
-    pieces = exterior_power_charpolys(invariant_factors(M))
+    return _abelian(d, M, q, invariant_factors(M), metadata or {})
+
+
+def _require_integer(M):
+    if not M.is_integer():
+        raise ValidityError("degree-1 action must have integer entries")
+
+
+def _abelian(d, M, q, factors, metadata):
+    """The model abelian_from_h1 builds from a valid degree-1 action M and
+    the invariant factors of t*id - M."""
+    pieces = exterior_power_charpolys(factors)
     matrices = [partial(ExactMatrix, [[1]]), lambda: M]
     matrices += [partial(exterior_power, M, i) for i in range(2, 2 * d + 1)]
     # M is integral with det M != 0, so every degree is a valid action.
@@ -169,7 +180,7 @@ def abelian_from_h1(d, M, q, metadata=None):
         q=q,
         actions=tuple(actions),
         hodge=_abelian_hodge(d),
-        metadata=metadata or {},
+        metadata=metadata,
     )
     model.exterior_powers = True
     return model
@@ -177,7 +188,9 @@ def abelian_from_h1(d, M, q, metadata=None):
 
 def abelian_en(A, q):
     """Power-of-an-elliptic-curve model from an n x n integer isogeny
-    matrix: the degree-1 action is A tensor I2 and P_1 = charpoly(A)**2.
+    matrix: the degree-1 action is M = A tensor I2 and P_1 = charpoly(A)**2.
+    M is permutation-similar to A + A, so its invariant factors are A's,
+    each twice: the Smith form is taken of A, not of M.
 
     The polarization witness is decided exactly on A itself; its outcome
     travels in the metadata rather than gating construction."""
@@ -195,7 +208,9 @@ def abelian_en(A, q):
         "polarization_witness": witness,
         "polarization_verified": witness is not None,
     }
-    return abelian_from_h1(n, M, q, metadata=metadata)
+    _require_integer(M)
+    factors = [f for f in invariant_factors(A) for _ in (0, 1)]
+    return _abelian(n, M, q, factors, metadata)
 
 
 def box_partitions(rows, cols, size):

@@ -12,7 +12,7 @@ family built the model.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, gcd
 from typing import Optional
 
 from endospec.errors import (
@@ -25,7 +25,7 @@ from endospec.exactnum import NormalizedValuation, is_prime
 from endospec.matrixops import jordan_symmetry_check
 from endospec.poly import (
     _scaled_value,
-    _without_real_circle_points,
+    _sign_variations,
     coeff_strings,
     count_real_roots,
     sturm_chain,
@@ -98,7 +98,7 @@ def weil_weight_check(facts):
     On failure failing_root is a closed rational interval (lo, hi)
     isolating a real root off the circle, or None when no real root is
     off it."""
-    P, q, i = facts.charpoly, facts.q, facts.degree
+    P = facts.charpoly
     if not P.is_monic():
         raise ValidityError("weight check needs a monic polynomial")
     if P.degree >= 1 and P.coeff(0) == 0:
@@ -109,7 +109,7 @@ def weil_weight_check(facts):
     if defect is not None:
         return WeilWeightResult(
             False,
-            failing_root=_real_root_off_circle(facts.squarefree, q**i),
+            failing_root=_real_root_off_circle(facts.squarefree, facts.circle_free),
             reason=f"root modulus off the half-weight circle: {defect}",
         )
     try:
@@ -126,10 +126,27 @@ def weil_weight_check(facts):
     return WeilWeightResult(True)
 
 
-def _real_root_off_circle(S, Q):
+def _variations_at(chain):
+    """The sign variations of chain at a/b, for integers a and b > 0, as a
+    function of (a, b) that evaluates the chain once per point: points are
+    keyed in lowest terms."""
+    seen = {}
+
+    def at(a, b):
+        g = gcd(a, b)
+        key = (a // g, b // g)
+        if key not in seen:
+            seen[key] = _sign_variations(chain, *key)
+        return seen[key]
+
+    return at
+
+
+def _real_root_off_circle(S, off):
     """Closed rational interval (lo, hi) holding exactly one distinct root
-    of S, a real root with t**2 != Q; None when S has no such root."""
-    off = _without_real_circle_points(S, Q)
+    of S, a real root of off; None when off has no real root. off is S
+    without its real points of |t|**2 = q**i (DegreeFacts.circle_free), so
+    a real root of off lies off that circle."""
     if off.degree < 1:
         return None
     off_chain = sturm_chain(off)
@@ -137,17 +154,20 @@ def _real_root_off_circle(S, Q):
         return None
     chain = sturm_chain(S)
     bound = 1 + ceil(max(abs(a) for a in S.coeffs_asc()))
+    off_at, at = _variations_at(off_chain), _variations_at(chain)
     # Halve (lo/den, hi/den], den a power of two, towards the smallest real
     # root of `off` until it is the only root of S there and S(lo/den) != 0.
+    # Each end is the previous interval's end or midpoint, so every point's
+    # sign variations are computed once.
     lo, hi, den = -bound, bound, 1
     while not (
-        count_real_roots(off_chain, lo, hi, den) == 1
-        and count_real_roots(chain, lo, hi, den) == 1
+        off_at(lo, den) - off_at(hi, den) == 1
+        and at(lo, den) - at(hi, den) == 1
         and _scaled_value(chain[0], lo, den) != 0
     ):
         lo, hi, den = 2 * lo, 2 * hi, 2 * den
         mid = (lo + hi) // 2
-        if count_real_roots(off_chain, lo, mid, den):
+        if off_at(lo, den) != off_at(mid, den):
             hi = mid
         else:
             lo = mid

@@ -297,6 +297,45 @@ def loop_mat_mul(A, B):
     return ExactMatrix([[sum(a * b for a, b in zip(row, col)) for col in cols] for row in A.rows])
 
 
+# -- Division loops ----------------------------------------------------------
+# poly.exact_divide_out before it divided coefficient lists, one
+# Poly.divmod_by per power of the factor; and the pseudo-division kernel
+# before it skipped the rescaling by a leading coefficient of 1.
+
+
+def divmod_by_exact_divide_out(P, factor):
+    m = 0
+    current = P
+    while not current.is_zero:
+        quot, rem = current.divmod_by(factor)
+        if not rem.is_zero:
+            break
+        current = quot
+        m += 1
+    return current, m
+
+
+def rescaling_pseudo_divmod(a, b):
+    db = len(b) - 1
+    lb = b[-1]
+    c = 1
+    r = list(a)
+    q = [0] * max(len(a) - db, 0)
+    for k in range(len(a) - 1, db - 1, -1):
+        f = r[k]
+        if not f:
+            continue
+        c *= lb
+        q = [lb * x for x in q]
+        r = [lb * x for x in r]
+        q[k - db] += f
+        for j, bj in enumerate(b):
+            r[k - db + j] -= f * bj
+    while r and r[-1] == 0:
+        r.pop()
+    return c, q, r
+
+
 # -- Fraction Gauss-Jordan ---------------------------------------------------
 # matrixops._nullspace and ExactMatrix.inverse before both ran on one
 # fraction-free integer elimination.

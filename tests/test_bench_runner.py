@@ -3,11 +3,13 @@ operation that cannot finish (its report is repeated until the alarm
 strikes, so the test holds however fast a single report becomes), and its
 contract that an operation either gives a correct document or fails the
 way an entry of KNOWN_DEFECTS explains. The abelian operations must give
-the verdicts known from their construction.
+the verdicts known from their construction, and every CLI operation's
+stdout must be the document json.dumps writes with indent=2.
 
     PYTHONPATH=src python -m pytest tests/test_bench_runner.py
 """
 
+import json
 import signal
 import sys
 from pathlib import Path
@@ -96,3 +98,26 @@ def test_abelian_operations_give_the_constructed_verdicts(tmp_path, alarm):
         for op in ops.values():
             outcome, _, _, reason, _ = runner.run_op(op)
             assert outcome == "ok", (workload, op.op_id, reason)
+
+
+def test_cli_operations_print_indent_2_json(tmp_path, monkeypatch, alarm):
+    """Every seed-1 cli_mixed operation ends ok, and what it prints is the
+    document json.dumps(doc, indent=2) writes, newline-terminated."""
+    ops = workloads.make_ops("cli_mixed", 1)
+    runner = run.Runner("cli_mixed", ops, tmp_path)
+    cli = runner._cli
+    printed = {}
+
+    def recorded(op):
+        output, detail = cli(op)
+        printed[op.op_id] = detail[1]
+        return output, detail
+
+    monkeypatch.setattr(runner, "_cli", recorded)
+    for op in ops:
+        outcome, _, _, reason, _ = runner.run_op(op)
+        assert outcome == "ok", (op.op_id, reason)
+    documents = {op_id: out for op_id, out in printed.items() if out}
+    assert len(documents) > len(ops) // 2
+    for op_id, out in documents.items():
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", op_id

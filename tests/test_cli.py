@@ -6,6 +6,7 @@ the once-built argument parser to the same bytes.
 """
 
 import argparse
+import gc
 import json
 import subprocess
 import sys
@@ -462,3 +463,62 @@ def _models(draw):
 def test_serialized_models_round_trip(model):
     canon = serialize_model(model)
     assert serialize_model(parse_descriptor(canon)) == canon
+
+
+# Strings that read like JSON syntax, escapes, control and non-ASCII
+# characters (astral ones become surrogate pairs).
+_JSON_STRINGS = st.text(st.sampled_from('[]{},":\\ a0\n\t\x00\x1f\x7féλ\U0001f600'), max_size=6)
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**400), 10**400),
+    st.floats(),
+    _JSON_STRINGS,
+    st.text(max_size=4),
+)
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS,
+    lambda items: st.one_of(
+        st.lists(items, max_size=4),
+        st.lists(items, max_size=3).map(tuple),
+        st.dictionaries(_JSON_STRINGS, items, max_size=4),
+        st.dictionaries(st.one_of(st.integers(), st.booleans(), st.none(), st.floats()), items,
+                        max_size=2),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_DOCS)
+def test_emitter_writes_the_bytes_of_json_dumps(doc):
+    """Empty containers at every depth, tuples, bools next to ints, None,
+    big ints, floats and the keys json.dumps converts."""
+    assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+
+def test_emitter_refuses_what_json_dumps_refuses():
+    from collections import OrderedDict
+
+    subclassed = OrderedDict(a=[True, 1, False, 0, None], b=OrderedDict())
+    assert cli._json_text([subclassed, ()]) == json.dumps([subclassed, ()], indent=2)
+    for doc in ({"zeta": [1, [10**4300]]}, {"q": 10**4300}, 10**4300, {(1, 2): 0}, [object()]):
+        with pytest.raises((ValueError, TypeError)) as want:
+            json.dumps(doc, indent=2)
+        with pytest.raises(want.type) as got:
+            cli._json_text(doc)
+        assert str(got.value) == str(want.value)
+
+
+def test_emitter_leaves_no_reference_cycle():
+    """A document's pieces are freed when its text is returned, not when
+    the cyclic garbage collector next runs."""
+    doc = {"checks": [{"check": "weil_weight", "witness": {"root": ("1", "2")}}] * 50}
+    gc.collect()
+    gc.disable()
+    try:
+        cli._json_text(doc)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -103,5 +103,9 @@ def test_parse_rational():
     assert parse_rational("36") == 36
     assert parse_rational("-3/2") == Fraction(-3, 2)
     assert isinstance(parse_rational("4/2"), int)
-    with pytest.raises(DomainError):
-        parse_rational("x")
+    # integer literals skip Fraction's parser and give the same ints
+    for s in ("36", "-0", "007", "-12", "9" * 4300):
+        assert type(parse_rational(s)) is int and parse_rational(s) == Fraction(s)
+    for s in ("x", "1" * 4301, "1/" + "1" * 4301, "+1", "1.0"):
+        with pytest.raises(DomainError):
+            parse_rational(s)

@@ -3,7 +3,7 @@ Poly and ExactMatrix products they run for int and Fraction entries alike."""
 
 from fractions import Fraction
 
-from helpers import loop_mat_mul, loop_poly_mul
+from helpers import loop_mat_mul, loop_poly_mul, rescaling_pseudo_divmod
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -98,3 +98,25 @@ def test_matrix_products_match_the_fraction_loop(n, inner, m, data):
     A, B = matrix(n, inner), matrix(inner, m)
     got, want = (A @ B).rows, loop_mat_mul(A, B).rows
     assert [_typed(r) for r in got] == [_typed(r) for r in want]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-50, 50), max_size=7),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=4),
+    st.sampled_from((1, -1, 2, 3, -4)),
+)
+@example([], [1], 1)
+@example([0, 0, 1], [5, 1], 1)
+@example([3, 2], [0, 0, 1], 2)
+def test_pseudo_division_matches_the_rescaling_loop(a, b, lead):
+    """Monic divisors (lead 1) are never rescaled, others are at every
+    step; either way c*a = q*b + r with the loop's c, q and r."""
+    b = b + [lead]
+    while a and a[-1] == 0:
+        a.pop()
+    c, q, r = kernels.poly_pseudo_divmod_int(a, b)
+    assert (c, q, r) == rescaling_pseudo_divmod(a, b)
+    if lead == 1:
+        assert c == 1
+    assert Poly(a).scale(c) == Poly(q) * Poly(b) + Poly(r)

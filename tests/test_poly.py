@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from helpers import divmod_by_exact_divide_out
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from endospec.errors import (
@@ -298,6 +299,26 @@ def test_exact_divide_out():
     cube = Poly.from_roots([6, 6, 6])
     quotient, mult = exact_divide_out(cube, Poly.from_desc([1, -6]))
     assert mult == 3 and quotient == Poly([1])
+
+
+EXACT = st.one_of(st.integers(-5, 5), st.fractions(-3, 3, max_denominator=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(EXACT, max_size=4), st.lists(EXACT, min_size=1, max_size=3), st.integers(0, 3))
+@example([], [0], 2)  # the zero polynomial
+@example([1, 1], [1, 0, 2], 0)  # a factor of higher degree than P
+@example([Fraction(1, 2)], [Fraction(-1, 3)], 3)
+def test_exact_divide_out_matches_the_divmod_loop(rest, low, m):
+    """Division on the coefficient lists gives the quotient, with its int
+    and Fraction coefficients, and the multiplicity of the Poly.divmod_by
+    loop."""
+    factor = Poly(low + [1])
+    P = factor**m * Poly(rest)
+    got, want = exact_divide_out(P, factor), divmod_by_exact_divide_out(P, factor)
+    typed = lambda Q: [(type(c), c) for c in Q.coeffs_asc()]
+    assert got[1] == want[1] and typed(got[0]) == typed(want[0])
+    assert got[1] >= m or P.is_zero
 
 
 def test_half_weight_multiplicity_conventions():

@@ -21,7 +21,6 @@ from endospec.matrixops import jordan_symmetry_check
 from endospec.poly import (
     DegreeFacts,
     Poly,
-    _circle_defect,
     cross_duality_check,
     degree_facts,
     functional_equation_check,
@@ -113,7 +112,7 @@ def test_one_identity_matches_the_per_check_loops(case):
     expected = is_own_reciprocal_partner(P, q**i)
     assert jordan_symmetry_check([P], q, i) == expected
     S = squarefree_part(P)
-    gate = _circle_defect(S, q**i) == "squarefree part is not q^i-reciprocal"
+    gate = degree_facts(P, q, i).circle_defect == "squarefree part is not q^i-reciprocal"
     assert gate == (not is_own_reciprocal_partner(S, q**i))
 
 

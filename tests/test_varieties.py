@@ -28,7 +28,7 @@ from endospec.matrixops import (
     jordan_symmetry_check,
 )
 from endospec.exactnum import NormalizedValuation
-from endospec.poly import Poly, _circle_defect, charpoly, squarefree_part
+from endospec.poly import Poly, charpoly, degree_facts
 from endospec.polygons import newton_polygon
 from endospec.varieties import (
     CohomologyAction,
@@ -152,6 +152,56 @@ def test_abelian_en_matches_h1_construction():
         assert en.charpoly(i) == direct.charpoly(i)
         assert en.matrix(i) == direct.matrix(i)
     assert en.hodge == direct.hodge
+
+
+def _isogeny_models():
+    """Every abelian_en test model, the non-semisimple ones and the
+    isogeny [[2, 1], [0, 2]] with q = 4 among them."""
+    models = _test_abelian_models() + [m for m, _ in _non_semisimple_models()] + [_e4_q25()]
+    return [m for m in models if "isogeny_matrix" in m.metadata]
+
+
+def test_abelian_en_takes_the_smith_form_of_the_isogeny():
+    """A tensor I2 is permutation-similar to A + A, so its invariant
+    factors are A's, each twice; the model abelian_en builds from them is
+    the one abelian_from_h1 builds from the Smith form of A tensor I2."""
+    models = _isogeny_models()
+    assert any(m.metadata["isogeny_matrix"] == ExactMatrix([[2, 1], [0, 2]]) for m in models)
+    for en in models:
+        A = en.metadata["isogeny_matrix"]
+        M = A.kron(ExactMatrix.identity(2))
+        assert [f for f in invariant_factors(A) for _ in (0, 1)] == invariant_factors(M)
+        direct = abelian_from_h1(A.nrows, M, en.q)
+        for act, want in zip(en.actions, direct.actions):
+            assert (act.charpoly, act.jordan_data) == (want.charpoly, want.jordan_data)
+
+
+def test_action_matrix_and_jordan_data_are_built_once():
+    """A build that raises stores nothing and raises again on the next
+    read; one that succeeds runs once."""
+    calls = []
+
+    def refuse():
+        calls.append("refused")
+        raise ConsistencyError("no Jordan data")
+
+    P = Poly([-2, 1])
+    act = CohomologyAction(1, 1, P, refuse, refuse)
+    for _ in range(2):
+        for name in ("jordan_data", "matrix"):
+            with pytest.raises(ConsistencyError):
+                getattr(act, name)
+    assert calls == ["refused"] * 4
+    assert "jordan_data" not in vars(act) and "matrix" not in vars(act)
+
+    def build(value):
+        return lambda: calls.append(value) or value
+
+    calls.clear()
+    act = CohomologyAction(1, 1, P, build([P]), build(ExactMatrix([[2]])))
+    for _ in range(2):
+        assert act.jordan_data == [P] and act.matrix == ExactMatrix([[2]])
+    assert calls == [[P], ExactMatrix([[2]])]
 
 
 def test_grassmannian_projective_line():
@@ -515,7 +565,7 @@ def test_abelian_degrees_read_weight_and_newton_polygons_off_degree_one():
         facts = model_facts(model)
         for i, f in facts.items():
             assert (f.h1 is facts[1]) == (i >= 2)
-            direct = _circle_defect(squarefree_part(f.charpoly), model.q**i)
+            direct = degree_facts(f.charpoly, model.q, i).circle_defect
             if f.h1 is None or f.h1.circle_defect is not None:
                 assert f.circle_defect == direct
             else:

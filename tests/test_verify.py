@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from endospec import cli
 from endospec.errors import DomainError, ValidityError
 from endospec.matrixops import ExactMatrix
-from endospec.poly import Poly, degree_facts, squarefree_part
+from endospec.poly import Poly, degree_facts
 from endospec.polygons import HodgePolygon
 from endospec import poly, verify, zeta
 from endospec.varieties import abelian_en, abelian_from_h1, generic_model, grassmannian
@@ -78,19 +78,50 @@ def test_weil_weight_real_roots_just_off_the_circle():
     assert oracle.count_roots(sympy.Rational(lo), sympy.Rational(hi)) == 1
 
 
-@pytest.mark.parametrize("l, m", [(1, 6), (2, 3), (1, 10), (2, 5), (1, 15), (3, 5)])
-def test_real_root_bisection_matches_fraction_bisection(l, m):
-    # E^2 isogenies with eigenvalues l != m, l * m = q: every degree 1..3
-    # has a real root off the circle
+# E^2 isogenies with eigenvalues l != m, l * m = q: every degree 1..3 has a
+# real root off the circle
+NONPOLARIZED = [(1, 6), (2, 3), (1, 10), (2, 5), (1, 15), (3, 5)]
+
+
+def _nonpolarized_facts(l, m):
     q = l * m
     model = abelian_en([[0, -q], [1, l + m]], q)
-    for i in (1, 2, 3):
-        S = squarefree_part(model.charpoly(i))
-        expected = fraction_real_root_off_circle(S, q**i)
-        assert expected is not None
-        assert verify._real_root_off_circle(S, q**i) == expected
-        res = weil_weight_check(degree_facts(model.charpoly(i), q, i))
-        assert tuple(map(str, res.failing_root)) == tuple(map(str, expected))
+    return [degree_facts(model.charpoly(i), q, i) for i in (1, 2, 3)]
+
+
+def _assert_bisection_matches_fraction_bisection(f):
+    expected = fraction_real_root_off_circle(f.squarefree, f.q**f.degree)
+    assert verify._real_root_off_circle(f.squarefree, f.circle_free) == expected
+    res = weil_weight_check(f)
+    if res.passed:
+        assert expected is None
+    else:
+        assert res.failing_root == expected
+    return expected
+
+
+@pytest.mark.parametrize("l, m", NONPOLARIZED)
+def test_real_root_bisection_matches_fraction_bisection(l, m):
+    for f in _nonpolarized_facts(l, m):
+        assert _assert_bisection_matches_fraction_bisection(f) is not None
+
+
+def test_real_root_bisection_evaluates_each_point_once(monkeypatch):
+    """The bisection reads each chain's sign variations at each point once,
+    whichever interval end or midpoint the point was; the fraction
+    comparison above pins the intervals themselves."""
+    evaluations = Counter()
+
+    def counted(chain, x, den=1):
+        evaluations[id(chain), Fraction(x) / den] += 1
+        return poly._sign_variations(chain, x, den)
+
+    monkeypatch.setattr(verify, "_sign_variations", counted)
+    for l, m in NONPOLARIZED:
+        for f in _nonpolarized_facts(l, m):
+            evaluations.clear()
+            assert verify._real_root_off_circle(f.squarefree, f.circle_free)
+            assert evaluations and set(evaluations.values()) == {1}
 
 
 def _on_circle_oracle(P, Q):
@@ -138,6 +169,15 @@ def test_weil_weight_matches_construction_and_sympy(case):
         t = sympy.symbols("t")
         sqf = sympy.Poly(sympy.sqf_part(sympy.Poly(P.coeffs_desc(), t)), t)
         assert sqf.count_roots(sympy.Rational(lo), sympy.Rational(hi)) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(weil_products().filter(lambda case: not case[3]))
+def test_real_root_bisection_matches_fraction_bisection_off_the_circle(case):
+    """The pushed weil_products: two real roots past the trace bound, or
+    two complex roots of modulus Q + 1 and no real root off the circle."""
+    P, q, i, _ = case
+    _assert_bisection_matches_fraction_bisection(degree_facts(P, q, i))
 
 
 def test_weil_weight_preconditions():
