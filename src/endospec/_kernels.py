@@ -6,9 +6,16 @@ is the empty list). The two product kernels, mat_mul_int and poly_mul_int,
 only add and multiply, so they also take Fraction entries and tuples: every
 Poly and ExactMatrix product runs on them. So does poly_pseudo_divmod_int,
 which is how poly.exact_divide_out divides by a monic factor.
+
+poly_product_sign_int decides whether two products of integer polynomials
+are equal or opposite without forming either: each side is packed into
+one exact Decimal (Kronecker substitution, Harvey 2009), which decimal
+multiplies by a number-theoretic transform where int multiplication is
+Karatsuba. decimal is already loaded with fractions.
 """
 
-from math import gcd
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
+from math import gcd, prod
 
 # There is one backend; the name stays so benchmark results can record it.
 BACKEND = "pure"
@@ -176,3 +183,48 @@ def row_content_int(row):
 
 def row_divide_int(row, g):
     return [[coef // g for coef in p] for p in row]
+
+
+# Exact integer arithmetic in decimal: at the largest precision no sum or
+# product of integers is rounded, and were one rounded, the Inexact trap
+# would raise rather than let it decide a result.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+_EXACT.traps[Inexact] = True
+
+
+def _packed(a, width):
+    """The integer polynomial a evaluated at t = 10**width, as an exact
+    Decimal under _EXACT: halves are packed apart and joined by a shift, so
+    each digit moves O(log n) times."""
+    if len(a) <= 1:
+        return Decimal(a[0] if a else 0)
+    h = len(a) // 2
+    return _EXACT.add(_packed(a[:h], width), _packed(a[h:], width).scaleb(width * h, _EXACT))
+
+
+def poly_product_sign_int(left, right):
+    """1 when the product of the integer polynomials in `left` equals the
+    product of those in `right`, -1 when it is its negative, else None.
+
+    Each side is evaluated at t = 10**width. Every coefficient of a product
+    is at most the product of its factors' sums of absolute values, so
+    10**width > 2 * (that bound for left + that bound for right) bounds
+    every coefficient of the difference and of the sum of the two products
+    below 10**width / 2, and such a polynomial is zero exactly when its
+    value at 10**width is."""
+    largest = sum(prod(sum(map(abs, a)) for a in side) for side in (left, right))
+    # 10**width > 2**bits > 2 * largest, as 0.30103 > log10(2).
+    width = -(-(2 * largest).bit_length() * 30103 // 100000)
+    lhs, rhs = (_packed_product(side, width) for side in (left, right))
+    if lhs == rhs:
+        return 1
+    if lhs == _EXACT.minus(rhs):
+        return -1
+    return None
+
+
+def _packed_product(side, width):
+    out = Decimal(1)
+    for a in side:
+        out = _EXACT.multiply(out, _packed(a, width))
+    return out

@@ -4,7 +4,7 @@ the eigenvalue-reciprocity test on Jordan data, bilinear pairing checks, and
 the exact decision whether a positive-definite polarization witness exists
 (one projection onto a kernel).
 
-Kernels, inverses and leading principal minors come from one fraction-free
+Kernels and leading principal minors come from one fraction-free
 Gauss-Jordan elimination over the integers (Bareiss 1968): every entry
 stays an integer minor of the input while it runs.
 
@@ -149,19 +149,6 @@ class ExactMatrix:
         if not self.is_square:
             raise ShapeError("trace needs a square matrix")
         return sum(self.rows[i][i] for i in range(self.nrows))
-
-    def inverse(self):
-        """Exact inverse: the integer rows N = c * self, c clearing the
-        denominators, reduced beside the identity to [p * id | p * N**-1]."""
-        if not self.is_square:
-            raise ShapeError("inverse needs a square matrix")
-        n = self.nrows
-        scaled, c = polymod._cleared(self.rows)
-        aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(scaled)]
-        pivots, p = _row_reduce(aug)
-        if pivots[-1] != n - 1:
-            raise SingularActionError("matrix is not invertible")
-        return ExactMatrix([[polymod._ratio(c * x, p) for x in row[n:]] for row in aug])
 
     def det(self):
         if not self.is_square:

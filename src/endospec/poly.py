@@ -3,7 +3,8 @@ transforms built on them: reciprocal/duality partners, the reciprocity
 identity t**n * P(s/t) = P(0) * Q(t) behind the functional equation, cross
 duality, Jordan symmetry and the weight check's circle gate, the exact
 circle test, power sums, and exact factor extraction. DegreeFacts gathers
-what the checks read about one degree.
+what the checks read about one degree, from its polynomial or, when they
+are known, from degree 1's facts or from its eigenvalues.
 
 Coefficients are int or Fraction; arithmetic never leaves exact scalars,
 and the hot paths (gcd, Sturm sequences) run in integers. Storage is
@@ -627,12 +628,24 @@ class DegreeFacts:
     P_(2d-i) and the dimension d, cross duality (dual, else None). A fact
     whose computation raised raises again when read.
 
-    h1 is the facts of degree 1 when this degree acts by the degree-th
-    exterior power of degree 1's action, so every root of P is a product
-    of `degree` roots of P_1. Then the circle defect is None whenever
-    degree 1's is (|t|**2 multiplies), and the Newton polygon at any prime
-    is built from the k-fold compounds of degree 1's root slopes
-    (valuations add): neither reads P."""
+    Beside P itself, two sources may give facts without reading P:
+
+    - h1, the facts of degree 1, when this degree acts by the degree-th
+      exterior power of degree 1's action, so every root of P is a product
+      of `degree` roots of P_1. Then the circle defect is None whenever
+      degree 1's is (|t|**2 multiplies), and the Newton polygon at any
+      prime is built from the k-fold compounds of degree 1's root slopes
+      (valuations add).
+    - roots, P's eigenvalues when all are known rationals: (root,
+      multiplicity) pairs with distinct nonzero roots and positive
+      multiplicities whose product of (t - root)**multiplicity is P. Then
+      the squarefree and circle-free parts are products over the roots,
+      the circle defect is None when no root is left off the real circle
+      points, mu+- are the multiplicities of +-isqrt(q**i), and the Newton
+      polygon's slopes are the root valuations.
+
+    The functional equation, cross duality and any circle defect that is
+    not None are decided on P either way."""
 
     degree: int
     q: int
@@ -640,6 +653,7 @@ class DegreeFacts:
     partner: Optional[Poly] = None
     dimension: Optional[int] = None
     h1: Optional["DegreeFacts"] = None
+    roots: Optional[tuple] = None
     _polygons: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @_fact
@@ -653,13 +667,19 @@ class DegreeFacts:
         except EndospecError:
             return False
 
+    def _half_weight_multiplicity(self, sign):
+        if self.roots is None:
+            return half_weight_multiplicity(self.charpoly, self.q, self.degree, sign)
+        r = perfect_sqrt(self.q**self.degree)
+        return 0 if r is None else dict(self.roots).get(sign * r, 0)
+
     @_fact
     def mu_plus(self):
-        return half_weight_multiplicity(self.charpoly, self.q, self.degree, 1)
+        return self._half_weight_multiplicity(1)
 
     @_fact
     def mu_minus(self):
-        return half_weight_multiplicity(self.charpoly, self.q, self.degree, -1)
+        return self._half_weight_multiplicity(-1)
 
     @_fact
     def dual(self):
@@ -669,15 +689,22 @@ class DegreeFacts:
 
     @_fact
     def squarefree(self):
-        return squarefree_part(self.charpoly)
+        if self.roots is None:
+            return squarefree_part(self.charpoly)
+        return Poly.from_roots(r for r, _ in self.roots)
 
     @_fact
     def circle_free(self):
-        return _without_real_circle_points(self.squarefree, self.q**self.degree)
+        Q = self.q**self.degree
+        if self.roots is None:
+            return _without_real_circle_points(self.squarefree, Q)
+        return Poly.from_roots(r for r, _ in self.roots if r * r != Q)
 
     @_fact
     def circle_defect(self):
         if self.h1 is not None and self.h1.circle_defect is None:
+            return None
+        if self.roots is not None and self.circle_free.degree == 0:
             return None
         return _circle_defect(self.squarefree, self.circle_free, self.q**self.degree)
 
@@ -685,10 +712,12 @@ class DegreeFacts:
         """Newton polygon of P under v, a valuation normalized against q."""
         NP = self._polygons.get(v.prime)
         if NP is None:
-            if self.h1 is None:
-                NP = polygons.newton_polygon(self.charpoly, v)
-            else:
+            if self.h1 is not None:
                 NP = polygons.compound_newton_polygon(self.h1.newton_polygon(v), self.degree)
+            elif self.roots is not None:
+                NP = polygons.root_newton_polygon(self.roots, v)
+            else:
+                NP = polygons.newton_polygon(self.charpoly, v)
             self._polygons[v.prime] = NP
         return NP
 

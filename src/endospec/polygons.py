@@ -9,10 +9,12 @@ polygon, 1 otherwise). Every check reads the integer points; the rational
 request.
 
 A Newton polygon is read off the valuations of a polynomial's
-coefficients, or, for a polynomial whose roots are the k-fold products of
-another's, off the k-fold compounds of the other's root slopes.
+coefficients, off the valuations of its roots when they are known, or, for
+a polynomial whose roots are the k-fold products of another's, off the
+k-fold compounds of the other's root slopes.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -114,6 +116,31 @@ def newton_polygon(P, v):
     return NewtonPolygon(points=hull, den=v.normalizer or 1, normalized=v.normalized)
 
 
+def _polygon_from_slopes(counts, den, normalized, scale=1):
+    """Newton polygon whose root slopes are the integers of `counts`, a
+    mapping from slope to multiplicity, over scale * den: a vertex ends each
+    run of equal slopes, at the partial sum of the sorted slopes divided by
+    scale, which must leave an integer there."""
+    points = [(0, 0)]
+    x = y = 0
+    for s in sorted(counts):
+        m = counts[s]
+        x += m
+        y += s * m
+        points.append((x, y // scale))
+    return NewtonPolygon(points=tuple(points), den=den, normalized=normalized)
+
+
+def root_newton_polygon(roots, v):
+    """Newton polygon under v of the monic polynomial with the nonzero
+    rational roots `roots`, as (root, multiplicity) pairs: its slopes are
+    the root valuations, and no coefficient is valuated."""
+    counts = Counter()
+    for r, m in roots:
+        counts[rational_valuation(r, v.prime)] += m
+    return _polygon_from_slopes(counts, v.normalizer or 1, v.normalized)
+
+
 def compound_newton_polygon(NP, k):
     """Newton polygon, under NP's valuation, of the monic integer polynomial
     whose roots are the products of k of the roots of NP's polynomial, for
@@ -124,14 +151,8 @@ def compound_newton_polygon(NP, k):
     segments = _segments(NP.points)
     scale = lcm(*(dx for dx, _ in segments))
     slopes = [dy * (scale // dx) for dx, dy in segments for _ in range(dx)]
-    sums = sorted(compound(slopes, k))
-    points = [(0, 0)]
-    y = 0
-    for x, s in enumerate(sums, start=1):
-        y += s
-        if x == len(sums) or sums[x] != s:
-            points.append((x, y // scale))
-    return NewtonPolygon(points=tuple(points), den=NP.den, normalized=NP.normalized)
+    counts = Counter(compound(slopes, k))
+    return _polygon_from_slopes(counts, NP.den, NP.normalized, scale)
 
 
 def hodge_polygon(weight, hodge_numbers):

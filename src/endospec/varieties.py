@@ -6,7 +6,8 @@ generic user-supplied model.
 A model is the bundle the verification layer consumes: for every degree
 0..2d a monic characteristic polynomial, optionally the acting matrix and
 its Jordan data (a generic model's invariant factors, a Grassmannian's
-charpoly, an abelian model's read off degree 1), and per-weight Hodge
+charpoly, an abelian model's read off degree 1), the eigenvalues when the
+construction knows them (a Grassmannian's +-q**j), and per-weight Hodge
 number lists.
 """
 
@@ -33,7 +34,15 @@ class CohomologyAction:
     use. The Jordan data is a sequence of monic polynomials, each its own
     q**degree-reciprocal partner exactly when the Jordan blocks are
     symmetric under lambda -> q**degree/lambda. Both are cached like
-    DegreeFacts' facts (poly._fact): a build that raised raises again."""
+    DegreeFacts' facts (poly._fact): a build that raised raises again.
+
+    roots are set only by grassmannian, which knows the eigenvalues: (root,
+    multiplicity) pairs with distinct nonzero rational roots and positive
+    multiplicities, whose product of (t - root)**multiplicity is charpoly;
+    the checks read what they give off them (poly.DegreeFacts). They are
+    not an init field, so an action built by hand or copied with
+    dataclasses.replace has none and is decided from its polynomial, the
+    rule VarietyModel.exterior_powers follows."""
 
     degree: int
     betti: int
@@ -42,6 +51,7 @@ class CohomologyAction:
     make_matrix: Optional[Callable[[], ExactMatrix]] = field(
         default=None, repr=False, compare=False
     )
+    roots: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @_fact
     def matrix(self):
@@ -233,6 +243,34 @@ def box_partitions(rows, cols, size):
     return out
 
 
+def _gaussian_binomial(n, k):
+    """Coefficients of the Gaussian binomial [n choose k]_x, ascending: the
+    x**j coefficient counts the partitions of j in a k x (n - k) box. Built
+    as the product over i = 1..k of (1 - x**(n-k+i)) / (1 - x**i), each
+    partial product [n-k+i choose i]_x a polynomial of degree i*(n-k)."""
+    c = [1]
+    for i in range(1, k + 1):
+        m = n - k + i
+        c += [0] * m
+        for j in range(len(c) - 1, m - 1, -1):
+            c[j] -= c[j - m]
+        for j in range(i, len(c)):
+            c[j] += c[j - i]
+        del c[i * (n - k) + 1 :]
+    return c
+
+
+def _self_conjugate_counts(k):
+    """Coefficients of the product over i = 1..k of (1 + x**(2i-1)),
+    ascending: the x**j coefficient counts the self-conjugate partitions of
+    j in a k x k box, whose diagonal hooks have the distinct odd lengths."""
+    c = [1]
+    for i in range(1, k + 1):
+        h = 2 * i - 1
+        c = [a + (c[j - h] if j >= h else 0) for j, a in enumerate(c + [0] * h)]
+    return c
+
+
 def _conjugate(partition):
     if not partition:
         return ()
@@ -241,12 +279,34 @@ def _conjugate(partition):
     )
 
 
+def _conjugation_matrix(k, j, scale):
+    """scale times the permutation matrix of conjugation on the partitions
+    of j in a k x k box."""
+    parts = box_partitions(k, k, j)
+    index = {p: idx for idx, p in enumerate(parts)}
+    rows = [[0] * len(parts) for _ in parts]
+    for src, p in enumerate(parts):
+        rows[index[_conjugate(p)]][src] = scale
+    return ExactMatrix(rows)
+
+
+def _binomial_row(m, sign):
+    """(t + sign)**m, from its binomial coefficients."""
+    return Poly([comb(m, e) * sign ** (m - e) for e in range(m + 1)])
+
+
 def grassmannian(k, n, q, variant="scalar"):
     """Grassmannian model: cohomology sits in even degrees with Betti number
-    b_{2j} = number of partitions of j in a k x (n-k) box, all Hodge weight
-    concentrated on h^{j,j}. The degree-2j action is q**j times either the
-    identity or the conjugation permutation on box partitions (the latter
-    only defined when n = 2k)."""
+    b_{2j} = number of partitions of j in a k x (n-k) box (the coefficients
+    of the Gaussian binomial [n choose k]_x), all Hodge weight concentrated
+    on h^{j,j}. The degree-2j action is q**j times either the identity or
+    the conjugation permutation on box partitions (the latter only defined
+    when n = 2k), whose fixed points are the self-conjugate partitions. So
+    each degree's eigenvalues are known exactly: q**j with multiplicity b,
+    or q**j with multiplicity fixed + cycles and -q**j with multiplicity
+    cycles, cycles being the transposed pairs. The action carries them
+    (CohomologyAction.roots), its polynomial is written from binomial
+    coefficients, and partitions are listed only when a matrix is built."""
     if not 1 <= k < n:
         raise ValidityError(f"need 1 <= k < n, got k={k}, n={n}")
     if q <= 1:
@@ -256,34 +316,37 @@ def grassmannian(k, n, q, variant="scalar"):
     if variant == "involution" and n != 2 * k:
         raise ValidityError("the involution variant needs n = 2k")
     d = k * (n - k)
+    counts = _gaussian_binomial(n, k)
+    fixed_counts = _self_conjugate_counts(k) if variant == "involution" else counts
     actions = []
     hodge = []
     for i in range(2 * d + 1):
         j = i // 2
-        parts = box_partitions(k, n - k, j) if i % 2 == 0 else []
-        b = len(parts)
-        hodge.append(tuple(b if jj == j else 0 for jj in range(i + 1)))
+        b = counts[j] if i % 2 == 0 else 0
+        hodge.append((0,) * j + (b,) + (0,) * (i - j))
         if b == 0:
             actions.append(_action(i, Poly([1])))
             continue
         scale = q**j
+        fixed = fixed_counts[j]
+        cycles = (b - fixed) // 2
         if variant == "scalar":
             matrix = partial(ExactMatrix.diagonal, [scale] * b)
-            poly = Poly.from_roots([scale] * b)
         else:
-            index = {p: idx for idx, p in enumerate(parts)}
-            perm = [index[_conjugate(p)] for p in parts]
-            rows = [[0] * b for _ in range(b)]
-            for src, dst in enumerate(perm):
-                rows[dst][src] = scale
-            matrix = partial(ExactMatrix, rows)
-            fixed = sum(1 for idx, p in enumerate(perm) if p == idx)
-            cycles = (b - fixed) // 2
-            poly = Poly.from_roots([scale] * fixed) * Poly.from_desc(
-                [1, 0, -(scale * scale)]
-            ) ** cycles
+            matrix = partial(_conjugation_matrix, k, j, scale)
+        # (t - s)**(fixed + cycles) * (t + s)**cycles = s**b * F(t/s) with
+        # F = (x - 1)**(fixed + cycles) * (x + 1)**cycles, s = q**j.
+        F = (_binomial_row(fixed + cycles, -1) * _binomial_row(cycles, 1)).coeffs_asc()
+        asc, power = [0] * (b + 1), 1
+        for e in range(b, -1, -1):
+            asc[e], power = F[e] * power, power * scale
+        poly = Poly(asc)
+        roots = tuple((r, m) for r, m in ((scale, fixed + cycles), (-scale, cycles)) if m)
         # q**j I and q**j (an involution) are semisimple: P is the Jordan data.
-        actions.append(CohomologyAction(i, b, poly, partial(list, [poly]), matrix))
+        jordan = partial(list, [poly])
+        action = CohomologyAction(i, b, poly, jordan, matrix)
+        object.__setattr__(action, "roots", roots)
+        actions.append(action)
     return VarietyModel(
         kind="grassmannian",
         dimension=d,

@@ -13,7 +13,7 @@ family built the model.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from endospec.errors import (
     DomainError,
@@ -57,8 +57,11 @@ DEGREE_CHECKS = (
 NEWTON_CHECKS = ("newton_slope_zero", "newton_symmetry", "newton_over_hodge")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
+    """One check's outcome. A NamedTuple: every report builds dozens of
+    these, and a frozen dataclass's __init__ costs about four times as
+    much."""
+
     check_id: str
     status: str  # pass | fail | not-applicable | incomparable
     degree: Optional[int] = None
@@ -70,13 +73,14 @@ class CheckResult:
         return self.status == "fail" and self.check_id not in ADVISORY_CHECKS
 
     def to_json(self):
-        out = {"check": self.check_id, "status": self.status}
-        if self.degree is not None:
-            out["degree"] = self.degree
-        if self.prime is not None:
-            out["prime"] = str(self.prime)
-        if self.witness:
-            out["witness"] = dict(self.witness)
+        check_id, status, degree, prime, witness = self
+        out = {"check": check_id, "status": status}
+        if degree is not None:
+            out["degree"] = degree
+        if prime is not None:
+            out["prime"] = str(prime)
+        if witness:
+            out["witness"] = dict(witness)
         return out
 
 

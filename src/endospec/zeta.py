@@ -10,7 +10,8 @@ at every degree (t**n * P_i(q**d/t) = P_i(0) * P_{2d-i}(t), the one
 reciprocity identity of poly), it reduces to comparing
 q**(d chi/2) * prod_odd P_i(0) with prod_even P_i(0); for any other model
 the cross-multiplied identity between numerator and denominator is
-checked in Z[t].
+checked in Z[t], each side evaluated at a power of ten wide enough that
+the exact numbers are equal exactly when the polynomials are.
 
 Power sums of iterate n have about n times as many digits as the largest
 root, so a series check to order N holds about N**2/2 times that many
@@ -19,9 +20,10 @@ refused before any work.
 """
 
 from dataclasses import dataclass
-from math import log10
+from math import lcm, log10
 from typing import Optional
 
+from endospec._kernels import poly_product_sign_int
 from endospec.errors import DomainError, EndospecError, InapplicableModelError
 from endospec.poly import DegreeFacts, Poly, power_sums
 
@@ -136,13 +138,16 @@ def model_facts(model):
     """DegreeFacts of every degree with cohomology, keyed by degree in order,
     each with degree 2d - i as its cross-duality partner. When the model's
     degrees are exterior powers of degree 1 (abelian_from_h1), every degree
-    from 2 on reads its weight and Newton polygons off degree 1's facts."""
+    from 2 on reads its weight and Newton polygons off degree 1's facts. A
+    degree whose action carries its eigenvalues (CohomologyAction.roots)
+    reads the facts they give off them."""
     q, d = model.q, model.dimension
     facts = {}
     for i, act in enumerate(model.actions):
         if act.betti:
             h1 = facts[1] if model.exterior_powers and i >= 2 else None
-            facts[i] = DegreeFacts(i, q, act.charpoly, model.charpoly(2 * d - i), d, h1)
+            partner = model.charpoly(2 * d - i)
+            facts[i] = DegreeFacts(i, q, act.charpoly, partner, d, h1, act.roots)
     return facts
 
 
@@ -154,12 +159,34 @@ def _scaled_star(F, q, d):
     return Poly([c * s**j for j, c in enumerate(reversed(asc))])
 
 
-def _sides_by_products(zf):
-    """G(N) * D and G(D) * N for zf = N/D, with G = _scaled_star."""
+def _q_power_scales(zf):
+    """Factors (left, right) that put q**(e/2), e = d*chi, on the left side
+    of the product identity, or q**(-e/2) on the right when e < 0."""
+    e = zf.dimension * zf.chi
+    return (zf.q ** (e // 2), 1) if e >= 0 else (1, zf.q ** (-e // 2))
+
+
+def _cleared(F):
+    """F times the lcm of its coefficients' denominators, with int
+    coefficients."""
+    asc = F.coeffs_asc()
+    m = lcm(*(c.denominator for c in asc))
+    return Poly([c.numerator * (m // c.denominator) for c in asc])
+
+
+def _product_sign(zf):
+    """1 when q**(e/2) * G(N) * D = G(D) * N for zf = N/D, with G =
+    _scaled_star and e = d*chi (the power of q moved to the right when
+    e < 0), -1 when the sides are opposite, else None. Rational
+    coefficients are cleared first: G is linear, so scaling N by a and D
+    by b multiplies both sides by ab. The products are compared packed
+    (_kernels.poly_product_sign_int) and never formed."""
     q, d = zf.q, zf.dimension
-    return (
-        _scaled_star(zf.numerator, q, d) * zf.denominator,
-        _scaled_star(zf.denominator, q, d) * zf.numerator,
+    N, D = _cleared(zf.numerator), _cleared(zf.denominator)
+    scale_l, scale_r = _q_power_scales(zf)
+    return poly_product_sign_int(
+        [_scaled_star(N, q, d).coeffs_asc(), D.coeffs_asc(), [scale_l]],
+        [_scaled_star(D, q, d).coeffs_asc(), N.coeffs_asc(), [scale_r]],
     )
 
 
@@ -202,25 +229,21 @@ def zeta_functional_equation(zf, facts):
 
     When cross duality holds at every degree (_dual_pair_sides), both
     sides share the factor N * D and the identity reduces to one between
-    integers; otherwise the polynomial products are compared."""
+    integers; otherwise the polynomial products are compared, packed into
+    numbers (_product_sign)."""
     for f in facts.values():
         if not f.fe.holds:
             raise InapplicableModelError(
                 f"degree {f.degree} fails its own functional equation"
             )
-    q, d, chi = zf.q, zf.dimension, zf.chi
-    e = d * chi
-    lhs, rhs = _dual_pair_sides(facts) or _sides_by_products(zf)
-    if e >= 0:
-        lhs = lhs * q ** (e // 2)
+    d, chi = zf.dimension, zf.chi
+    sides = _dual_pair_sides(facts)
+    if sides is None:
+        sign = _product_sign(zf)
     else:
-        rhs = rhs * q ** (-e // 2)
-    if lhs == rhs:
-        sign = 1
-    elif lhs == -rhs:
-        sign = -1
-    else:
-        sign = None
+        scale_l, scale_r = _q_power_scales(zf)
+        lhs, rhs = sides[0] * scale_l, sides[1] * scale_r
+        sign = 1 if lhs == rhs else -1 if lhs == -rhs else None
     mu = facts[d].mu_minus if d in facts else 0
     expected = -1 if (chi + mu) % 2 else 1
     return ZetaFunctionalEquation(

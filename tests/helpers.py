@@ -12,10 +12,12 @@ from endospec.errors import (
     ValidityError,
 )
 from endospec.exactnum import rational_valuation
-from endospec.matrixops import ExactMatrix
+from endospec.matrixops import ExactMatrix, _row_reduce
 from endospec.poly import (
     FunctionalEquationResult,
     Poly,
+    _cleared,
+    _ratio,
     _without_real_circle_points,
     count_real_roots,
     reciprocal_partner,
@@ -336,9 +338,28 @@ def rescaling_pseudo_divmod(a, b):
     return c, q, r
 
 
+# -- Inverses ----------------------------------------------------------------
+# The package computes no inverse; tests conjugate by unimodular matrices.
+
+
+def inverse(M):
+    """Exact inverse of an ExactMatrix: the integer rows N = c * M, c
+    clearing the denominators, reduced beside the identity to
+    [p * id | p * N**-1] by matrixops' fraction-free elimination."""
+    if not M.is_square:
+        raise ShapeError("inverse needs a square matrix")
+    n = M.nrows
+    scaled, c = _cleared(M.rows)
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(scaled)]
+    pivots, p = _row_reduce(aug)
+    if pivots[-1] != n - 1:
+        raise SingularActionError("matrix is not invertible")
+    return ExactMatrix([[_ratio(c * x, p) for x in row[n:]] for row in aug])
+
+
 # -- Fraction Gauss-Jordan ---------------------------------------------------
-# matrixops._nullspace and ExactMatrix.inverse before both ran on one
-# fraction-free integer elimination.
+# matrixops._nullspace and the integer inverse above before both ran on
+# one fraction-free integer elimination.
 
 
 def fraction_nullspace(rows):

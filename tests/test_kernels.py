@@ -1,8 +1,10 @@
 """Integer kernels: small cases, big integers, the exported names, and the
 Poly and ExactMatrix products they run for int and Fraction entries alike."""
 
+from decimal import Inexact
 from fractions import Fraction
 
+import pytest
 from helpers import loop_mat_mul, loop_poly_mul, rescaling_pseudo_divmod
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ KERNEL_NAMES = [
     "charpoly_int",
     "minor_dets_int",
     "poly_mul_int",
+    "poly_product_sign_int",
     "poly_scale_sub_int",
     "row_combine_int",
     "row_content_int",
@@ -120,3 +123,53 @@ def test_pseudo_division_matches_the_rescaling_loop(a, b, lead):
     if lead == 1:
         assert c == 1
     assert Poly(a).scale(c) == Poly(q) * Poly(b) + Poly(r)
+
+
+# integer polynomials with zero, negative, small and 300-bit coefficients,
+# leading zeros (trailing in ascending order) and operands of length 1
+_INT_POLYS = st.lists(
+    st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(2**300), 2**300)),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _schoolbook(side):
+    out = [1]
+    for a in side:
+        out = kernels.poly_mul_int(out, a)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    left=st.lists(_INT_POLYS, min_size=1, max_size=3),
+    right=st.lists(_INT_POLYS, min_size=1, max_size=3),
+    relation=st.sampled_from(("drawn", "reordered", "negated")),
+)
+@example(left=[[0]], right=[[0, 0]], relation="drawn")
+@example(left=[[5]], right=[[-5]], relation="drawn")
+@example(left=[[1, 2], [3, 0, 0]], right=[[3, 6]], relation="drawn")
+@example(left=[[-(2**300), 2**300]], right=[[2**300, -(2**300)]], relation="drawn")
+def test_product_sign_matches_schoolbook_products(left, right, relation):
+    if relation == "reordered":
+        right = left[::-1]
+    elif relation == "negated":
+        right = [[-c for c in left[0]]] + left[1:]
+    lhs, rhs = _schoolbook(left), _schoolbook(right)
+    expected = 1 if lhs == rhs else -1 if lhs == [-c for c in rhs] else None
+    assert kernels.poly_product_sign_int(left, right) == expected
+
+
+def test_packed_numbers_are_exact():
+    """Packing and products run at a precision that cannot round, and a
+    rounded result would raise rather than decide."""
+    a = [3, -(10**50), 0, 7]
+    ctx = kernels._EXACT.copy()
+    ctx.clear_flags()
+    packed = kernels._packed(a, 60)
+    assert packed == sum(c * 10 ** (60 * j) for j, c in enumerate(a))
+    assert not kernels._EXACT.flags[Inexact] and kernels._EXACT.traps[Inexact]
+    ctx.prec = 10
+    with pytest.raises(Inexact):
+        ctx.multiply(packed, packed)

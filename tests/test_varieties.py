@@ -9,7 +9,7 @@ from itertools import combinations
 from math import comb, prod
 
 import pytest
-from helpers import block_diag
+from helpers import block_diag, inverse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -128,7 +128,7 @@ MISSED_BY_BOUNDED_SEARCH = [
     ids=["E3-q25", "E3-q25-minus", "E3-q169", "E3-q169-minus", "E4-q65"],
 )
 def test_abelian_en_polarized_beyond_bounded_search(U, blocks, q):
-    A = U @ block_diag(blocks) @ U.inverse()
+    A = U @ block_diag(blocks) @ inverse(U)
     assert bounded_search_witness(A, q) is None
     m = abelian_en(A, q)
     assert full_report(m, [2, 3, 5]).model_summary["polarization_verified"] is True
@@ -264,6 +264,96 @@ def test_box_partitions():
     assert box_partitions(2, 2, 2) == [(2,), (1, 1)]
     assert box_partitions(2, 3, 3) == [(3,), (2, 1)]
     assert box_partitions(1, 4, 5) == []
+
+
+def test_grassmannian_counts_match_listed_partitions():
+    """b_2j is the x**j coefficient of the Gaussian binomial, and the
+    involution's fixed points are the self-conjugate partitions of j in
+    the k x k box: both counted without listing a partition."""
+    for n in range(2, 10):
+        for k in range(1, n):
+            counts = [len(box_partitions(k, n - k, j)) for j in range(k * (n - k) + 1)]
+            assert varieties._gaussian_binomial(n, k) == counts
+    for k in range(1, 5):
+        fixed = [
+            sum(1 for p in box_partitions(k, k, j) if varieties._conjugate(p) == p)
+            for j in range(k * k + 1)
+        ]
+        assert varieties._self_conjugate_counts(k) == fixed
+        M = grassmannian(k, 2 * k, 3, "involution")
+        for j, f in enumerate(fixed):
+            rows = M.matrix(2 * j).rows
+            assert sum(1 for r, row in enumerate(rows) if row[r]) == f
+
+
+def _without_roots(model):
+    """The model with every action's eigenvalues dropped (roots is not an
+    init field, so replace leaves it unset): each degree is decided from
+    its polynomial."""
+    return replace(model, actions=tuple(replace(a) for a in model.actions))
+
+
+def _report_or_error(model):
+    try:
+        return full_report(model, [2, 3, 5]).to_json()
+    except ValueError as exc:  # past the int/str digit limit, on either path
+        return repr(exc)
+
+
+_GRASSMANNIAN_SHAPES = [
+    (k, n, variant)
+    for n in range(2, 8)
+    for k in range(1, n)
+    for variant in ("scalar", "involution")
+    if variant == "scalar" or n == 2 * k
+]
+
+
+@pytest.mark.parametrize("k, n, variant", _GRASSMANNIAN_SHAPES)
+@settings(max_examples=6, deadline=None)
+@given(
+    q=st.one_of(
+        st.integers(2, 40),
+        st.sampled_from([7, 11, 13, 49, 77, 121]),
+        st.integers(2**99, 2**100 - 1),
+    )
+)
+def test_grassmannian_eigenvalues_give_the_polynomial_path_report(k, n, variant, q):
+    """A Grassmannian's report read off its eigenvalues is the report of
+    the same model decided from its polynomials, at primes that divide q
+    and at primes that do not."""
+    model = grassmannian(k, n, q, variant)
+    stripped = _without_roots(model)
+    for act, bare in zip(model.actions, stripped.actions):
+        if act.betti:
+            assert Poly.from_roots(r for r, m in act.roots for _ in range(m)) == act.charpoly
+        assert bare.roots is None and bare.charpoly == act.charpoly
+    assert _report_or_error(model) == _report_or_error(stripped)
+
+
+@pytest.mark.parametrize(
+    "roots",
+    [
+        ((8, 1), (16, 1), (32, 1)),  # 8 and 32 are a real pair off the circle
+        ((-8, 2), (16, 1), (-32, 2)),
+        ((2, 1), (16, 2)),  # not q**4-reciprocal
+        ((16, 1), (-16, 2)),  # on the circle: no witness
+    ],
+)
+def test_hand_built_roots_off_the_circle_give_the_polynomial_path_witness(roots):
+    """A hand-built middle degree whose eigenvalues leave the circle
+    |t|**2 = q**4 gets the weil_weight witness the polynomial gives."""
+    base = grassmannian(2, 4, 4)
+    P = Poly.from_roots(r for r, m in roots for _ in range(m))
+    actions = list(base.actions)
+    actions[4] = CohomologyAction(4, P.degree, P, None)
+    object.__setattr__(actions[4], "roots", roots)
+    model = replace(base, actions=tuple(actions))
+    report = full_report(model, [2, 3])
+    (row,) = [r for r in report.results if r.check_id == "weil_weight" and r.degree == 4]
+    assert (row.status == "pass") == (roots == ((16, 1), (-16, 2)))
+    assert ("root" in dict(row.witness)) == (row.status == "fail")
+    assert report.to_json() == full_report(_without_roots(model), [2, 3]).to_json()
 
 
 def test_generic_model_from_polynomials():
@@ -412,15 +502,15 @@ def _non_semisimple_models():
     U2 = ExactMatrix([[2, 1], [1, 1]])
     U6 = _random_unimodular(random.Random(5), 6)
     return [
-        (abelian_en(U2 @ J(5, 2) @ U2.inverse(), 25), []),
-        (abelian_en(U2 @ J(2, 2) @ U2.inverse(), 6), [1, 2, 3, 4]),
-        (abelian_from_h1(2, _U4 @ block_diag([J(1, 2), J(4, 1), J(4, 1)]) @ _U4.inverse(), 4),
+        (abelian_en(U2 @ J(5, 2) @ inverse(U2), 25), []),
+        (abelian_en(U2 @ J(2, 2) @ inverse(U2), 6), [1, 2, 3, 4]),
+        (abelian_from_h1(2, _U4 @ block_diag([J(1, 2), J(4, 1), J(4, 1)]) @ inverse(_U4), 4),
          [1, 3]),
-        (abelian_en(_U3 @ block_diag([J(5, 2), J(-5, 1)]) @ _U3.inverse(), 25), []),
-        (abelian_en(_U3 @ block_diag([J(2, 2), J(3, 1)]) @ _U3.inverse(), 6),
+        (abelian_en(_U3 @ block_diag([J(5, 2), J(-5, 1)]) @ inverse(_U3), 25), []),
+        (abelian_en(_U3 @ block_diag([J(2, 2), J(3, 1)]) @ inverse(_U3), 6),
          [1, 2, 3, 4, 5, 6]),
         (abelian_from_h1(3, U6 @ block_diag([J(2, 2)] + [J(x, 1) for x in (1, 3, 3, 6)])
-                         @ U6.inverse(), 6),
+                         @ inverse(U6), 6),
          [1, 2, 4, 5]),
     ]
 
@@ -462,7 +552,7 @@ def _conjugated_jordan_matrices(draw):
         blocks.append(_jordan_block(draw(st.sampled_from([-3, -2, 1, 2, 3, 4, 6])), size))
         left -= size
     U = _random_unimodular(random.Random(draw(st.integers(0, 2**16))), n)
-    return U @ block_diag(blocks) @ U.inverse()
+    return U @ block_diag(blocks) @ inverse(U)
 
 
 @settings(max_examples=40, deadline=None)
@@ -497,7 +587,7 @@ def test_non_semisimple_e4_reads_every_degree_off_degree_one():
     # power matrices took over 90 s; the guard is loose for a slow host.
     B = block_diag([_jordan_block(5, 2), _rotation(3, 4)])
     t0 = time.perf_counter()
-    jordan = _jordan_verdicts(abelian_en(_U4 @ B @ _U4.inverse(), 25), (2, 3, 5))
+    jordan = _jordan_verdicts(abelian_en(_U4 @ B @ inverse(_U4), 25), (2, 3, 5))
     assert time.perf_counter() - t0 < 30
     assert jordan == {k: "pass" for k in range(9)}
 

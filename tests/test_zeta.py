@@ -1,9 +1,13 @@
 """Lefschetz numbers, zeta functions, and the zeta functional equation."""
 
+from fractions import Fraction
+
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from test_acceptance import grassmannian_models
-from helpers import block_diag, lefschetz_number_by_trace
+from helpers import block_diag, lefschetz_number_by_trace, loop_poly_mul
 from test_varieties import _e4_q25, _test_abelian_models
 
 from endospec import zeta
@@ -13,6 +17,8 @@ from endospec.poly import Poly, functional_equation_check
 from endospec.varieties import abelian_en, generic_model, grassmannian
 from endospec.verify import full_report
 from endospec.zeta import (
+    ZetaFunction,
+    _scaled_star,
     lefschetz_number,
     model_facts,
     zeta_function,
@@ -265,8 +271,8 @@ def test_zeta_functional_equation_fails_on_non_dual_degrees(monkeypatch):
     for act in NON_DUAL.actions:
         assert functional_equation_check(act.charpoly, 5, act.degree).holds
     calls = []
-    products = zeta._sides_by_products
-    monkeypatch.setattr(zeta, "_sides_by_products", lambda zf: calls.append(zf) or products(zf))
+    products = zeta._product_sign
+    monkeypatch.setattr(zeta, "_product_sign", lambda zf: calls.append(zf) or products(zf))
     res = _functional_equation(NON_DUAL)
     assert res.sign is None and not res.holds
     # degree 3 is not the q**2-reciprocal of degree 1: no dual pairs
@@ -311,6 +317,81 @@ def test_dual_pair_route_matches_product_identity(monkeypatch):
     assert [_zeta_outcome(m) for m in models] == by_pairs
 
 
+_COEFFS = st.lists(
+    st.one_of(
+        st.just(0),
+        st.integers(-9, 9),
+        st.integers(-(2**300), 2**300),
+        st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    ),
+    min_size=1,
+    max_size=12,
+).filter(any)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    num=_COEFFS,
+    den=_COEFFS,
+    relation=st.sampled_from(("drawn", "equal", "negated")),
+    chi=st.integers(-4, 4),
+    q=st.sampled_from((2, 3, 10, 2**64 + 13)),
+    d=st.integers(0, 3),
+)
+@example(num=[1], den=[1], relation="drawn", chi=0, q=2, d=0)
+@example(num=[0, 0, 5], den=[-1], relation="drawn", chi=0, q=10, d=1)
+@example(num=[7, 0, -3], den=[1, 0, 0, 2], relation="drawn", chi=2, q=3, d=1)
+@example(num=[Fraction(1, 2), 3], den=[Fraction(-2, 3)], relation="negated", chi=0, q=3, d=2)
+def test_product_sign_decides_like_schoolbook_products(num, den, relation, chi, q, d):
+    """The packed comparison gives the sign the schoolbook products
+    q**(e/2) * G(N) * D and G(D) * N give: zero, negative, small and
+    rational coefficients beside 300-bit ones, operands of length 1, and
+    N = D or N = -D, where the sides agree when e = 0."""
+    if relation == "equal":
+        den = num
+    elif relation == "negated":
+        den = [-c for c in num]
+    N, D = Poly(num), Poly(den)
+    zf = ZetaFunction(N, D, chi, q, d)
+    e = d * chi
+    L = loop_poly_mul(_scaled_star(N, q, d), D).scale(q ** max(e // 2, 0))
+    R = loop_poly_mul(_scaled_star(D, q, d), N).scale(q ** max(-e // 2, 0))
+    expected = 1 if L == R else -1 if L == -R else None
+    assert zeta._product_sign(zf) == expected
+    if relation != "drawn" and e == 0:
+        assert expected == 1
+
+
+def test_rational_model_takes_the_product_identity(monkeypatch):
+    """A strict model with a rational coefficient whose degrees each pass
+    their own functional equation but are not cross-dual gets its zeta
+    verdict from the product identity, as the schoolbook products give it."""
+    polys = {
+        0: Poly.from_desc([1, -1]),
+        1: Poly.from_desc([1, Fraction(1, 2), 3]),
+        2: Poly.from_desc([1, -3]) ** 2,
+        3: Poly.from_desc([1, 1, 27]),
+        4: Poly.from_desc([1, -9]),
+    }
+    model = generic_model(2, 3, charpolys=polys, strict=True)
+    facts = model_facts(model)
+    assert all(f.fe.holds for f in facts.values())
+    assert zeta._dual_pair_sides(facts) is None
+    zf = zeta_function(model)
+    calls = []
+    products = zeta._product_sign
+    monkeypatch.setattr(zeta, "_product_sign", lambda zf: calls.append(zf) or products(zf))
+    res = zeta_functional_equation(zf, facts)
+    e = zf.dimension * zf.chi
+    L = loop_poly_mul(_scaled_star(zf.numerator, 3, 2), zf.denominator).scale(3 ** max(e // 2, 0))
+    R = loop_poly_mul(_scaled_star(zf.denominator, 3, 2), zf.numerator).scale(3 ** max(-e // 2, 0))
+    assert res.sign == (1 if L == R else -1 if L == -R else None)
+    assert len(calls) == 1
+    report = full_report(model, [2, 3])
+    (row,) = [r for r in report.results if r.check_id == "zeta_functional_equation"]
+    assert row.status == ("pass" if res.holds else "fail")
+
+
 def _e5_q25():
     """E^5 with q = 25 from two rotation blocks and the scalar 5: the
     zeta function has numerator and denominator of degree 512."""
@@ -327,15 +408,14 @@ def test_e5_zeta_functional_equation_by_dual_pairs(monkeypatch):
     res = zeta_functional_equation(zf, model_facts(model))
     assert res.holds and res.sign == 1 and res.mu == 4
     # The product identity itself (two products of degree-512 polynomials
-    # with coefficients of some 12000 bits, the slow part of this test):
-    # with chi = 0 it reads G(N) * D = sign * G(D) * N.
-    lhs, rhs = zeta._sides_by_products(zf)
-    assert lhs == rhs
+    # with coefficients of some 12000 bits, compared packed): with chi = 0
+    # it reads G(N) * D = sign * G(D) * N.
+    assert zeta._product_sign(zf) == 1
 
     def refuse(zf):
         raise AssertionError("product identity used")
 
-    monkeypatch.setattr(zeta, "_sides_by_products", refuse)
+    monkeypatch.setattr(zeta, "_product_sign", refuse)
     report = full_report(model, [5])
     (zeta_check,) = [c for c in report.results if c.check_id == "zeta_functional_equation"]
     assert zeta_check.status == "pass"
