@@ -5,7 +5,12 @@ ints in ascending degree order with no trailing zeros (the zero polynomial
 is the empty list). The two product kernels, mat_mul_int and poly_mul_int,
 only add and multiply, so they also take Fraction entries and tuples: every
 Poly and ExactMatrix product runs on them. So does poly_pseudo_divmod_int,
-which is how poly.exact_divide_out divides by a monic factor.
+the one polynomial division: Poly.divmod_by and poly.exact_divide_out call
+it with a monic divisor, which it never rescales.
+
+pivot_step_int is the one fraction-free elimination step (Bareiss 1968):
+det_int, matrixops' Gauss-Jordan reduction and its positive-definiteness
+test each run it, clearing the rows they name.
 
 poly_product_sign_int decides whether two products of integer polynomials
 are equal or opposite without forming either: each side is packed into
@@ -40,33 +45,38 @@ def mat_mul_int(a, b):
     return out
 
 
+def pivot_step_int(a, r, c, prev, clear):
+    """One fraction-free elimination step on the integer rows a, in place
+    (Bareiss 1968): clear column c off the rows `clear` with the pivot
+    p = a[r][c] != 0, then divide by prev, the previous step's pivot (1 at
+    the first step). By Sylvester's identity every division is exact and
+    each entry stays an integer minor: with no row swapped, p is the
+    leading principal minor of order r + 1. Returns p."""
+    p = a[r][c]
+    pivot_row = a[r]
+    for i in clear:
+        row = a[i]
+        f = row[c]
+        a[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+    return p
+
+
 def det_int(rows):
-    """Determinant by fraction-free Bareiss elimination (exact divisions)."""
+    """Determinant: pivot_step_int clears the rows below each pivot, rows
+    swapped for a nonzero pivot, and the last pivot is the determinant up
+    to the sign of the swaps."""
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            ri = m[i]
-            rk = m[k]
-            f = ri[k]
-            for j in range(k + 1, n):
-                ri[j] = (pivot * ri[j] - f * rk[j]) // prev
-            ri[k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+    a = [list(r) for r in rows]
+    sign = p = 1
+    for k in range(n):
+        pr = next((i for i in range(k, n) if a[i][k]), None)
+        if pr is None:
+            return 0
+        if pr != k:
+            a[k], a[pr] = a[pr], a[k]
+            sign = -sign
+        p = pivot_step_int(a, k, k, p, range(k + 1, n))
+    return sign * p
 
 
 def charpoly_int(rows):

@@ -20,7 +20,7 @@ from endospec.errors import EndospecError, ValidityError
 from endospec.exactnum import NormalizedValuation
 from endospec.matrixops import matrix_from_strings, matrix_to_strings
 from endospec.poly import coeff_strings, poly_from_strings
-from endospec.polygons import hodge_polygon, newton_polygon, np_ge_hp, vertices_json
+from endospec.polygons import hodge_polygon, np_ge_hp, vertices_json
 from endospec.varieties import (
     abelian_en,
     abelian_from_h1,
@@ -446,7 +446,7 @@ def cmd_polygons(args):
     if model.betti(i) == 0:
         raise ValidityError(f"degree {i} has no cohomology")
     v = NormalizedValuation(args.prime, model.q)
-    NP = newton_polygon(model.charpoly(i), v)
+    NP = model_facts(model)[i].newton_polygon(v)
     notes = [f"newton: {vertices_json(NP)}"]
     HP = None
     if has_hodge_data(model, i):

@@ -14,7 +14,11 @@ from math import isqrt
 
 from endospec.errors import DomainError
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13: the least strong pseudoprime to every base in _SMALL_PRIMES
+# (Sorenson and Webster, Math. Comp. 2017), so Miller-Rabin on them is
+# exact below it.
+PRIME_BOUND = 3317044064679887385961981
 # The schema's rationalString; [0-9] matches ASCII digits only.
 _RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 # Longer refused literals are echoed cut short, with their length.
@@ -22,9 +26,14 @@ _SHOWN_CHARS = 40
 
 
 def is_prime(n):
-    """Deterministic Miller-Rabin, exact for every n below 3.3e24."""
+    """Deterministic Miller-Rabin on the first 13 primes as bases, exact
+    for every n below PRIME_BOUND; a larger n is refused."""
     if n < 2:
         return False
+    if n >= PRIME_BOUND:
+        raise DomainError(
+            f"primality is decided only below {PRIME_BOUND}, not for {_shown(str(n))}"
+        )
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p

@@ -4,9 +4,10 @@ the eigenvalue-reciprocity test on Jordan data, bilinear pairing checks, and
 the exact decision whether a positive-definite polarization witness exists
 (one projection onto a kernel).
 
-Kernels and leading principal minors come from one fraction-free
-Gauss-Jordan elimination over the integers (Bareiss 1968): every entry
-stays an integer minor of the input while it runs.
+Kernels come from a fraction-free Gauss-Jordan elimination over the
+integers and leading principal minors from a forward pass, both on the one
+Bareiss (1968) step _kernels.pivot_step_int: every entry stays an integer
+minor of the input while it runs.
 
 Jordan symmetry is one predicate, jordan_symmetry_check, over the Jordan
 data each degree of a model carries (varieties.CohomologyAction): each
@@ -14,14 +15,13 @@ polynomial D of degree n must satisfy t**n * D(q**i/t) = D(0) * D(t), the
 reciprocity identity that poly decides for every check.
 
 Matrices carry int or Fraction entries and are immutable. Heavy integer
-inner loops (determinants, minors, polynomial row updates) live in
-endospec._kernels.
+inner loops (the elimination step, determinants, minors, polynomial
+division, row updates and row contents) live in endospec._kernels.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
 from typing import Optional
 
 from endospec import poly as polymod
@@ -29,6 +29,7 @@ from endospec._kernels import (
     det_int,
     mat_mul_int,
     minor_dets_int,
+    pivot_step_int,
     poly_pseudo_divmod_int,
     poly_scale_sub_int,
     row_combine_int,
@@ -215,16 +216,12 @@ def _char_matrix(rows):
 
 
 def _strip_column(mat, j, start):
-    g = 0
-    for i in range(start, len(mat)):
-        for coef in mat[i][j]:
-            if coef:
-                g = gcd(g, coef)
-                if g == 1:
-                    return
+    """Divide column j of the rows from start on by its content."""
+    column = [row[j] for row in mat[start:]]
+    g = row_content_int(column)
     if g > 1:
-        for i in range(start, len(mat)):
-            mat[i][j] = [coef // g for coef in mat[i][j]]
+        for row, entry in zip(mat[start:], row_divide_int(column, g)):
+            row[j] = entry
 
 
 def _diagonalize(mat):
@@ -356,22 +353,6 @@ def pairing_check(M, B, q, i):
     return PairingResult(True)
 
 
-def _pivot_step(a, r, c, prev):
-    """One fraction-free Gauss-Jordan step on the integer rows a, in place:
-    clear column c off every row but r with the pivot p = a[r][c] != 0,
-    then divide by prev, the previous step's pivot (1 at the first step).
-    By Sylvester's identity every division is exact and each entry stays
-    an integer minor: with no row swapped, p is the leading principal
-    minor of order r + 1. Returns p."""
-    p = a[r][c]
-    pivot_row = a[r]
-    for i, row in enumerate(a):
-        if i != r:
-            f = row[c]
-            a[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
-    return p
-
-
 def _row_reduce(a):
     """Fraction-free reduced row echelon form of the integer rows a, in
     place: (pivot columns, last pivot p). Each pivot row then holds p on
@@ -384,7 +365,7 @@ def _row_reduce(a):
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        p = _pivot_step(a, r, c, p)
+        p = pivot_step_int(a, r, c, p, (i for i in range(len(a)) if i != r))
         pivots.append(c)
         if len(pivots) == len(a):
             break
@@ -410,14 +391,15 @@ def _nullspace(rows):
 
 def _is_positive_definite(D):
     """Sylvester's criterion: every leading principal minor of the
-    symmetric D is positive, read off the pivots of one fraction-free pass
-    that never swaps rows (a zero pivot already fails)."""
+    symmetric D is positive, read off the pivots of one fraction-free
+    forward pass that clears the rows below each pivot and never swaps
+    rows (a zero pivot already fails)."""
     a, _ = polymod._cleared(D.rows)
-    p = 1
-    for k in range(len(a)):
+    n, p = len(a), 1
+    for k in range(n):
         if a[k][k] <= 0:
             return False
-        p = _pivot_step(a, k, k, p)
+        p = pivot_step_int(a, k, k, p, range(k + 1, n))
     return True
 
 

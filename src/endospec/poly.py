@@ -163,28 +163,16 @@ class Poly:
         return Poly([_ratio(c, lead) for c in self._asc])
 
     def divmod_by(self, divisor):
-        """Quotient and remainder; divisor is normalized monic first."""
+        """Quotient and remainder; divisor is normalized monic first, so
+        the pseudo-division kernel never rescales."""
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        d = divisor.monic()
         lead = divisor._asc[-1]
-        r = list(self._asc)
-        dn = d.degree
-        if self.degree < dn:
-            return Poly([]), self
-        q = [0] * (self.degree - dn + 1)
-        dd = d._asc
-        for k in range(len(r) - 1, dn - 1, -1):
-            c = r[k]
-            if not c:
-                continue
-            q[k - dn] = c
-            for j, dj in enumerate(dd):
-                r[k - dn + j] = r[k - dn + j] - c * dj
+        _, q, r = poly_pseudo_divmod_int(self._asc, divisor.monic()._asc)
         quot = Poly(q)
         if lead != 1:
             quot = Poly([_ratio(c, Fraction(lead)) for c in quot._asc])
-        return quot, Poly(r[:dn])
+        return quot, Poly(r)
 
     def derivative(self):
         return Poly([k * self._asc[k] for k in range(1, len(self._asc))])
@@ -445,8 +433,7 @@ def exterior_power_charpolys(factors):
 def _primitive(coeffs):
     """Coprime integer coefficients of a positive rational multiple of a
     nonzero polynomial (ascending)."""
-    den = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
+    (ints,), _ = _cleared([coeffs])
     g = gcd(*ints)
     return [c // g for c in ints]
 
@@ -638,14 +625,14 @@ class DegreeFacts:
       (valuations add).
     - roots, P's eigenvalues when all are known rationals: (root,
       multiplicity) pairs with distinct nonzero roots and positive
-      multiplicities whose product of (t - root)**multiplicity is P. Then
-      the squarefree and circle-free parts are products over the roots,
-      the circle defect is None when no root is left off the real circle
-      points, mu+- are the multiplicities of +-isqrt(q**i), and the Newton
-      polygon's slopes are the root valuations.
+      multiplicities whose product of (t - root)**multiplicity is P. They
+      decide three facts: the circle defect is None when every root r has
+      r**2 = q**i, mu+- are the multiplicities of +-isqrt(q**i), and the
+      Newton polygon's slopes are the root valuations.
 
-    The functional equation, cross duality and any circle defect that is
-    not None are decided on P either way."""
+    The functional equation, cross duality, the squarefree and circle-free
+    parts and any circle defect that is not None are decided on P either
+    way."""
 
     degree: int
     q: int
@@ -689,24 +676,20 @@ class DegreeFacts:
 
     @_fact
     def squarefree(self):
-        if self.roots is None:
-            return squarefree_part(self.charpoly)
-        return Poly.from_roots(r for r, _ in self.roots)
+        return squarefree_part(self.charpoly)
 
     @_fact
     def circle_free(self):
-        Q = self.q**self.degree
-        if self.roots is None:
-            return _without_real_circle_points(self.squarefree, Q)
-        return Poly.from_roots(r for r, _ in self.roots if r * r != Q)
+        return _without_real_circle_points(self.squarefree, self.q**self.degree)
 
     @_fact
     def circle_defect(self):
+        Q = self.q**self.degree
         if self.h1 is not None and self.h1.circle_defect is None:
             return None
-        if self.roots is not None and self.circle_free.degree == 0:
+        if self.roots is not None and all(r * r == Q for r, _ in self.roots):
             return None
-        return _circle_defect(self.squarefree, self.circle_free, self.q**self.degree)
+        return _circle_defect(self.squarefree, self.circle_free, Q)
 
     def newton_polygon(self, v):
         """Newton polygon of P under v, a valuation normalized against q."""

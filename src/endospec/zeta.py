@@ -20,12 +20,12 @@ refused before any work.
 """
 
 from dataclasses import dataclass
-from math import lcm, log10
+from math import log10
 from typing import Optional
 
 from endospec._kernels import poly_product_sign_int
 from endospec.errors import DomainError, EndospecError, InapplicableModelError
-from endospec.poly import DegreeFacts, Poly, power_sums
+from endospec.poly import DegreeFacts, Poly, _cleared, power_sums
 
 
 @dataclass(frozen=True)
@@ -166,23 +166,17 @@ def _q_power_scales(zf):
     return (zf.q ** (e // 2), 1) if e >= 0 else (1, zf.q ** (-e // 2))
 
 
-def _cleared(F):
-    """F times the lcm of its coefficients' denominators, with int
-    coefficients."""
-    asc = F.coeffs_asc()
-    m = lcm(*(c.denominator for c in asc))
-    return Poly([c.numerator * (m // c.denominator) for c in asc])
-
-
 def _product_sign(zf):
     """1 when q**(e/2) * G(N) * D = G(D) * N for zf = N/D, with G =
     _scaled_star and e = d*chi (the power of q moved to the right when
     e < 0), -1 when the sides are opposite, else None. Rational
-    coefficients are cleared first: G is linear, so scaling N by a and D
-    by b multiplies both sides by ab. The products are compared packed
-    (_kernels.poly_product_sign_int) and never formed."""
+    coefficients are cleared first by one common denominator c: G is
+    linear, so scaling N and D by c multiplies both sides by c**2. The
+    products are compared packed (_kernels.poly_product_sign_int) and never
+    formed."""
     q, d = zf.q, zf.dimension
-    N, D = _cleared(zf.numerator), _cleared(zf.denominator)
+    rows, _ = _cleared([zf.numerator.coeffs_asc(), zf.denominator.coeffs_asc()])
+    N, D = map(Poly, rows)
     scale_l, scale_r = _q_power_scales(zf)
     return poly_product_sign_int(
         [_scaled_star(N, q, d).coeffs_asc(), D.coeffs_asc(), [scale_l]],

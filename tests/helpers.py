@@ -300,16 +300,43 @@ def loop_mat_mul(A, B):
 
 
 # -- Division loops ----------------------------------------------------------
-# poly.exact_divide_out before it divided coefficient lists, one
-# Poly.divmod_by per power of the factor; and the pseudo-division kernel
-# before it skipped the rescaling by a leading coefficient of 1.
+# Poly.divmod_by before it called the pseudo-division kernel: its own loop
+# over int and Fraction coefficients. poly.exact_divide_out before it
+# divided coefficient lists, one such division per power of the factor;
+# and the pseudo-division kernel before it skipped the rescaling by a
+# leading coefficient of 1.
+
+
+def fraction_divmod(P, divisor):
+    """Quotient and remainder; divisor is normalized monic first."""
+    if divisor.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    d = divisor.monic()
+    lead = divisor.leading
+    r = list(P.coeffs_asc())
+    dn = d.degree
+    if P.degree < dn:
+        return Poly([]), P
+    q = [0] * (P.degree - dn + 1)
+    dd = d.coeffs_asc()
+    for k in range(len(r) - 1, dn - 1, -1):
+        c = r[k]
+        if not c:
+            continue
+        q[k - dn] = c
+        for j, dj in enumerate(dd):
+            r[k - dn + j] = r[k - dn + j] - c * dj
+    quot = Poly(q)
+    if lead != 1:
+        quot = Poly([_ratio(c, Fraction(lead)) for c in quot.coeffs_asc()])
+    return quot, Poly(r[:dn])
 
 
 def divmod_by_exact_divide_out(P, factor):
     m = 0
     current = P
     while not current.is_zero:
-        quot, rem = current.divmod_by(factor)
+        quot, rem = fraction_divmod(current, factor)
         if not rem.is_zero:
             break
         current = quot

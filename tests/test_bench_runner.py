@@ -17,7 +17,9 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import metrics  # noqa: E402
 import run  # noqa: E402
+import spans  # noqa: E402
 import workloads  # noqa: E402
 
 run.import_endospec()
@@ -50,6 +52,12 @@ def runner(tmp_path, monkeypatch, alarm):
 
 def by_id(runner, op_id):
     return next(op for op in runner.ops if op.op_id == op_id)
+
+
+def test_every_per_layer_metric_finds_its_layer():
+    """The benchmark finds functions by their names and modules, so a rename
+    in the package would silently zero the per-layer metrics on it."""
+    assert metrics.absent_layers(spans.find_targets()) == []
 
 
 def test_timeout_is_reported_and_not_rerun(runner):

@@ -325,6 +325,58 @@ def test_long_refused_literals_are_cut_short(tmp_path, capsys):
         assert err == f"endospec: isogeny_matrix: not a rational literal: {shown}\n"
 
 
+def test_verify_refuses_primes_past_the_primality_bound(tmp_path, capsys):
+    """psi_12 = 399165290221 * 798330580441 passes Miller-Rabin to the
+    first 12 prime bases; the 13th refuses it, and from psi_13 on no prime
+    is decided."""
+    path = write_descriptor(tmp_path, EXAMPLE_DESCRIPTOR)
+    for spec, message in (
+        ("318665857834031151167461", "318665857834031151167461 is not prime"),
+        ("3317044064679887385961981", "primality is decided only below 3317044064679887385961981"),
+        ("15", "15 is not prime"),
+    ):
+        assert cli.main(["verify", path, "--primes", spec]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"endospec: {message}")
+
+
+def _polygon_models():
+    """A model of each route a degree's Newton polygon can take: E^2 and
+    E^3 abelian_en (every degree from 2 on from degree 1's slopes), a
+    non-semisimple abelian model, G(k, n) for n <= 6, with the involution
+    variant where n = 2k (from the eigenvalues), and a generic model (from
+    the polynomial)."""
+    models = [
+        abelian_en([[1, -5], [1, 1]], 6),
+        abelian_en([[3, -4, 0], [4, 3, 0], [0, 0, 5]], 25),
+        abelian_from_h1(2, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 4, 0], [0, 0, 0, 4]], 4),
+        parse_descriptor(GENERIC_DESCRIPTOR),
+    ]
+    for n in range(2, 7):
+        models += [grassmannian(k, n, 4) for k in range(1, n)]
+        if n % 2 == 0:
+            models.append(grassmannian(n // 2, n, 4, "involution"))
+    return models
+
+
+def test_polygons_command_matches_the_report(tmp_path, capsys):
+    """The polygons command prints, for every degree with cohomology and
+    every prime, the Newton polygon the report records."""
+    primes = ("2", "3", "5")
+    for model in _polygon_models():
+        path = write_descriptor(tmp_path, serialize_model(model))
+        assert cli.main(["verify", path, "--primes", ",".join(primes), "--json-only"]) in (0, 1)
+        rows = json.loads(capsys.readouterr().out)["degrees"]
+        for row in rows:
+            if not row["betti"]:
+                continue
+            for prime in primes:
+                argv = ["polygons", path, "--prime", prime, "--degree", str(row["degree"])]
+                assert cli.main([*argv, "--json-only"]) == 0
+                newton = json.loads(capsys.readouterr().out)["newton"]
+                assert newton == row["newton_polygons"][prime], (model.kind, argv)
+
+
 def test_zeta_inapplicable_functional_equation(tmp_path):
     path = write_descriptor(tmp_path, CORRUPTED_DESCRIPTOR)
     proc = run_cli("zeta", path, "--json-only")

@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+import sympy
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from endospec.errors import DomainError
 from endospec.exactnum import (
+    PRIME_BOUND,
     NormalizedValuation,
     int_valuation,
     is_prime,
@@ -85,6 +87,56 @@ def test_is_prime():
         assert is_prime(p)
     for n in (0, 1, 4, 9, 91, 2**31):
         assert not is_prime(n)
+
+
+# psi_1..psi_12: the least strong pseudoprimes to the first 1..12 prime
+# bases (Sorenson and Webster, Math. Comp. 2017, and earlier tables).
+STRONG_PSEUDOPRIMES = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+    318665857834031151167461,
+)
+CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185, 5394826801)
+
+
+def test_is_prime_refuses_strong_pseudoprimes_and_carmichael_numbers():
+    for n in STRONG_PSEUDOPRIMES + CARMICHAEL:
+        assert not sympy.isprime(n)
+        assert not is_prime(n), n
+    assert 318665857834031151167461 == 399165290221 * 798330580441
+
+
+def test_is_prime_refuses_to_decide_from_its_bound_on():
+    assert PRIME_BOUND == 3317044064679887385961981 and not sympy.isprime(PRIME_BOUND)
+    below = sympy.prevprime(PRIME_BOUND)
+    assert is_prime(below) and not is_prime(PRIME_BOUND - 1)
+    for n in (PRIME_BOUND, sympy.nextprime(PRIME_BOUND), 10**4000):
+        with pytest.raises(DomainError, match=str(PRIME_BOUND)):
+            is_prime(n)
+
+
+_BELOW_1E24 = st.one_of(
+    st.integers(0, 10**24),
+    st.integers(3, 10**24).map(sympy.prevprime),
+    st.tuples(st.integers(2, 10**12), st.integers(2, 10**12)).map(
+        lambda ab: sympy.nextprime(ab[0]) * sympy.nextprime(ab[1])
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_BELOW_1E24)
+@example(41)
+@example(41 * 43)
+@example(10**24 - 1)
+def test_is_prime_matches_sympy_below_1e24(n):
+    assert is_prime(n) == sympy.isprime(n)
 
 
 def test_int_valuation_and_perfect_sqrt():

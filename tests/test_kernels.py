@@ -5,6 +5,7 @@ from decimal import Inexact
 from fractions import Fraction
 
 import pytest
+import sympy
 from helpers import loop_mat_mul, loop_poly_mul, rescaling_pseudo_divmod
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from endospec.poly import Poly
 KERNEL_NAMES = [
     "mat_mul_int",
     "det_int",
+    "pivot_step_int",
     "charpoly_int",
     "minor_dets_int",
     "poly_mul_int",
@@ -65,6 +67,39 @@ def test_big_integer_path():
 def test_all_kernels_exported():
     for name in KERNEL_NAMES:
         assert callable(getattr(kernels, name))
+
+
+@st.composite
+def _square_integer_matrices(draw):
+    """1..6-square integer matrices, small entries (so zero pivots are
+    common) or 100-bit ones, with the leading entry zeroed to force a swap,
+    a row repeated or a column zeroed to make them singular."""
+    n = draw(st.integers(1, 6))
+    entries = draw(st.sampled_from([st.integers(-3, 3), st.integers(-(2**100), 2**100)]))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        rows[0][0] = 0
+    if n > 1 and draw(st.booleans()):
+        rows[-1] = list(rows[draw(st.integers(0, n - 2))])
+    if draw(st.booleans()):
+        col = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[col] = 0
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_square_integer_matrices())
+@example([[0]])
+@example([[0, 1], [1, 0]])
+@example([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+@example([[0, 2, 1], [0, 1, 3], [4, 5, 6]])
+@example([[1, 2, 3], [2, 4, 7], [1, 1, 1]])  # a zero pivot after one step
+@example([[1, 2], [2, 4]])
+def test_det_matches_sympy(rows):
+    """det_int, a row-swap loop over the shared elimination step, against
+    sympy's determinant."""
+    assert kernels.det_int(rows) == sympy.Matrix(rows).det()
 
 
 # int and Fraction entries mixed, zeros and negatives included

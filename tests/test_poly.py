@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from helpers import divmod_by_exact_divide_out, inverse
+from helpers import divmod_by_exact_divide_out, fraction_divmod, inverse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -319,6 +319,24 @@ def test_exact_divide_out_matches_the_divmod_loop(rest, low, m):
     typed = lambda Q: [(type(c), c) for c in Q.coeffs_asc()]
     assert got[1] == want[1] and typed(got[0]) == typed(want[0])
     assert got[1] >= m or P.is_zero
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(EXACT, max_size=6), st.lists(EXACT, min_size=1, max_size=4))
+@example([], [0, 2])  # the zero dividend, a non-monic divisor
+@example([1, 2], [0, 0, 3])  # deg P < deg D
+@example([Fraction(1, 2), 3, 0, 5], [1, Fraction(2, 3)])
+@example([4, 0, 6], [-2])  # a constant divisor
+def test_divmod_by_matches_the_fraction_loop(dividend, divisor):
+    """Poly.divmod_by on the pseudo-division kernel gives the quotient and
+    remainder of its own former loop, coefficient types included."""
+    P, D = Poly(dividend), Poly(divisor)
+    if D.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            P.divmod_by(D)
+        return
+    typed = lambda Q: [(type(c), c) for c in Q.coeffs_asc()]
+    assert [typed(Q) for Q in P.divmod_by(D)] == [typed(Q) for Q in fraction_divmod(P, D)]
 
 
 def test_half_weight_multiplicity_conventions():
