@@ -16,8 +16,7 @@ from endospec.errors import (
     SingularActionError,
     ValidityError,
 )
-from endospec.exactnum import NormalizedValuation, valuate
-from endospec.majorize import compound, majorizes
+from endospec.exactnum import NormalizedValuation
 from endospec.matrixops import (
     ExactMatrix,
     exterior_power,
@@ -27,20 +26,23 @@ from endospec.matrixops import (
     polarization_witness,
 )
 from endospec.poly import (
+    DegreeFacts,
     Poly,
     charpoly,
     cross_duality_check,
-    degree_facts,
     duality_partner,
     functional_equation_check,
     half_weight_multiplicity,
+    model_facts,
     power_sums,
     reciprocal_partner,
 )
 from endospec.polygons import (
     HodgePolygon,
     NewtonPolygon,
+    compound,
     hodge_polygon,
+    majorizes,
     newton_polygon,
     np_ge_hp,
     slope_zero_check,
@@ -63,7 +65,6 @@ from endospec.verify import (
 from endospec.zeta import (
     ZetaFunction,
     lefschetz_number,
-    model_facts,
     zeta_function,
     zeta_functional_equation,
     zeta_series_consistency,
@@ -75,6 +76,7 @@ __all__ = [
     "BACKEND",
     "CheckResult",
     "ConsistencyError",
+    "DegreeFacts",
     "DomainError",
     "DualityViolationError",
     "EndospecError",
@@ -95,7 +97,6 @@ __all__ = [
     "charpoly",
     "compound",
     "cross_duality_check",
-    "degree_facts",
     "duality_partner",
     "epsilon_congruence_check",
     "exterior_power",
@@ -118,7 +119,6 @@ __all__ = [
     "reciprocal_partner",
     "slope_zero_check",
     "symmetry_check",
-    "valuate",
     "weil_weight_check",
     "zeta_function",
     "zeta_functional_equation",

@@ -17,9 +17,9 @@ from functools import cache
 from pathlib import Path
 
 from endospec.errors import EndospecError, ValidityError
-from endospec.exactnum import NormalizedValuation
+from endospec.exactnum import _shown
 from endospec.matrixops import matrix_from_strings, matrix_to_strings
-from endospec.poly import coeff_strings, poly_from_strings
+from endospec.poly import coeff_strings, model_facts, poly_from_strings
 from endospec.polygons import hodge_polygon, np_ge_hp, vertices_json
 from endospec.varieties import (
     abelian_en,
@@ -30,7 +30,6 @@ from endospec.varieties import (
 )
 from endospec.verify import full_report
 from endospec.zeta import (
-    model_facts,
     zeta_function,
     zeta_functional_equation,
     zeta_series_consistency,
@@ -299,6 +298,8 @@ def _load_document(path):
         raise ValidityError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidityError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # arrays or objects nested past the stack
+        raise ValidityError(f"{path} is nested too deeply to read") from exc
     except ValueError as exc:  # bytes not UTF-8, an integer past the digit limit
         raise ValidityError(f"cannot read {path}: {exc}") from exc
 
@@ -404,20 +405,26 @@ def _emit(args, payload, notes):
             print(line, file=sys.stderr)
 
 
+def _option_int(token, option):
+    """An integer on the command line, read by the descriptor grammar
+    (_as_int: ASCII digits after an optional minus) once the spaces around
+    it are stripped."""
+    token = token.strip()
+    return _as_int(token, f"{option} {_shown(token)}")
+
+
 def _parse_primes(spec):
-    try:
-        primes = [int(tok) for tok in spec.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ValidityError(f"bad prime list {spec!r}") from exc
+    primes = [_option_int(tok, "--primes entry") for tok in spec.split(",") if tok.strip()]
     if not primes:
         raise ValidityError("at least one prime is required")
     return primes
 
 
 def cmd_verify(args):
+    precision = _option_int(args.precision, "--precision")
     model = parse_descriptor(_load_document(args.input))
     primes = _parse_primes(args.primes)
-    report = full_report(model, primes, precision=args.precision)
+    report = full_report(model, primes, precision=precision)
     counts = {"pass": 0, "fail": 0, "not-applicable": 0, "incomparable": 0}
     for r in report.results:
         counts[r.status] += 1
@@ -437,16 +444,16 @@ def cmd_verify(args):
 
 
 def cmd_polygons(args):
+    prime = _option_int(args.prime, "--prime")
+    i = _option_int(args.degree, "--degree")
     model = parse_descriptor(_load_document(args.input))
-    i = args.degree
     if not 0 <= i <= 2 * model.dimension:
         raise ValidityError(
             f"degree {i} out of range 0..{2 * model.dimension}"
         )
     if model.betti(i) == 0:
         raise ValidityError(f"degree {i} has no cohomology")
-    v = NormalizedValuation(args.prime, model.q)
-    NP = model_facts(model)[i].newton_polygon(v)
+    NP = model_facts(model)[i].newton_polygon(prime)
     notes = [f"newton: {vertices_json(NP)}"]
     HP = None
     if has_hodge_data(model, i):
@@ -456,7 +463,7 @@ def cmd_polygons(args):
             notes.append(f"hodge: none, all Hodge numbers of degree {i} are zero")
     payload = {
         "degree": i,
-        "prime": str(args.prime),
+        "prime": str(prime),
         "newton": vertices_json(NP),
         "hodge": vertices_json(HP) if HP is not None else None,
         "comparison": None,
@@ -479,6 +486,7 @@ def cmd_polygons(args):
 
 
 def cmd_zeta(args):
+    order = _option_int(args.order, "--order")
     model = parse_descriptor(_load_document(args.input))
     zf = zeta_function(model)
     payload = zeta_to_json(zf)
@@ -505,11 +513,11 @@ def cmd_zeta(args):
             f"(sign {fe.sign}, expected {fe.expected_sign})"
         )
         failed = failed or not fe.holds
-    consistent = zeta_series_consistency(model, args.order, zf)
-    payload["series_order"] = args.order
+    consistent = zeta_series_consistency(model, order, zf)
+    payload["series_order"] = order
     payload["series_consistent"] = consistent
     notes.append(
-        f"series check to order {args.order}: {'pass' if consistent else 'FAIL'}"
+        f"series check to order {order}: {'pass' if consistent else 'FAIL'}"
     )
     failed = failed or not consistent
     _emit(args, payload, notes)
@@ -556,8 +564,7 @@ def build_parser():
     )
     p.add_argument(
         "--precision",
-        type=int,
-        default=60,
+        default="60",
         metavar="N",
         help="accepted for compatibility; the weight check is exact and "
         "ignores it (at least 30, default 60)",
@@ -567,8 +574,8 @@ def build_parser():
 
     p = sub.add_parser("polygons", help="Newton and Hodge polygons of one degree")
     p.add_argument("input", help="model descriptor JSON path")
-    p.add_argument("--prime", type=int, required=True, help="valuation prime")
-    p.add_argument("--degree", type=int, required=True, help="cohomology degree")
+    p.add_argument("--prime", required=True, help="valuation prime")
+    p.add_argument("--degree", required=True, help="cohomology degree")
     p.add_argument("--svg", metavar="PATH", help="also render an SVG overlay")
     _add_common(p)
     p.set_defaults(fn=cmd_polygons)
@@ -577,8 +584,7 @@ def build_parser():
     p.add_argument("input", help="model descriptor JSON path")
     p.add_argument(
         "--order",
-        type=int,
-        default=5,
+        default="5",
         metavar="N",
         help="series consistency order (default 5)",
     )

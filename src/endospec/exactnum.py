@@ -139,10 +139,6 @@ class NormalizedValuation:
         return f"NormalizedValuation(prime={self.prime}, q={self.q})"
 
 
-def valuate(x, v):
-    return v.valuate(x)
-
-
 def _shown(s):
     """s for an error message: whole when short, else its first
     _SHOWN_CHARS characters and its length."""

@@ -4,7 +4,8 @@ identity t**n * P(s/t) = P(0) * Q(t) behind the functional equation, cross
 duality, Jordan symmetry and the weight check's circle gate, the exact
 circle test, power sums, and exact factor extraction. DegreeFacts gathers
 what the checks read about one degree, from its polynomial or, when they
-are known, from degree 1's facts or from its eigenvalues.
+are known, from degree 1's facts or from its eigenvalues; model_facts
+gathers them for every degree of a model.
 
 Coefficients are int or Fraction; arithmetic never leaves exact scalars,
 and the hot paths (gcd, Sturm sequences) run in integers. Storage is
@@ -27,7 +28,7 @@ from endospec.errors import (
     SingularActionError,
     ValidityError,
 )
-from endospec.exactnum import parse_rational, perfect_sqrt
+from endospec.exactnum import NormalizedValuation, parse_rational, perfect_sqrt
 
 
 class Poly:
@@ -483,11 +484,11 @@ def _sign_variations(chain, x, den):
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def count_real_roots(chain, lo=-inf, hi=inf, den=1):
-    """Distinct real roots of chain[0] in (lo/den, hi/den] by Sturm's theorem,
-    from its sturm_chain; lo and hi are rationals or -inf/inf, den > 0 an
-    integer. Exact when chain[0] is squarefree; else no end may be a root."""
-    return _sign_variations(chain, lo, den) - _sign_variations(chain, hi, den)
+def count_real_roots(chain, lo=-inf, hi=inf):
+    """Distinct real roots of chain[0] in (lo, hi] by Sturm's theorem, from
+    its sturm_chain; lo and hi are rationals or -inf/inf. Exact when
+    chain[0] is squarefree; else no end may be a root."""
+    return _sign_variations(chain, lo, 1) - _sign_variations(chain, hi, 1)
 
 
 def exact_divide_out(P, factor):
@@ -611,18 +612,19 @@ class DegreeFacts:
     (fe), the multiplicities of the eigenvalues +-q**(i/2), the squarefree
     part, that part without its real points of |t|**2 = q**i (circle_free),
     the circle defect (None when every root has |t|**2 = q**i), the
-    Newton polygon at each prime and, when the facts carry the partner
-    P_(2d-i) and the dimension d, cross duality (dual, else None). A fact
-    whose computation raised raises again when read.
+    Newton polygon at each prime, normalized against q, and, when the
+    facts carry the partner P_(2d-i) and the dimension d, cross duality
+    (dual, else None). A fact whose computation raised raises again when
+    read.
 
     Beside P itself, two sources may give facts without reading P:
 
-    - h1, the facts of degree 1, when this degree acts by the degree-th
-      exterior power of degree 1's action, so every root of P is a product
-      of `degree` roots of P_1. Then the circle defect is None whenever
-      degree 1's is (|t|**2 multiplies), and the Newton polygon at any
-      prime is built from the k-fold compounds of degree 1's root slopes
-      (valuations add).
+    - h1, the facts of degree 1 under the same q, when this degree acts by
+      the degree-th exterior power of degree 1's action, so every root of
+      P is a product of `degree` roots of P_1. Then the circle defect is
+      None whenever degree 1's is (|t|**2 multiplies), and the Newton
+      polygon at any prime is built from the k-fold compounds of degree
+      1's root slopes (valuations add).
     - roots, P's eigenvalues when all are known rationals: (root,
       multiplicity) pairs with distinct nonzero roots and positive
       multiplicities whose product of (t - root)**multiplicity is P. They
@@ -691,23 +693,36 @@ class DegreeFacts:
             return None
         return _circle_defect(self.squarefree, self.circle_free, Q)
 
-    def newton_polygon(self, v):
-        """Newton polygon of P under v, a valuation normalized against q."""
-        NP = self._polygons.get(v.prime)
+    def newton_polygon(self, prime):
+        """Newton polygon of P at `prime`, under the valuation normalized
+        against the facts' q; h1 carries the same q."""
+        NP = self._polygons.get(prime)
         if NP is None:
             if self.h1 is not None:
-                NP = polygons.compound_newton_polygon(self.h1.newton_polygon(v), self.degree)
+                NP = polygons.compound_newton_polygon(self.h1.newton_polygon(prime), self.degree)
             elif self.roots is not None:
-                NP = polygons.root_newton_polygon(self.roots, v)
+                NP = polygons.root_newton_polygon(self.roots, NormalizedValuation(prime, self.q))
             else:
-                NP = polygons.newton_polygon(self.charpoly, v)
-            self._polygons[v.prime] = NP
+                NP = polygons.newton_polygon(self.charpoly, NormalizedValuation(prime, self.q))
+            self._polygons[prime] = NP
         return NP
 
 
-def degree_facts(P, q, i):
-    """DegreeFacts of P in weight i, without a partner."""
-    return DegreeFacts(i, q, P)
+def model_facts(model):
+    """DegreeFacts of every degree with cohomology, keyed by degree in order,
+    each with degree 2d - i as its cross-duality partner. When the model's
+    degrees are exterior powers of degree 1 (abelian_from_h1), every degree
+    from 2 on reads its weight and Newton polygons off degree 1's facts. A
+    degree whose action carries its eigenvalues (CohomologyAction.roots)
+    reads the facts they give off them."""
+    q, d = model.q, model.dimension
+    facts = {}
+    for i, act in enumerate(model.actions):
+        if act.betti:
+            h1 = facts[1] if model.exterior_powers and i >= 2 else None
+            partner = model.charpoly(2 * d - i)
+            facts[i] = DegreeFacts(i, q, act.charpoly, partner, d, h1, act.roots)
+    return facts
 
 
 def poly_gcd(P, Q):

@@ -1,5 +1,7 @@
 """Newton polygons of exact polynomials under normalized valuations, Hodge
-polygons from Hodge numbers, and the predicates comparing them.
+polygons from Hodge numbers, the predicates comparing them, and the
+majorization order on slope vectors with their k-fold subset-sum
+compounds.
 
 Both polygon kinds are the same data: the integer points of a strictly
 convex lower hull, starting at the origin with strictly increasing
@@ -17,6 +19,7 @@ k-fold compounds of the other's root slopes.
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from typing import Optional
 
@@ -27,7 +30,34 @@ from endospec.errors import (
     ValidityError,
 )
 from endospec.exactnum import rational_valuation
-from endospec.majorize import compound
+
+
+def majorizes(x, y):
+    """True iff x is majorized by y: every partial sum of the k largest
+    entries of x is at most the matching sum for y, with equal totals.
+    Exact on ints and Fractions in any order."""
+    x = list(x)
+    y = list(y)
+    if len(x) != len(y):
+        raise ShapeError(f"length mismatch {len(x)} vs {len(y)}")
+    xs = sorted(x, reverse=True)
+    ys = sorted(y, reverse=True)
+    ax = Fraction(0)
+    ay = Fraction(0)
+    for k in range(len(xs) - 1):
+        ax += xs[k]
+        ay += ys[k]
+        if ax > ay:
+            return False
+    return ax + xs[-1] == ay + ys[-1]
+
+
+def compound(x, k):
+    """All k-fold subset sums of x, in lexicographic index order."""
+    x = list(x)
+    if not 1 <= k <= len(x):
+        raise ShapeError(f"compound index {k} outside 1..{len(x)}")
+    return [sum(c) for c in combinations(x, k)]
 
 
 def _lower_hull(points):

@@ -147,7 +147,7 @@ def _abelian_hodge(d):
     )
 
 
-def abelian_from_h1(d, M, q, metadata=None):
+def abelian_from_h1(d, M, q):
     """Abelian model from the degree-1 action: degree i acts by the i-th
     exterior power, so Betti numbers are binomial and Hodge numbers are
     products of binomials. One Smith form, of M, gives the weight pieces
@@ -164,7 +164,7 @@ def abelian_from_h1(d, M, q, metadata=None):
     _require_integer(M)
     if M.det() == 0:
         raise SingularActionError("degree-1 action is singular")
-    return _abelian(d, M, q, invariant_factors(M), metadata or {})
+    return _abelian(d, M, q, invariant_factors(M), {})
 
 
 def _require_integer(M):

@@ -21,13 +21,14 @@ from endospec.errors import (
     InapplicableModelError,
     ValidityError,
 )
-from endospec.exactnum import NormalizedValuation, is_prime
+from endospec.exactnum import is_prime
 from endospec.matrixops import jordan_symmetry_check
 from endospec.poly import (
     _scaled_value,
     _sign_variations,
     coeff_strings,
     count_real_roots,
+    model_facts,
     sturm_chain,
 )
 from endospec.polygons import (
@@ -39,7 +40,6 @@ from endospec.polygons import (
 )
 from endospec.varieties import has_hodge_data
 from endospec.zeta import (
-    model_facts,
     zeta_function,
     zeta_functional_equation,
     zeta_to_json,
@@ -314,17 +314,17 @@ def _over_hodge(NP, HP):
     return bool(cmp_), witness
 
 
-def _newton_results(model, row, i, f, prime, v, hodge_polygon_of):
+def _newton_results(model, row, i, f, prime, hodge_polygon_of):
     """The NEWTON_CHECKS of degree i, with facts f (None without cohomology),
     at one prime; records the Newton polygon in row. hodge_polygon_of(i) is
     the Hodge polygon of degree i."""
     if f is None:
         reason = "no cohomology in this degree"
         return [_na(cid, i, prime, reason=reason) for cid in NEWTON_CHECKS]
-    NP = f.newton_polygon(v)
+    NP = f.newton_polygon(prime)
     vertices = vertices_json(NP)
     row.setdefault("newton_polygons", {})[str(prime)] = vertices
-    if not v.normalized:
+    if not NP.normalized:
         witness = (("vertices", tuple(map(tuple, vertices))),)
         sz = lambda: (slope_zero_check(NP), witness)
         reason = "prime does not divide q"
@@ -398,10 +398,9 @@ def full_report(model, primes, precision=60):
         return hodge_polygons[i]
 
     for prime in primes:
-        v = NormalizedValuation(prime, q)
         for i, row in enumerate(degree_rows):
             f = facts.get(i)
-            results.extend(_newton_results(model, row, i, f, prime, v, hodge_polygon_of))
+            results.extend(_newton_results(model, row, i, f, prime, hodge_polygon_of))
     for i, HP in hodge_polygons.items():
         degree_rows[i]["hodge_polygon"] = vertices_json(HP)
     zf = zeta_function(model)

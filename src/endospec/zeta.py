@@ -25,7 +25,7 @@ from typing import Optional
 
 from endospec._kernels import poly_product_sign_int
 from endospec.errors import DomainError, EndospecError, InapplicableModelError
-from endospec.poly import DegreeFacts, Poly, _cleared, power_sums
+from endospec.poly import Poly, _cleared, power_sums
 
 
 @dataclass(frozen=True)
@@ -134,23 +134,6 @@ class ZetaFunctionalEquation:
         return self.holds
 
 
-def model_facts(model):
-    """DegreeFacts of every degree with cohomology, keyed by degree in order,
-    each with degree 2d - i as its cross-duality partner. When the model's
-    degrees are exterior powers of degree 1 (abelian_from_h1), every degree
-    from 2 on reads its weight and Newton polygons off degree 1's facts. A
-    degree whose action carries its eigenvalues (CohomologyAction.roots)
-    reads the facts they give off them."""
-    q, d = model.q, model.dimension
-    facts = {}
-    for i, act in enumerate(model.actions):
-        if act.betti:
-            h1 = facts[1] if model.exterior_powers and i >= 2 else None
-            partner = model.charpoly(2 * d - i)
-            facts[i] = DegreeFacts(i, q, act.charpoly, partner, d, h1, act.roots)
-    return facts
-
-
 def _scaled_star(F, q, d):
     """q**(d*deg F) * t**deg(F) * F(1/(q**d * t)): coefficient j is
     a_{deg-j} * q**(d*j), so integer input stays integer."""
@@ -210,7 +193,7 @@ def _dual_pair_sides(facts):
 
 def zeta_functional_equation(zf, facts):
     """Verify Z(1/(q**d t)) = (-1)**(chi+mu) q**(d chi/2) t**chi Z(t) for
-    zf = zeta_function(model) and facts = model_facts(model), which give
+    zf = zeta_function(model) and facts = poly.model_facts(model), which give
     each degree's functional equation and mu, the multiplicity of
     -q**(d/2) in the middle degree.
 

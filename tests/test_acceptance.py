@@ -17,7 +17,6 @@ from helpers import block_diag, inverse
 
 from endospec.cli import parse_descriptor
 from endospec.exactnum import NormalizedValuation
-from endospec.majorize import compound, majorizes
 from endospec.matrixops import (
     ExactMatrix,
     invariant_factors,
@@ -25,21 +24,24 @@ from endospec.matrixops import (
 )
 from endospec.poly import (
     Poly,
+    DegreeFacts,
     charpoly,
-    degree_facts,
     functional_equation_check,
     half_weight_multiplicity,
+    model_facts,
     power_sums,
 )
 from endospec.polygons import (
+    compound,
     hodge_polygon,
+    majorizes,
     newton_polygon,
     np_ge_hp,
     symmetry_check,
 )
 from endospec.varieties import abelian_from_h1, abelian_en, grassmannian
 from endospec.verify import weil_weight_check
-from endospec.zeta import model_facts, zeta_function, zeta_functional_equation
+from endospec.zeta import zeta_function, zeta_functional_equation
 
 
 @contextmanager
@@ -352,9 +354,9 @@ def test_criterion_8_weil_weights():
             for i in range(2 * model.dimension + 1):
                 if model.betti(i) == 0:
                     continue
-                res = weil_weight_check(degree_facts(model.charpoly(i), q, i))
+                res = weil_weight_check(DegreeFacts(i, q, model.charpoly(i)))
                 assert res.passed, f"{label} degree {i}: {res.reason}"
-        fault = weil_weight_check(degree_facts(Poly.from_desc([1, -2]), 6, 1))
+        fault = weil_weight_check(DegreeFacts(1, 6, Poly.from_desc([1, -2])))
         assert not fault.passed
         lo, hi = fault.failing_root
         assert lo <= 2 <= hi

@@ -299,6 +299,65 @@ def test_zeta_refuses_an_order_past_the_digit_bound(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["series_consistent"] is True
 
 
+@pytest.mark.parametrize("depth", [1000, 10**5])
+def test_deeply_nested_documents_are_bad_input(tmp_path, capsys, depth):
+    """The JSON decoder recurses once per nesting level; a document nested
+    past the recursion limit, bare or inside a descriptor's field, is
+    refused as bad input that names the file."""
+    nested = "[" * depth + "]" * depth
+    for name, text in (("bare.json", nested), ("field.json", f'{{"kind": {nested}}}')):
+        path = tmp_path / name
+        path.write_text(text)
+        for argv in (
+            ["verify", str(path), "--primes", "2"],
+            ["zeta", str(path)],
+            ["polygons", str(path), "--prime", "2", "--degree", "1"],
+        ):
+            assert cli.main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"endospec: {path} is nested too deeply to read\n"
+    if depth == 1000:
+        proc = run_cli("verify", str(path), "--primes", "2")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"endospec: {path} is nested too deeply to read\n"
+
+
+def test_cli_integers_follow_the_descriptor_grammar(tmp_path, capsys):
+    """Every integer option and --primes entry is read as a descriptor's
+    decimal string is: ASCII digits after an optional minus, spaces around
+    it stripped. No separators, plus signs, non-ASCII digits or decimal
+    points; a refused token is echoed cut short."""
+    path = write_descriptor(tmp_path, EXAMPLE_DESCRIPTOR)
+    long = "3" * 5000
+    grammar = "must be an integer or decimal string"
+    for token, shown, reason in (
+        ("1_1", "'1_1'", grammar),
+        ("+3", "'+3'", grammar),
+        ("\u0663", "'\u0663'", grammar),
+        ("3.0", "'3.0'", grammar),
+        (long, f"{long[:40]!r}... (5000 characters)",
+         f"has more than {sys.get_int_max_str_digits()} digits"),
+    ):
+        for argv, option in (
+            (["verify", path, "--primes", f"2,{token}"], "--primes entry"),
+            (["verify", path, "--primes", "2", "--precision", token], "--precision"),
+            (["polygons", path, "--prime", token, "--degree", "1"], "--prime"),
+            (["polygons", path, "--prime", "3", "--degree", token], "--degree"),
+            (["zeta", path, "--order", token], "--order"),
+        ):
+            assert cli.main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"endospec: {option} {shown} {reason}\n"
+    assert cli.main(["verify", path, "--primes", "2,3", "--json-only"]) == 0
+    expected = capsys.readouterr().out
+    assert cli.main(["verify", path, "--primes", " 2, 3 ", "--json-only"]) == 0
+    assert capsys.readouterr().out == expected
+    assert cli.main(["polygons", path, "--prime", " 3", "--degree", "2 ", "--json-only"]) == 0
+    assert json.loads(capsys.readouterr().out)["prime"] == "3"
+
+
 def test_verify_refuses_repeated_primes(tmp_path, capsys):
     """A repeated prime would report each of its checks and write its
     Newton polygons twice."""

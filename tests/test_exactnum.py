@@ -14,7 +14,6 @@ from endospec.exactnum import (
     is_prime,
     parse_rational,
     perfect_sqrt,
-    valuate,
 )
 
 
@@ -36,33 +35,33 @@ def test_valuate_normalized_examples():
     v2 = NormalizedValuation(2, 6)
     v3 = NormalizedValuation(3, 6)
     assert v2.normalizer == 1 and v3.normalizer == 1
-    assert valuate(6, v2) == 1
-    assert valuate(36, v3) == 2
-    assert valuate(24, v3) == 1
+    assert v2.valuate(6) == 1
+    assert v3.valuate(36) == 2
+    assert v3.valuate(24) == 1
 
 
 def test_valuate_zero_rejected():
     v = NormalizedValuation(2, 6)
     with pytest.raises(DomainError):
-        valuate(0, v)
+        v.valuate(0)
     with pytest.raises(DomainError):
-        valuate(Fraction(0), v)
+        v.valuate(Fraction(0))
 
 
 def test_valuate_fractional_normalizer():
     # q = 4 gives normalizer 2, so v(2) lands strictly between 0 and 1
     v = NormalizedValuation(2, 4)
     assert v.normalizer == 2
-    assert valuate(2, v) == Fraction(1, 2)
-    assert valuate(4, v) == 1
-    assert valuate(Fraction(1, 2), v) == Fraction(-1, 2)
+    assert v.valuate(2) == Fraction(1, 2)
+    assert v.valuate(4) == 1
+    assert v.valuate(Fraction(1, 2)) == Fraction(-1, 2)
 
 
 def test_valuate_unnormalized_when_prime_does_not_divide_q():
     v5 = NormalizedValuation(5, 6)
     assert not v5.normalized
-    assert valuate(25, v5) == 2
-    assert valuate(Fraction(3, 5), v5) == -1
+    assert v5.valuate(25) == 2
+    assert v5.valuate(Fraction(3, 5)) == -1
 
 
 def test_valuation_is_homomorphism():
@@ -71,7 +70,7 @@ def test_valuation_is_homomorphism():
     for _ in range(1000):
         x = Fraction(rng.randint(1, 3**6), rng.randint(1, 3**6))
         y = Fraction(-rng.randint(1, 3**6), rng.randint(1, 3**6))
-        assert valuate(x * y, v) == valuate(x, v) + valuate(y, v)
+        assert v.valuate(x * y) == v.valuate(x) + v.valuate(y)
 
 
 def test_normalized_valuation_validates():

@@ -9,7 +9,7 @@ import pytest
 from helpers import top_k_sum
 
 from endospec.errors import ShapeError
-from endospec.majorize import compound, majorizes
+from endospec.polygons import compound, majorizes
 
 
 def test_majorizes_examples():

@@ -23,7 +23,7 @@ from endospec.matrixops import (
     pairing_check,
     polarization_witness,
 )
-from endospec.poly import Poly, charpoly, degree_facts
+from endospec.poly import DegreeFacts, Poly, charpoly
 from endospec.verify import weil_weight_check
 
 
@@ -313,7 +313,7 @@ def _has_witness_oracle(A, q):
     eigenvalue of absolute value sqrt(q): then A/sqrt(q) is conjugate to
     an orthogonal matrix over R. The weight test reads the eigenvalues off
     charpoly(A)**2, the degree-1 polynomial of E^n."""
-    if A.det() == 0 or not weil_weight_check(degree_facts(charpoly(A.rows) ** 2, q, 1)):
+    if A.det() == 0 or not weil_weight_check(DegreeFacts(1, q, charpoly(A.rows) ** 2)):
         return False
     return sympy.Matrix([list(r) for r in A.rows]).is_diagonalizable()
 

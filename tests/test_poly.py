@@ -22,7 +22,6 @@ from endospec.poly import (
     coeff_strings,
     count_real_roots,
     cross_duality_check,
-    degree_facts,
     duality_partner,
     exact_divide_out,
     exterior_power_charpolys,
@@ -149,27 +148,27 @@ def test_reciprocal_partner_monic_and_exact():
 
 
 def test_cross_duality_examples():
-    facts = degree_facts(Poly.from_desc([1, -1]), 6, 0)
+    facts = DegreeFacts(0, 6, Poly.from_desc([1, -1]))
     res = cross_duality_check(facts, Poly.from_desc([1, -6]), 1)
     assert res.holds and res.epsilon == 1
 
     P1 = Poly.from_desc([1, -2, 6])
-    res = cross_duality_check(degree_facts(P1, 6, 1), P1, 1)
+    res = cross_duality_check(DegreeFacts(1, 6, P1), P1, 1)
     assert res.holds and res.epsilon == 0
 
     P3 = duality_partner(EXAMPLE_P1, 6, 2)
-    res = cross_duality_check(degree_facts(EXAMPLE_P1, 6, 1), P3, 2)
+    res = cross_duality_check(DegreeFacts(1, 6, EXAMPLE_P1), P3, 2)
     assert res.holds and res.epsilon == 0
 
 
 def test_cross_duality_degree_mismatch():
-    facts = degree_facts(Poly.from_desc([1, -1]), 6, 0)
+    facts = DegreeFacts(0, 6, Poly.from_desc([1, -1]))
     with pytest.raises(DualityViolationError):
         cross_duality_check(facts, Poly.from_desc([1, 0, -36]), 1)
 
 
 def test_cross_duality_detects_wrong_partner():
-    facts = degree_facts(Poly.from_desc([1, -1]), 6, 0)
+    facts = DegreeFacts(0, 6, Poly.from_desc([1, -1]))
     res = cross_duality_check(facts, Poly.from_desc([1, -7]), 1)
     assert not res.holds
 

@@ -22,7 +22,6 @@ from endospec.poly import (
     DegreeFacts,
     Poly,
     cross_duality_check,
-    degree_facts,
     functional_equation_check,
     reciprocal_partner,
     squarefree_part,
@@ -103,7 +102,7 @@ def test_one_identity_matches_the_per_check_loops(case):
     assert _outcome(functional_equation_check, P, q, i) == _outcome(
         loop_functional_equation, P, q, i
     )
-    new = _outcome(cross_duality_check, degree_facts(P, q, i), P_dual, d)
+    new = _outcome(cross_duality_check, DegreeFacts(i, q, P), P_dual, d)
     old = _outcome(loop_cross_duality, P, P_dual, q, i, d)
     # the two raise the same error class; their messages differ
     assert new == old or (len(new) == len(old) == 2 and new[0] is old[0])
@@ -112,7 +111,7 @@ def test_one_identity_matches_the_per_check_loops(case):
     expected = is_own_reciprocal_partner(P, q**i)
     assert jordan_symmetry_check([P], q, i) == expected
     S = squarefree_part(P)
-    gate = degree_facts(P, q, i).circle_defect == "squarefree part is not q^i-reciprocal"
+    gate = DegreeFacts(i, q, P).circle_defect == "squarefree part is not q^i-reciprocal"
     assert gate == (not is_own_reciprocal_partner(S, q**i))
 
 

@@ -28,7 +28,7 @@ from endospec.matrixops import (
     jordan_symmetry_check,
 )
 from endospec.exactnum import NormalizedValuation
-from endospec.poly import Poly, charpoly, degree_facts
+from endospec.poly import DegreeFacts, Poly, charpoly, model_facts
 from endospec.polygons import newton_polygon
 from endospec.varieties import (
     CohomologyAction,
@@ -41,7 +41,6 @@ from endospec.varieties import (
     has_hodge_data,
 )
 from endospec.verify import full_report
-from endospec.zeta import model_facts
 from test_acceptance import family_models
 from test_matrixops import _jordan_block, _random_unimodular, bounded_search_witness
 
@@ -655,7 +654,7 @@ def test_abelian_degrees_read_weight_and_newton_polygons_off_degree_one():
         facts = model_facts(model)
         for i, f in facts.items():
             assert (f.h1 is facts[1]) == (i >= 2)
-            direct = degree_facts(f.charpoly, model.q, i).circle_defect
+            direct = DegreeFacts(i, model.q, f.charpoly).circle_defect
             if f.h1 is None or f.h1.circle_defect is not None:
                 assert f.circle_defect == direct
             else:
@@ -663,13 +662,37 @@ def test_abelian_degrees_read_weight_and_newton_polygons_off_degree_one():
             on_circle.add(direct is None)
             for prime in (2, 3, 5, 7):
                 v = NormalizedValuation(prime, model.q)
-                assert f.newton_polygon(v) == newton_polygon(f.charpoly, v)
+                assert f.newton_polygon(prime) == newton_polygon(f.charpoly, v)
                 divides.add(v.normalized)
     assert on_circle == divides == {True, False}
     for model in _off_weight_models():
         direct = replace(model)
         assert not direct.exterior_powers
         assert full_report(model, [2, 3, 5]).to_json() == full_report(direct, [2, 3, 5]).to_json()
+
+
+def test_degree_facts_normalize_polygons_against_their_own_q():
+    """Facts own their q: on every route (P, degree 1's facts, eigenvalues)
+    the polygon at a prime is the one under NormalizedValuation(prime, q),
+    whatever polygon another q gave first (q = 9 halves the slopes of the
+    E^2 example at 3, q = 6 does not)."""
+    P1 = abelian_en(EXAMPLE_A, 6).charpoly(1)
+    for q, den in ((9, 2), (6, 1), (9, 2)):
+        NP = DegreeFacts(1, q, P1).newton_polygon(3)
+        assert NP == newton_polygon(P1, NormalizedValuation(3, q)) and NP.den == den
+    facts = model_facts(abelian_en(EXAMPLE_A, 6))
+    assert facts[2].h1 is facts[1]
+    for prime in (3, 2, 3, 5):
+        for f in facts.values():
+            assert f.newton_polygon(prime) == newton_polygon(
+                f.charpoly, NormalizedValuation(prime, 6)
+            )
+    G = grassmannian(2, 4, 4)
+    P2, roots = G.charpoly(2), G.action(2).roots
+    assert roots is not None
+    for q, den in ((4, 2), (8, 3)):
+        NP = DegreeFacts(2, q, P2, roots=roots).newton_polygon(2)
+        assert NP == newton_polygon(P2, NormalizedValuation(2, q)) and NP.den == den
 
 
 def _count_calls(monkeypatch, module, name, calls):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from endospec import cli
 from endospec.errors import DomainError, ValidityError
 from endospec.matrixops import ExactMatrix
-from endospec.poly import Poly, degree_facts
+from endospec.poly import DegreeFacts, Poly
 from endospec.polygons import HodgePolygon
 from endospec import poly, verify, zeta
 from endospec.varieties import abelian_en, abelian_from_h1, generic_model, grassmannian
@@ -30,19 +30,19 @@ EXAMPLE_P1 = Poly.from_desc([1, -4, 16, -24, 36])
 
 
 def test_weil_weight_passes():
-    assert weil_weight_check(degree_facts(EXAMPLE_P1, 6, 1))
-    assert weil_weight_check(degree_facts(Poly.from_desc([1, -4, 4]), 4, 1))
-    assert weil_weight_check(degree_facts(Poly.from_desc([1, -36]), 6, 4))
-    assert weil_weight_check(degree_facts(Poly.from_desc([1]), 6, 3))
+    assert weil_weight_check(DegreeFacts(1, 6, EXAMPLE_P1))
+    assert weil_weight_check(DegreeFacts(1, 4, Poly.from_desc([1, -4, 4])))
+    assert weil_weight_check(DegreeFacts(4, 6, Poly.from_desc([1, -36])))
+    assert weil_weight_check(DegreeFacts(3, 6, Poly.from_desc([1])))
 
 
 def test_weil_weight_detects_wrong_modulus():
-    res = weil_weight_check(degree_facts(Poly.from_desc([1, -2]), 6, 1))
+    res = weil_weight_check(DegreeFacts(1, 6, Poly.from_desc([1, -2])))
     assert not res
     lo, hi = res.failing_root
     assert lo <= 2 <= hi
     assert "modulus" in res.reason
-    both = weil_weight_check(degree_facts(Poly.from_desc([1, -5, 6]), 6, 1))
+    both = weil_weight_check(DegreeFacts(1, 6, Poly.from_desc([1, -5, 6])))
     assert not both
     # the witness isolates one of the real roots 2 and 3, both off |t|^2 = 6
     lo, hi = both.failing_root
@@ -53,12 +53,12 @@ def test_weil_weight_exact_condition_catches_tiny_drift():
     # the roots 2 +- i*10**-10.5 lie 1e-21 off the circle |t|^2 = 4: the
     # squarefree part is not 4-reciprocal, and no real root is the witness
     drifted = Poly([Fraction(4) + Fraction(1, 10**21), Fraction(-4), Fraction(1)])
-    res = weil_weight_check(degree_facts(drifted, 4, 1))
+    res = weil_weight_check(DegreeFacts(1, 4, drifted))
     assert not res
     assert res.failing_root is None
     assert "not q^i-reciprocal" in res.reason
     # t - 2 lies on |t|^2 = 4, but odd weight needs even degree
-    odd = weil_weight_check(degree_facts(Poly.from_desc([1, -2]), 4, 1))
+    odd = weil_weight_check(DegreeFacts(1, 4, Poly.from_desc([1, -2])))
     assert not odd
     assert odd.failing_root is None
     assert "functional equation" in odd.reason
@@ -69,7 +69,7 @@ def test_weil_weight_real_roots_just_off_the_circle():
     # 60-digit numeric check passed them
     q = 10**42
     P = Poly([q**2, -(2 * q + 1), 1])
-    res = weil_weight_check(degree_facts(P, q, 2))
+    res = weil_weight_check(DegreeFacts(2, q, P))
     assert not res
     assert "trace polynomial" in res.reason
     lo, hi = res.failing_root
@@ -86,7 +86,7 @@ NONPOLARIZED = [(1, 6), (2, 3), (1, 10), (2, 5), (1, 15), (3, 5)]
 def _nonpolarized_facts(l, m):
     q = l * m
     model = abelian_en([[0, -q], [1, l + m]], q)
-    return [degree_facts(model.charpoly(i), q, i) for i in (1, 2, 3)]
+    return [DegreeFacts(i, q, model.charpoly(i)) for i in (1, 2, 3)]
 
 
 def _assert_bisection_matches_fraction_bisection(f):
@@ -160,7 +160,7 @@ def weil_products(draw):
 @given(weil_products())
 def test_weil_weight_matches_construction_and_sympy(case):
     P, q, i, on_circle = case
-    res = weil_weight_check(degree_facts(P, q, i))
+    res = weil_weight_check(DegreeFacts(i, q, P))
     assert res.passed == on_circle == _on_circle_oracle(P, q**i)
     if not res.passed:
         assert "modulus" in res.reason
@@ -177,21 +177,21 @@ def test_real_root_bisection_matches_fraction_bisection_off_the_circle(case):
     """The pushed weil_products: two real roots past the trace bound, or
     two complex roots of modulus Q + 1 and no real root off the circle."""
     P, q, i, _ = case
-    _assert_bisection_matches_fraction_bisection(degree_facts(P, q, i))
+    _assert_bisection_matches_fraction_bisection(DegreeFacts(i, q, P))
 
 
 def test_weil_weight_preconditions():
     with pytest.raises(ValidityError):
-        weil_weight_check(degree_facts(Poly.from_desc([2, -1]), 6, 1))
+        weil_weight_check(DegreeFacts(1, 6, Poly.from_desc([2, -1])))
     with pytest.raises(ValidityError):
-        weil_weight_check(degree_facts(Poly.from_desc([1, -1, 0]), 6, 1))
+        weil_weight_check(DegreeFacts(1, 6, Poly.from_desc([1, -1, 0])))
 
 
 def test_epsilon_congruence_examples():
-    res = epsilon_congruence_check(degree_facts(EXAMPLE_P1, 6, 1))
+    res = epsilon_congruence_check(DegreeFacts(1, 6, EXAMPLE_P1))
     assert res.holds
     assert (res.epsilon, res.betti, res.mu_minus) == (0, 4, 0)
-    neg = epsilon_congruence_check(degree_facts(Poly.from_desc([1, 4]), 4, 2))
+    neg = epsilon_congruence_check(DegreeFacts(2, 4, Poly.from_desc([1, 4])))
     assert neg.holds
     assert (neg.epsilon, neg.betti, neg.mu_minus) == (0, 1, 1)
 
@@ -199,7 +199,7 @@ def test_epsilon_congruence_examples():
 def test_epsilon_congruence_odd_degree_sign():
     # t**2 - 6 passes its functional equation with sign -1, which an odd
     # degree forbids even though the parity count matches
-    res = epsilon_congruence_check(degree_facts(Poly.from_desc([1, 0, -6]), 6, 1))
+    res = epsilon_congruence_check(DegreeFacts(1, 6, Poly.from_desc([1, 0, -6])))
     assert not res.holds
     assert res.epsilon == 1
     assert res.mu_minus == 1
@@ -207,7 +207,7 @@ def test_epsilon_congruence_odd_degree_sign():
 
 def test_epsilon_congruence_needs_functional_equation():
     with pytest.raises(ValidityError):
-        epsilon_congruence_check(degree_facts(Poly.from_desc([1, -5, 4]), 6, 1))
+        epsilon_congruence_check(DegreeFacts(1, 6, Poly.from_desc([1, -5, 4])))
 
 
 def _result_map(report):

@@ -13,14 +13,13 @@ from test_varieties import _e4_q25, _test_abelian_models
 from endospec import zeta
 from endospec.errors import DomainError, InapplicableModelError, ValidityError
 from endospec.matrixops import ExactMatrix
-from endospec.poly import Poly, functional_equation_check
+from endospec.poly import Poly, functional_equation_check, model_facts
 from endospec.varieties import abelian_en, generic_model, grassmannian
 from endospec.verify import full_report
 from endospec.zeta import (
     ZetaFunction,
     _scaled_star,
     lefschetz_number,
-    model_facts,
     zeta_function,
     zeta_functional_equation,
     zeta_series_consistency,
