@@ -21,62 +21,52 @@ Karatsuba. decimal is already loaded with fractions.
 
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from math import gcd, prod
+from operator import mul
 
 # There is one backend; the name stays so benchmark results can record it.
 BACKEND = "pure"
 
 
 def mat_mul_int(a, b):
-    n = len(a)
-    m = len(b[0])
-    inner = len(b)
-    bt = [[b[i][j] for i in range(inner)] for j in range(m)]
-    out = []
-    for i in range(n):
-        ai = a[i]
-        row = []
-        for j in range(m):
-            bj = bt[j]
-            acc = 0
-            for k in range(inner):
-                acc += ai[k] * bj[k]
-            row.append(acc)
-        out.append(row)
-    return out
+    columns = list(zip(*b))
+    return [[sum(map(mul, row, column)) for column in columns] for row in a]
 
 
-def pivot_step_int(a, r, c, prev, clear):
+def pivot_step_int(a, r, c, prev, clear, first=0):
     """One fraction-free elimination step on the integer rows a, in place
     (Bareiss 1968): clear column c off the rows `clear` with the pivot
     p = a[r][c] != 0, then divide by prev, the previous step's pivot (1 at
     the first step). By Sylvester's identity every division is exact and
     each entry stays an integer minor: with no row swapped, p is the
-    leading principal minor of order r + 1. Returns p."""
-    p = a[r][c]
-    pivot_row = a[r]
+    leading principal minor of order r + 1. Returns p. Only the columns
+    from `first` on are updated: a forward pass, zero left of c, passes c."""
+    p, pivot_row = a[r][c], a[r][first:]
     for i in clear:
         row = a[i]
         f = row[c]
-        a[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        if first:
+            row[first:] = [(p * x - f * y) // prev for x, y in zip(row[first:], pivot_row)]
+        else:  # a new row costs less than a slice assignment
+            a[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
     return p
 
 
 def det_int(rows):
     """Determinant: pivot_step_int clears the rows below each pivot, rows
-    swapped for a nonzero pivot, and the last pivot is the determinant up
-    to the sign of the swaps."""
+    swapped for a nonzero pivot, and after n - 1 steps the last entry is
+    the determinant up to the sign of the swaps."""
     n = len(rows)
     a = [list(r) for r in rows]
     sign = p = 1
-    for k in range(n):
-        pr = next((i for i in range(k, n) if a[i][k]), None)
-        if pr is None:
-            return 0
-        if pr != k:
+    for k in range(n - 1):
+        if not a[k][k]:
+            pr = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if pr is None:
+                return 0
             a[k], a[pr] = a[pr], a[k]
             sign = -sign
-        p = pivot_step_int(a, k, k, p, range(k + 1, n))
-    return sign * p
+        p = pivot_step_int(a, k, k, p, range(k + 1, n), k)
+    return sign * a[-1][-1]
 
 
 def charpoly_int(rows):
@@ -87,18 +77,13 @@ def charpoly_int(rows):
     n = len(rows)
     coeffs = [1]
     b = [list(r) for r in rows]
-    c = 0
-    for i in range(n):
-        c -= b[i][i]
+    c = -sum(b[i][i] for i in range(n))
     coeffs.append(c)
     for k in range(2, n + 1):
         for i in range(n):
             b[i][i] += c
         b = mat_mul_int(rows, b)
-        t = 0
-        for i in range(n):
-            t += b[i][i]
-        c, r = divmod(-t, k)
+        c, r = divmod(-sum(b[i][i] for i in range(n)), k)
         if r:
             raise ArithmeticError("Faddeev-LeVerrier division was not exact")
         coeffs.append(c)

@@ -18,8 +18,8 @@ from pathlib import Path
 
 from endospec.errors import EndospecError, ValidityError
 from endospec.exactnum import _shown
-from endospec.matrixops import matrix_from_strings, matrix_to_strings
-from endospec.poly import coeff_strings, model_facts, poly_from_strings
+from endospec.matrixops import matrix_from_strings
+from endospec.poly import model_facts, poly_from_strings
 from endospec.polygons import hodge_polygon, np_ge_hp, vertices_json
 from endospec.varieties import (
     abelian_en,
@@ -150,47 +150,6 @@ def parse_descriptor(doc):
     return generic_model(
         d, q, charpolys=charpolys, matrices=matrices, hodge=hodge, strict=strict
     )
-
-
-def serialize_model(model):
-    """Canonical descriptor for a model; big integers become strings."""
-    q = str(model.q)
-    if model.kind == "abelian" and "isogeny_matrix" in model.metadata:
-        return {
-            "kind": "abelian_en",
-            "q": q,
-            "isogeny_matrix": matrix_to_strings(model.metadata["isogeny_matrix"]),
-        }
-    if model.kind == "abelian":
-        return {
-            "kind": "abelian",
-            "q": q,
-            "d": model.dimension,
-            "matrix": matrix_to_strings(model.action(1).matrix),
-        }
-    if model.kind == "grassmannian":
-        return {
-            "kind": "grassmannian",
-            "q": q,
-            "k": model.metadata["k"],
-            "n": model.metadata["n"],
-            "variant": model.metadata["variant"],
-        }
-    out = {
-        "kind": "generic",
-        "q": q,
-        "d": model.dimension,
-        "charpolys": [coeff_strings(a.charpoly) for a in model.actions],
-    }
-    if any(a.matrix is not None for a in model.actions):
-        out["matrices"] = [
-            None if a.matrix is None else matrix_to_strings(a.matrix)
-            for a in model.actions
-        ]
-    if any(x is not None for row in model.hodge for x in row):
-        out["hodge"] = [list(row) for row in model.hodge]
-    out["strict"] = bool(model.metadata.get("strict", True))
-    return out
 
 
 SCHEMA = json.loads(Path(__file__).with_name("schema.json").read_text(encoding="utf-8"))

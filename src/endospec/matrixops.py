@@ -169,10 +169,6 @@ class ExactMatrix:
         return f"ExactMatrix({[list(r) for r in self.rows]})"
 
 
-def matrix_to_strings(M):
-    return [[str(x) for x in r] for r in M.rows]
-
-
 def matrix_from_strings(rows):
     return ExactMatrix([[parse_rational(s) for s in r] for r in rows])
 
@@ -270,38 +266,37 @@ def _diagonalize(mat):
     return [mat[p][p] for p in range(n)]
 
 
-def invariant_factors(M):
+def invariant_factors(M, chi=None):
     """Nontrivial invariant factors of t*id - M: monic, each dividing the next.
 
     The product over the chain (times the implicit constant factors) equals
     the characteristic polynomial; elementary divisors of the chain carry
-    the full Jordan block data.
-    """
+    the full Jordan block data. A squarefree characteristic polynomial chi
+    (passed by a caller that has it) is the minimal one: M is cyclic, and
+    [chi] is the chain without a Smith form."""
     if not M.is_square:
         raise ShapeError("invariant factors need a square matrix")
+    if chi is None:
+        chi = polymod.charpoly(M.rows)
+    if poly_gcd(chi, chi.derivative()).degree == 0:
+        return [chi]
     scaled_rows, c = polymod._cleared(M.rows)
     # M = N/c: substitute t -> c*t in each factor of t*id - N.
     factors = [
         Poly([co * c**k for k, co in enumerate(entry)]).monic()
         for entry in _diagonalize(_char_matrix(scaled_rows))
     ]
-    # Repair the divisibility chain: replacing a non-dividing pair (a, b)
-    # with (gcd, lcm) preserves the product and the elementary divisors.
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(factors)):
-            for j in range(i + 1, len(factors)):
-                a, b = factors[i], factors[j]
-                _, rem = b.divmod_by(a)
-                if rem.is_zero:
-                    continue
+    # (gcd, lcm) for a non-dividing pair keeps the product and elementary
+    # divisors; after row i, factor i divides all later ones: one pass does.
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            a, b = factors[i], factors[j]
+            if not b.divmod_by(a)[1].is_zero:
                 g = poly_gcd(a, b)
                 l, lrem = (a * b).divmod_by(g)
                 if not lrem.is_zero:
                     raise ConsistencyError("gcd failed to divide the product")
                 factors[i], factors[j] = g, l.monic()
-                changed = True
     return [f for f in factors if f.degree >= 1]
 
 
@@ -399,7 +394,7 @@ def _is_positive_definite(D):
     for k in range(n):
         if a[k][k] <= 0:
             return False
-        p = pivot_step_int(a, k, k, p, range(k + 1, n))
+        p = pivot_step_int(a, k, k, p, range(k + 1, n), k)
     return True
 
 

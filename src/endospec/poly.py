@@ -1,20 +1,23 @@
 """Dense exact univariate polynomials and the characteristic-polynomial
 transforms built on them: reciprocal/duality partners, the reciprocity
 identity t**n * P(s/t) = P(0) * Q(t) behind the functional equation, cross
-duality, Jordan symmetry and the weight check's circle gate, the exact
-circle test, power sums, and exact factor extraction. DegreeFacts gathers
-what the checks read about one degree, from its polynomial or, when they
-are known, from degree 1's facts or from its eigenvalues; model_facts
-gathers them for every degree of a model.
+duality, Jordan symmetry, the weight check's circle gate, the circle test,
+power sums, exterior powers' charpolys composed by Kunneth from composed
+products, and exact factor extraction. DegreeFacts gathers what the checks
+read about one degree, from its polynomial, degree 1's facts or its
+eigenvalues; model_facts gathers them for every degree of a model.
 
 Coefficients are int or Fraction; arithmetic never leaves exact scalars,
 and the hot paths (gcd, Sturm sequences) run in integers. Storage is
 ascending by degree; serialization is leading-first.
 """
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import comb, gcd, inf, lcm
+from operator import mul
 from typing import Optional
 
 from endospec import polygons
@@ -208,6 +211,8 @@ class Poly:
 
 
 def _ratio(c, lead):
+    if isinstance(c, int) and isinstance(lead, int) and not (q := divmod(c, lead))[1]:
+        return q[0]
     v = Fraction(c) / lead
     return int(v) if v.denominator == 1 else v
 
@@ -298,11 +303,12 @@ def reciprocal_partner(P, s):
     """Monic polynomial whose roots are s/lambda over the roots of P."""
     if P.coeff(0) == 0:
         raise SingularActionError("zero constant term has no reciprocal root")
-    n = P.degree
-    asc = P.coeffs_asc()
-    a0 = Fraction(asc[0])
-    # Ascending coefficient j of t**n * P(s/t) is a_{n-j} * s**(n-j).
-    return Poly([_ratio(asc[n - j] * s ** (n - j), a0) for j in range(n + 1)])
+    # Coefficient i of P, a_i, gives a_i * s**i / a_0 at t**(n-i), n = deg P.
+    a, desc, power = P.coeffs_asc(), [], 1
+    for c in a:
+        desc.append(_ratio(c * power, a[0]))
+        power *= s
+    return Poly.from_desc(desc)
 
 
 def duality_partner(P, q, d):
@@ -354,81 +360,130 @@ def power_sums(P, N):
         raise ValidityError("power sums need a monic polynomial")
     n = P.degree
     a = P.coeffs_desc()
-    # Newton: p_k + a_1 p_{k-1} + ... + a_{k-1} p_1 + k a_k = 0, with a_j = 0
-    # past j = n, so each step sums at most n terms.
-    p = [0] * (N + 1)
+    # Newton: p_k + a_1 p_{k-1} + ... + a_{k-1} p_1 + k a_k = 0, a_j = 0 past n
+    tail = a[1:]
+    p = []
     for k in range(1, N + 1):
-        acc = k * a[k] if k <= n else 0
-        for j in range(1, min(k - 1, n) + 1):
-            acc += a[j] * p[k - j]
-        p[k] = -acc
-    return p[1:]
+        acc = sum(map(mul, tail, reversed(p)))
+        p.append(-(acc + k * a[k]) if k <= n else -acc)
+    return p
 
 
 def _elementary(sums):
     """e_0..e_n from the power sums p_1..p_n of n numbers (Newton's
     identities). For algebraic integers every division is exact."""
+    signed = [-p if i % 2 else p for i, p in enumerate(sums)]
     e = [1]
     for j in range(1, len(sums) + 1):
-        acc = 0
-        for i in range(1, j + 1):
-            term = e[j - i] * sums[i - 1]
-            acc += term if i % 2 else -term
-        e.append(acc // j)
+        e.append(sum(map(mul, reversed(e), signed)) // j)
     return e
+
+
+def _from_power_sums(sums):
+    """The monic polynomial whose roots have the power sums p_1..p_n."""
+    return Poly.from_desc([-c if j % 2 else c for j, c in enumerate(_elementary(sums))])
 
 
 def exterior_power_charpolys(factors):
     """Weight pieces of the charpolys of the exterior powers 0..n of an
-    n x n integer matrix M, from the invariant factors of t*id - M.
-
-    A Jordan block (t - lambda)**s gives lambda the weights s - 1, s - 3,
-    ..., 1 - s (Jacobson-Morozov). Entry k maps w >= 0 to P_(k,w): its roots
-    are the products of k roots whose weights sum to w, and its m-th power
-    sum is the x**k y**w coefficient of the product of 1 + x lambda**m
-    y**weight over the roots (Newton's identities, on each weight's power
-    sums p_m, p_2m, ...). P_(k,-w) = P_(k,w), so the k-th charpoly is
-    P_(k,0) times the squares of the others."""
-    if not all(f.is_monic() and f.is_integer() and f.degree >= 1 for f in factors):
+    n x n integer matrix M, from the invariant factors of t*id - M: entry k
+    maps w >= 0 to P_(k,w), whose roots are the products of k roots with
+    weights summing to w, a Jordan block (t - lambda)**s giving lambda the
+    weights s - 1, s - 3, ..., 1 - s (Jacobson-Morozov). P_(k,-w) = P_(k,w),
+    so the k-th charpoly is P_(k,0) times the squares of the others. M is a
+    sum of cyclic blocks, one per factor, split by weight and folded by
+    Kunneth (_fold); factors that all come twice, M ~ N + N as A tensor I2
+    ~ A + A, fold N's pieces with themselves."""
+    if not factors or not all(f.is_monic() and f.is_integer() and f.degree > 0 for f in factors):
         raise ValidityError("need monic nonconstant integer invariant factors")
-    layers = {}  # weight: the roots that carry it
-    for f in factors:
-        # g[s] = gcd(g[s-1], g[s-1]'): roots of multiplicity e > s, e - s times
-        g = [f]
-        while g[-1].degree >= 1:
-            g.append(poly_gcd(g[-1], g[-1].derivative()))
-        g.append(g[-1])
-        for s in range(1, len(g) - 1):
-            exactly = (g[s - 1] * g[s + 1]).divmod_by(g[s] * g[s])[0]
-            for w in range(1 - s, s, 2):
-                layers[w] = layers.get(w, Poly([1])) * exactly
-    n = sum(Q.degree for Q in layers.values())
-    bound = max(k * comb(n, k) for k in range(n + 1))
-    graded = [(w, Q.degree, [Q.degree] + power_sums(Q, bound)) for w, Q in layers.items()]
-    traces = {}  # (k, w): [p_0, p_1, ...] of P_(k,w)
-    m, top = 0, n  # top: the largest k with a piece that needs p_m
-    while top >= 0:
-        product = {(0, 0): 1}  # (k, w): coefficient of x**k y**w
-        for weight, degree, p in graded:
-            part = _elementary([p[j * m] for j in range(1, min(degree, top) + 1)])
-            grown = {}
-            for (k, w), a in product.items():
-                for j, c in enumerate(part[: top - k + 1]):
-                    key = (k + j, w + j * weight)
-                    grown[key] = grown.get(key, 0) + a * c
-            product = grown
-        for key, c in product.items():
-            t = traces.setdefault(key, [])
-            if not t or m <= t[0]:
-                t.append(c)
-        m += 1
-        top = max((k for (k, _), t in traces.items() if t[0] >= m), default=-1)
+    return [{w: P for w, P in sorted(ws.items()) if w >= 0} for ws in _pieces(factors)]
+
+
+def _pieces(factors):  # every weight, negative ones included
+    counts = Counter(factors)
+    parts = [_one_weight(w, E) for f, m in counts.items() if m % 2 for w, E in _weights(f)]
+    if half := [f for f, m in counts.items() for _ in range(m // 2)]:
+        twice = _pieces(half)
+        parts.append(_fold(twice, twice))
+    return reduce(_fold, parts)
+
+
+def _weights(f):
+    """(w, E): f's roots of multiplicity s, E, carry w = 1 - s, 3 - s, ...,
+    s - 1; g[s] = gcd(g[s-1], g[s-1]') has those of multiplicity e > s."""
+    g = [f]
+    while g[-1].degree >= 1:
+        g.append(poly_gcd(g[-1], g[-1].derivative()))
+    g.append(g[-1])
+    for s in range(1, len(g) - 1):
+        E = (g[s - 1] * g[s + 1]).divmod_by(g[s] * g[s])[0]
+        if E.degree >= 1:
+            yield from ((w, E) for w in range(1 - s, s, 2))
+
+
+def _one_weight(w, E):
+    """Pieces of a semisimple action with charpoly E and weight w: the m-th
+    power sum of P_(k,kw) is e_k of the m-th powers of E's roots."""
+    n, top = E.degree, E.degree // 2
+    p = [n] + power_sums(E, max(top * comb(n, top), 1))
+    e = [_elementary([p[j * m] for j in range(1, top + 1)]) for m in range(1, comb(n, top) + 1)]
+    out = [{k * w: _from_power_sums([r[k] for r in e[: comb(n, k)]])} for k in range(top + 1)]
+    return _dualized(out + [{} for _ in range(n - top)], (-1) ** n * E.coeff(0), n * w)
+
+
+def _fold(X, Y):
+    """Pieces of B + C from those of B (X) and C (Y), by Kunneth: the k-th
+    exterior power of B + C is the sum over i + j = k of the i-th of B
+    tensor the j-th of C, and weights add, so P_(k,w), k <= n/2, is the
+    product over i + j = k, w1 + w2 = w of X_(i,w1) [x] Y_(j,w2). A product
+    met e times (both orders of a pair when X is Y) is formed once."""
+    n = len(X) + len(Y) - 2
+    xs, ys = ([(k, w, Q) for k, ws in enumerate(Z[: n // 2 + 1]) for w, Q in ws.items()]
+              for Z in (X, Y))
+    composed, sums, uses = {}, {}, defaultdict(Counter)  # uses[k, w]: what P_(k,w) takes
+    for i, w1, Q in xs:
+        for j, w2, R in ys:
+            if 2 * (i + j) <= n:
+                key = (id(Q), id(R)) if id(Q) <= id(R) else (id(R), id(Q))
+                if key not in composed:
+                    composed[key] = _composed_product(Q, R, sums)
+                uses[i + j, w1 + w2][key] += 1
     out = [{} for _ in range(n + 1)]
-    for (k, w), t in sorted(traces.items()):
-        if w >= 0:
-            e = _elementary(t[1:])
-            out[k][w] = Poly.from_desc([c if j % 2 == 0 else -c for j, c in enumerate(e)])
+    for (k, w), used in uses.items():
+        factors = [composed[key] for key in used if used[key] % 2]
+        if halves := [composed[key] for key in used for _ in range(used[key] // 2)]:
+            half = _product(halves)
+            factors.append(half * half)
+        out[k][w] = _product(factors)
+    ((wx, Px),), ((wy, Py),) = X[-1].items(), Y[-1].items()  # t - det, total weight
+    return _dualized(out, Px.coeff(0) * Py.coeff(0), wx + wy)
+
+
+def _composed_product(f, g, sums):
+    """f [x] g = the product of t - ab over the roots a of f and b of g, by
+    its power sums p_m(f) * p_m(g) (Bostan, Flajolet, Salvy and Schost,
+    2006), kept in sums by id; (t - b) [x] g is b**n g(t/b)."""
+    f, g = sorted((f, g), key=lambda P: P.degree)
+    b, n = -f.coeff(0), f.degree * g.degree
+    if f.degree == 1:
+        return g if b == 1 else Poly([c * b ** (n - j) for j, c in enumerate(g.coeffs_asc())])
+    for P in (f, g):
+        if len(sums.get(id(P), ())) <= n:
+            sums[id(P)] = [P.degree] + power_sums(P, n)
+    return _from_power_sums([sums[id(f)][m] * sums[id(g)][m] for m in range(1, n + 1)])
+
+
+def _dualized(out, det, total):
+    """`out` with k > n/2 filled in from n - k: the n - k roots left by k of
+    weight w, product lambda, have weight total - w and product det/lambda."""
+    n = len(out) - 1
+    for k in range(n // 2 + 1, n + 1):
+        out[k] = {total - w: reciprocal_partner(P, det) for w, P in out[n - k].items()}
     return out
+
+
+def _product(polys):  # of one or more, lowest degree first
+    return reduce(mul, sorted(polys, key=lambda P: P.degree))
 
 
 def _primitive(coeffs):

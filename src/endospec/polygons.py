@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Optional
 
 from endospec.errors import (
@@ -40,6 +40,8 @@ def majorizes(x, y):
     y = list(y)
     if len(x) != len(y):
         raise ShapeError(f"length mismatch {len(x)} vs {len(y)}")
+    if not x:
+        return True
     xs = sorted(x, reverse=True)
     ys = sorted(y, reverse=True)
     ax = Fraction(0)
@@ -177,8 +179,13 @@ def compound_newton_polygon(NP, k):
     k >= 1: valuations add, so its root slopes are the k-fold compounds of
     NP's slopes, and no coefficient is valuated. Slopes are scaled to
     integers by the least common length of NP's segments; the vertices of
-    an integer polynomial's polygon have integer ordinates again."""
+    an integer polynomial's polygon have integer ordinates again. One
+    segment (dx, dy) compounds to (C(dx, k), C(dx-1, k-1)*dy): C(dx, k) slopes k*dy/dx."""
     segments = _segments(NP.points)
+    if len(segments) == 1 and 1 <= k <= segments[0][0]:
+        ((dx, dy),) = segments
+        points = ((0, 0), (comb(dx, k), comb(dx - 1, k - 1) * dy))
+        return NewtonPolygon(points=points, den=NP.den, normalized=NP.normalized)
     scale = lcm(*(dx for dx, _ in segments))
     slopes = [dy * (scale // dx) for dx, dy in segments for _ in range(dx)]
     counts = Counter(compound(slopes, k))

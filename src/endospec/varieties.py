@@ -6,14 +6,14 @@ generic user-supplied model.
 A model is the bundle the verification layer consumes: for every degree
 0..2d a monic characteristic polynomial, optionally the acting matrix and
 its Jordan data (a generic model's invariant factors, a Grassmannian's
-charpoly, an abelian model's read off degree 1), the eigenvalues when the
-construction knows them (a Grassmannian's +-q**j), and per-weight Hodge
-number lists.
+charpoly, an abelian model's composed by Kunneth from degree 1's blocks),
+the eigenvalues when the construction knows them (a Grassmannian's
++-q**j), and per-weight Hodge number lists.
 """
 
 from dataclasses import dataclass, field
 from functools import partial
-from math import comb, prod
+from math import comb
 from typing import Callable, Optional
 
 from endospec.errors import (
@@ -24,7 +24,7 @@ from endospec.errors import (
 )
 from endospec.matrixops import ExactMatrix, exterior_power, invariant_factors
 from endospec.matrixops import polarization_witness
-from endospec.poly import Poly, _fact, charpoly, exterior_power_charpolys
+from endospec.poly import Poly, _fact, _product, charpoly, exterior_power_charpolys
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def _action(degree, poly, matrix=None):
         raise ShapeError(f"degree {degree}: matrix size {matrix.nrows} != betti {betti}")
     if charpoly(matrix.rows) != poly:
         raise ConsistencyError(f"degree {degree}: matrix does not realize the polynomial")
-    jordan = partial(invariant_factors, matrix)
+    jordan = partial(invariant_factors, matrix, poly)
     return CohomologyAction(degree, betti, poly, jordan, lambda: matrix)
 
 
@@ -150,13 +150,14 @@ def _abelian_hodge(d):
 def abelian_from_h1(d, M, q):
     """Abelian model from the degree-1 action: degree i acts by the i-th
     exterior power, so Betti numbers are binomial and Hodge numbers are
-    products of binomials. One Smith form, of M, gives the weight pieces
-    P_(i,w) of every degree (poly.exterior_power_charpolys). By
-    Clebsch-Gordan the i-th exterior power has m_(s-1) - m_(s+1) blocks of
-    size s at mu, m_w the multiplicity of mu in P_(i,w): the pieces with
-    w >= 0 are its Jordan data. Exterior power matrices are built only
-    when asked for. The model is marked as exterior powers of degree 1
-    (VarietyModel.exterior_powers)."""
+    products of binomials. M's invariant factors (no Smith form when its
+    charpoly is squarefree) give the weight pieces P_(i,w) of every
+    degree, composed by Kunneth over one block per factor
+    (poly.exterior_power_charpolys). By Clebsch-Gordan the i-th exterior
+    power has m_(s-1) - m_(s+1) blocks of size s at mu, m_w the
+    multiplicity of mu in P_(i,w): the pieces with w >= 0 are its Jordan
+    data. Exterior power matrices are built only when asked for. The model
+    is marked as exterior powers of degree 1 (VarietyModel.exterior_powers)."""
     if not isinstance(M, ExactMatrix):
         M = ExactMatrix(M)
     if not M.is_square or M.nrows != 2 * d:
@@ -181,7 +182,7 @@ def _abelian(d, M, q, factors, metadata):
     # M is integral with det M != 0, so every degree is a valid action.
     actions = []
     for i, (by_weight, matrix) in enumerate(zip(pieces, matrices)):
-        P = prod((Q * Q if w else Q for w, Q in by_weight.items()), start=Poly([1]))
+        P = _product([Q * Q if w else Q for w, Q in by_weight.items()])
         jordan = partial(list, by_weight.values())
         actions.append(CohomologyAction(i, P.degree, P, jordan, matrix))
     model = VarietyModel(
@@ -200,9 +201,8 @@ def abelian_en(A, q):
     """Power-of-an-elliptic-curve model from an n x n integer isogeny
     matrix: the degree-1 action is M = A tensor I2 and P_1 = charpoly(A)**2.
     M is permutation-similar to A + A, so its invariant factors are A's,
-    each twice: the Smith form is taken of A, not of M.
-
-    The polarization witness is decided exactly on A itself; its outcome
+    each twice, and A's pieces are folded with themselves. The
+    polarization witness is decided exactly on A itself; its outcome
     travels in the metadata rather than gating construction."""
     if not isinstance(A, ExactMatrix):
         A = ExactMatrix(A)
@@ -210,7 +210,6 @@ def abelian_en(A, q):
         raise ShapeError("isogeny matrix must be square")
     if A.det() == 0:
         raise SingularActionError("isogeny matrix is singular")
-    n = A.nrows
     M = A.kron(ExactMatrix.identity(2))
     witness = polarization_witness(A, q)
     metadata = {
@@ -220,7 +219,7 @@ def abelian_en(A, q):
     }
     _require_integer(M)
     factors = [f for f in invariant_factors(A) for _ in (0, 1)]
-    return _abelian(n, M, q, factors, metadata)
+    return _abelian(A.nrows, M, q, factors, metadata)
 
 
 def box_partitions(rows, cols, size):

@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, comb
 
 from endospec.errors import (
     DomainError,
@@ -17,9 +17,13 @@ from endospec.poly import (
     FunctionalEquationResult,
     Poly,
     _cleared,
+    _elementary,
     _ratio,
     _without_real_circle_points,
+    coeff_strings,
     count_real_roots,
+    poly_gcd,
+    power_sums,
     reciprocal_partner,
     sturm_chain,
 )
@@ -423,6 +427,24 @@ def fraction_nullspace(rows):
     return basis
 
 
+def fraction_det(rows):
+    """Determinant by Gauss elimination over Fraction."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    n, det = len(a), Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            f = a[r][col] / a[col][col]
+            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return det
+
+
 def fraction_inverse(M):
     """Exact inverse by Gauss-Jordan over Fraction."""
     if not M.is_square:
@@ -445,3 +467,106 @@ def fraction_inverse(M):
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
     out = [[int(x) if x.denominator == 1 else x for x in row[n:]] for row in aug]
     return ExactMatrix(out)
+
+
+# -- Exterior powers by one recurrence ---------------------------------------
+# poly.exterior_power_charpolys before it composed one cyclic block per
+# invariant factor: a single recurrence over all n roots of M, whatever the
+# number of invariant factors.
+
+
+def recurrence_exterior_power_charpolys(factors):
+    """Weight pieces P_(k,w), w >= 0, of the charpolys of the exterior
+    powers 0..n of an n x n integer matrix, from its invariant factors: the
+    m-th power sum of P_(k,w) is the x**k y**w coefficient of the product
+    of 1 + x lambda**m y**weight over the n roots."""
+    if not all(f.is_monic() and f.is_integer() and f.degree >= 1 for f in factors):
+        raise ValidityError("need monic nonconstant integer invariant factors")
+    layers = {}  # weight: the roots that carry it
+    for f in factors:
+        # g[s] = gcd(g[s-1], g[s-1]'): roots of multiplicity e > s, e - s times
+        g = [f]
+        while g[-1].degree >= 1:
+            g.append(poly_gcd(g[-1], g[-1].derivative()))
+        g.append(g[-1])
+        for s in range(1, len(g) - 1):
+            exactly = (g[s - 1] * g[s + 1]).divmod_by(g[s] * g[s])[0]
+            for w in range(1 - s, s, 2):
+                layers[w] = layers.get(w, Poly([1])) * exactly
+    n = sum(Q.degree for Q in layers.values())
+    bound = max(k * comb(n, k) for k in range(n + 1))
+    graded = [(w, Q.degree, [Q.degree] + power_sums(Q, bound)) for w, Q in layers.items()]
+    traces = {}  # (k, w): [p_0, p_1, ...] of P_(k,w)
+    m, top = 0, n  # top: the largest k with a piece that needs p_m
+    while top >= 0:
+        product = {(0, 0): 1}  # (k, w): coefficient of x**k y**w
+        for weight, degree, p in graded:
+            part = _elementary([p[j * m] for j in range(1, min(degree, top) + 1)])
+            grown = {}
+            for (k, w), a in product.items():
+                for j, c in enumerate(part[: top - k + 1]):
+                    key = (k + j, w + j * weight)
+                    grown[key] = grown.get(key, 0) + a * c
+            product = grown
+        for key, c in product.items():
+            t = traces.setdefault(key, [])
+            if not t or m <= t[0]:
+                t.append(c)
+        m += 1
+        top = max((k for (k, _), t in traces.items() if t[0] >= m), default=-1)
+    out = [{} for _ in range(n + 1)]
+    for (k, w), t in sorted(traces.items()):
+        if w >= 0:
+            e = _elementary(t[1:])
+            out[k][w] = Poly.from_desc([c if j % 2 == 0 else -c for j, c in enumerate(e)])
+    return out
+
+
+# -- Descriptors ---------------------------------------------------------------
+# The CLI reads descriptors and never writes one; tests write them from
+# models, big integers as strings.
+
+
+def matrix_to_strings(M):
+    return [[str(x) for x in r] for r in M.rows]
+
+
+def serialize_model(model):
+    """Canonical descriptor for a model; big integers become strings."""
+    q = str(model.q)
+    if model.kind == "abelian" and "isogeny_matrix" in model.metadata:
+        return {
+            "kind": "abelian_en",
+            "q": q,
+            "isogeny_matrix": matrix_to_strings(model.metadata["isogeny_matrix"]),
+        }
+    if model.kind == "abelian":
+        return {
+            "kind": "abelian",
+            "q": q,
+            "d": model.dimension,
+            "matrix": matrix_to_strings(model.action(1).matrix),
+        }
+    if model.kind == "grassmannian":
+        return {
+            "kind": "grassmannian",
+            "q": q,
+            "k": model.metadata["k"],
+            "n": model.metadata["n"],
+            "variant": model.metadata["variant"],
+        }
+    out = {
+        "kind": "generic",
+        "q": q,
+        "d": model.dimension,
+        "charpolys": [coeff_strings(a.charpoly) for a in model.actions],
+    }
+    if any(a.matrix is not None for a in model.actions):
+        out["matrices"] = [
+            None if a.matrix is None else matrix_to_strings(a.matrix)
+            for a in model.actions
+        ]
+    if any(x is not None for row in model.hodge for x in row):
+        out["hodge"] = [list(row) for row in model.hodge]
+    out["strict"] = bool(model.metadata.get("strict", True))
+    return out

@@ -14,12 +14,12 @@ import time
 
 import jsonschema
 import pytest
-from helpers import block_diag
+from helpers import block_diag, serialize_model
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from endospec import cli
-from endospec.cli import SCHEMA, parse_descriptor, serialize_model
+from endospec.cli import SCHEMA, parse_descriptor
 from endospec.matrixops import ExactMatrix
 from endospec.poly import Poly
 from endospec.varieties import abelian_en, abelian_from_h1, generic_model, grassmannian

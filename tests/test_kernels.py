@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from helpers import loop_mat_mul, loop_poly_mul, rescaling_pseudo_divmod
+from helpers import fraction_det, loop_mat_mul, loop_poly_mul, rescaling_pseudo_divmod
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -100,6 +100,31 @@ def test_det_matches_sympy(rows):
     """det_int, a row-swap loop over the shared elimination step, against
     sympy's determinant."""
     assert kernels.det_int(rows) == sympy.Matrix(rows).det()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_square_integer_matrices())
+@example([[0, 0], [0, 5]])
+@example([[2, 4, 1], [1, 2, 7], [3, 1, 1]])  # a zero pivot after one step
+def test_det_matches_the_fraction_determinant(rows):
+    """det_int updates only the columns from each pivot's on; Gauss
+    elimination over Fraction decides the same determinant."""
+    assert kernels.det_int(rows) == fraction_det(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_square_integer_matrices())
+def test_pivot_step_from_a_first_column_is_the_whole_row_step(rows):
+    """A step that starts at the pivot's column leaves the rows below it as
+    the whole-row step does, once the columns left of it are cleared."""
+    n = len(rows)
+    whole, tail, p = [list(r) for r in rows], [list(r) for r in rows], 1
+    for k in range(n):
+        if not whole[k][k]:
+            break
+        kernels.pivot_step_int(whole, k, k, p, range(k + 1, n))
+        p = kernels.pivot_step_int(tail, k, k, p, range(k + 1, n), k)
+        assert whole == tail
 
 
 # int and Fraction entries mixed, zeros and negatives included

@@ -20,6 +20,10 @@ def test_majorizes_examples():
     assert majorizes((2, 2), (2, 2))
     # equal partial sums but different totals
     assert not majorizes((1, 1), (1, 2))
+    # the empty vectors majorize each other
+    assert majorizes([], [])
+    with pytest.raises(ShapeError):
+        majorizes([], [1])
 
 
 def test_majorizes_order_insensitive():

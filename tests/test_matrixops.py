@@ -7,7 +7,13 @@ import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from helpers import block_diag, fraction_inverse, fraction_nullspace, inverse
+from helpers import (
+    block_diag,
+    fraction_inverse,
+    fraction_nullspace,
+    inverse,
+    matrix_to_strings,
+)
 
 from endospec import matrixops
 from endospec.errors import ShapeError, SingularActionError, ValidityError
@@ -19,7 +25,6 @@ from endospec.matrixops import (
     invariant_factors,
     jordan_symmetry_check,
     matrix_from_strings,
-    matrix_to_strings,
     pairing_check,
     polarization_witness,
 )

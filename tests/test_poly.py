@@ -247,6 +247,8 @@ def test_exterior_power_charpolys_match_matrices():
         exterior_power_charpolys([Poly([Fraction(1, 2), 1])])
     with pytest.raises(ValidityError):
         exterior_power_charpolys([Poly([3])])
+    with pytest.raises(ValidityError):
+        exterior_power_charpolys([])
 
 
 def test_exterior_power_pieces_by_weight():

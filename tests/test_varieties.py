@@ -461,8 +461,9 @@ def _eager(model):
     actions = [model.action(0)]
     for k in range(1, M.nrows + 1):
         L = exterior_power(M, k)
-        jordan = lambda L=L: tuple(invariant_factors(L))
-        actions.append(CohomologyAction(k, L.nrows, charpoly(L.rows), jordan, lambda L=L: L))
+        P = charpoly(L.rows)
+        jordan = lambda L=L, P=P: tuple(invariant_factors(L, P))
+        actions.append(CohomologyAction(k, L.nrows, P, jordan, lambda L=L: L))
     return replace(model, actions=tuple(actions))
 
 
