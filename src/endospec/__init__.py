@@ -21,7 +21,6 @@ from endospec.matrixops import (
     ExactMatrix,
     exterior_power,
     invariant_factors,
-    jordan_symmetry_check,
     pairing_check,
     polarization_witness,
 )
@@ -33,6 +32,7 @@ from endospec.poly import (
     duality_partner,
     functional_equation_check,
     half_weight_multiplicity,
+    jordan_symmetry_check,
     model_facts,
     power_sums,
     reciprocal_partner,

@@ -1,18 +1,13 @@
 """Exact matrix machinery: exterior powers, invariant factors of the
 characteristic matrix t*id - M (Smith normal form over the polynomial ring),
-the eigenvalue-reciprocity test on Jordan data, bilinear pairing checks, and
-the exact decision whether a positive-definite polarization witness exists
-(one projection onto a kernel).
+whose Jordan symmetry poly decides, bilinear pairing checks, and the exact
+decision whether a positive-definite polarization witness exists (one
+projection onto a kernel).
 
 Kernels come from a fraction-free Gauss-Jordan elimination over the
 integers and leading principal minors from a forward pass, both on the one
 Bareiss (1968) step _kernels.pivot_step_int: every entry stays an integer
 minor of the input while it runs.
-
-Jordan symmetry is one predicate, jordan_symmetry_check, over the Jordan
-data each degree of a model carries (varieties.CohomologyAction): each
-polynomial D of degree n must satisfy t**n * D(q**i/t) = D(0) * D(t), the
-reciprocity identity that poly decides for every check.
 
 Matrices carry int or Fraction entries and are immutable. Heavy integer
 inner loops (the elimination step, determinants, minors, polynomial
@@ -40,11 +35,10 @@ from endospec.errors import (
     ConsistencyError,
     DomainError,
     ShapeError,
-    SingularActionError,
     ValidityError,
 )
 from endospec.exactnum import parse_rational, perfect_sqrt
-from endospec.poly import Poly, _reciprocity_failure, poly_gcd
+from endospec.poly import Poly, poly_gcd
 
 
 class ExactMatrix:
@@ -298,20 +292,6 @@ def invariant_factors(M, chi=None):
                     raise ConsistencyError("gcd failed to divide the product")
                 factors[i], factors[j] = g, l.monic()
     return [f for f in factors if f.degree >= 1]
-
-
-def jordan_symmetry_check(jordan_data, q, i):
-    """True iff each polynomial D of a degree-i action's Jordan data is its
-    own q**i-reciprocal partner, t**n * D(q**i/t) = D(0) * D(t) with
-    n = deg D. On the invariant factors of a matrix M
-    this says, by the divisibility chain, that the Jordan blocks of M are
-    symmetric under lambda -> q**i/lambda."""
-    for d in jordan_data:
-        if d.coeff(0) == 0:
-            raise SingularActionError("0 is an eigenvalue; reciprocity undefined")
-        if _reciprocity_failure(d, d, q**i) is not None:
-            return False
-    return True
 
 
 @dataclass(frozen=True)

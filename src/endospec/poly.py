@@ -4,8 +4,8 @@ identity t**n * P(s/t) = P(0) * Q(t) behind the functional equation, cross
 duality, Jordan symmetry, the weight check's circle gate, the circle test,
 power sums, exterior powers' charpolys composed by Kunneth from composed
 products, and exact factor extraction. DegreeFacts gathers what the checks
-read about one degree, from its polynomial, degree 1's facts or its
-eigenvalues; model_facts gathers them for every degree of a model.
+read about one degree, from its polynomial, Jordan data, degree 1's facts
+or eigenvalues; model_facts gathers them for every degree of a model.
 
 Coefficients are int or Fraction; arithmetic never leaves exact scalars,
 and the hot paths (gcd, Sturm sequences) run in integers. Storage is
@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import reduce
 from math import comb, gcd, inf, lcm
 from operator import mul
-from typing import Optional
+from typing import Optional, Sequence
 
 from endospec import polygons
 from endospec._kernels import charpoly_int, poly_mul_int, poly_pseudo_divmod_int
@@ -325,15 +325,16 @@ def duality_partner(P, q, d):
     return partner
 
 
-def cross_duality_check(facts, P_dual, d):
-    """Test t**n * P_i(q**d/t) == (-1)**eps * q**(i*n/2) * P_dual(t) for the
-    P_i, q and i of facts.
+def cross_duality_check(facts):
+    """Test t**n * P_i(q**d/t) == (-1)**eps * q**(i*n/2) * P_(2d-i)(t) for the
+    P_i, q, i, partner P_(2d-i) and dimension d of facts.
 
     The realized sign must agree with the functional-equation sign of P_i,
     read from facts. Once that equation holds (-1)**eps * q**(i*n/2) is
-    P_i(0), so this is the reciprocity identity with Q = P_dual, s = q**d.
+    P_i(0), so this is the reciprocity identity with Q = P_(2d-i), s = q**d,
+    and fe itself when fe fails or in the middle degree (Q = P_i, d = i).
     """
-    P_i, q = facts.charpoly, facts.q
+    P_i, P_dual, q, d = facts.charpoly, facts.partner, facts.q, facts.dimension
     n = P_i.degree
     if n != P_dual.degree:
         raise DualityViolationError(
@@ -344,12 +345,26 @@ def cross_duality_check(facts, P_dual, d):
     if P_i.coeff(0) == 0 or P_dual.coeff(0) == 0:
         raise SingularActionError("zero constant term")
     fe = facts.fe
-    if not fe.holds:
-        return FunctionalEquationResult(False, failure_index=fe.failure_index)
+    if not fe.holds or (d == facts.degree and P_dual == P_i):
+        return fe
     j = _reciprocity_failure(P_i, P_dual, q**d)
     if j is not None:
         return FunctionalEquationResult(False, failure_index=j)
     return FunctionalEquationResult(True, epsilon=fe.epsilon)
+
+
+def jordan_symmetry_check(jordan_data, q, i):
+    """True iff each polynomial D of a degree-i action's Jordan data is its
+    own q**i-reciprocal partner, t**n * D(q**i/t) = D(0) * D(t) with
+    n = deg D, each distinct D tested once. On the invariant factors of a
+    matrix M this says, by the divisibility chain, that the Jordan blocks
+    of M are symmetric under lambda -> q**i/lambda."""
+    for D in dict.fromkeys(jordan_data):
+        if D.coeff(0) == 0:
+            raise SingularActionError("0 is an eigenvalue; reciprocity undefined")
+        if _reciprocity_failure(D, D, q**i) is not None:
+            return False
+    return True
 
 
 def power_sums(P, N):
@@ -594,20 +609,18 @@ def _without_real_circle_points(S, Q):
     return S
 
 
-def _circle_defect(S, T, Q):
-    """None when every root of the squarefree monic S has |t|**2 = Q, else
-    the exact test that failed (Kedlaya, "Search techniques for
-    root-unitary polynomials", 2008). T is S without its real circle
-    points (_without_real_circle_points).
+def _circle_defect(T, Q):
+    """None when every root of T has |t|**2 = Q, else the exact test that
+    failed (Kedlaya, "Search techniques for root-unitary polynomials",
+    2008). T is a squarefree monic Q-reciprocal polynomial without the real
+    points +-sqrt(Q) of the circle (DegreeFacts.circle_defect gates on the
+    reciprocity and divides those points out).
 
-    Roots on the circle come in pairs t, Q/t = conj(t), so S must equal its
-    Q-reciprocal partner. Without the real points +-sqrt(Q) the rest is
-    T = t**m * R(t + Q/t) with R rational, and t lies on the circle exactly
-    when x = t + Q/t is real in [-2 sqrt(Q), 2 sqrt(Q)]. U(y) = (-1)**m *
-    R(sqrt(y)) * R(-sqrt(y)) has the roots x**2, so every root of S is on
-    the circle exactly when every distinct root of U lies in [0, 4Q]."""
-    if _reciprocity_failure(S, S, Q) is not None:
-        return "squarefree part is not q^i-reciprocal"
+    Such a T is t**m * R(t + Q/t) with R rational, and t lies on the circle
+    exactly when x = t + Q/t is real in [-2 sqrt(Q), 2 sqrt(Q)]. U(y) =
+    (-1)**m * R(sqrt(y)) * R(-sqrt(y)) has the roots x**2, so every root of
+    T is on the circle exactly when every distinct root of U lies in
+    [0, 4Q]."""
     m = T.degree // 2
     c = T.coeffs_asc()
     # T/t**m = c_m + sum_j c_{m+j} (t**j + (Q/t)**j), as c_{m-j} = Q**j c_{m+j};
@@ -667,10 +680,10 @@ class DegreeFacts:
     (fe), the multiplicities of the eigenvalues +-q**(i/2), the squarefree
     part, that part without its real points of |t|**2 = q**i (circle_free),
     the circle defect (None when every root has |t|**2 = q**i), the
-    Newton polygon at each prime, normalized against q, and, when the
-    facts carry the partner P_(2d-i) and the dimension d, cross duality
-    (dual, else None). A fact whose computation raised raises again when
-    read.
+    Newton polygon at each prime, normalized against q, cross duality when
+    the facts carry the partner P_(2d-i) and the dimension d (dual), and
+    Jordan symmetry when they carry the action's Jordan data (jordan); each
+    else None. A fact whose computation raised raises again when read.
 
     Beside P itself, two sources may give facts without reading P:
 
@@ -689,7 +702,9 @@ class DegreeFacts:
 
     The functional equation, cross duality, the squarefree and circle-free
     parts and any circle defect that is not None are decided on P either
-    way."""
+    way. fe alone decides P's q**i-reciprocity, for cross duality in the
+    middle degree, Jordan symmetry on the data [P] and the circle gate; mu-
+    is mu+ when q**i is not a square (one division by t**2 - q**i)."""
 
     degree: int
     q: int
@@ -698,6 +713,7 @@ class DegreeFacts:
     dimension: Optional[int] = None
     h1: Optional["DegreeFacts"] = None
     roots: Optional[tuple] = None
+    jordan_data: Optional[Sequence[Poly]] = None
     _polygons: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @_fact
@@ -723,13 +739,26 @@ class DegreeFacts:
 
     @_fact
     def mu_minus(self):
+        if perfect_sqrt(self.q**self.degree) is None:
+            return self.mu_plus
         return self._half_weight_multiplicity(-1)
 
     @_fact
     def dual(self):
         if self.partner is None:
             return None
-        return cross_duality_check(self, self.partner, self.dimension)
+        return cross_duality_check(self)
+
+    @_fact
+    def jordan(self):
+        if self.jordan_data is None:
+            return None
+        try:
+            if list(self.jordan_data) == [self.charpoly]:
+                return self.fe.holds
+        except EndospecError:  # fe raised: the data decides
+            pass
+        return jordan_symmetry_check(self.jordan_data, self.q, self.degree)
 
     @_fact
     def squarefree(self):
@@ -746,7 +775,11 @@ class DegreeFacts:
             return None
         if self.roots is not None and all(r * r == Q for r, _ in self.roots):
             return None
-        return _circle_defect(self.squarefree, self.circle_free, Q)
+        # Roots on the circle come in pairs t, Q/t = conj(t).
+        S = self.squarefree
+        if not self.fe_holds and _reciprocity_failure(S, S, Q) is not None:
+            return "squarefree part is not q^i-reciprocal"
+        return _circle_defect(self.circle_free, Q)
 
     def newton_polygon(self, prime):
         """Newton polygon of P at `prime`, under the valuation normalized
@@ -769,14 +802,14 @@ def model_facts(model):
     degrees are exterior powers of degree 1 (abelian_from_h1), every degree
     from 2 on reads its weight and Newton polygons off degree 1's facts. A
     degree whose action carries its eigenvalues (CohomologyAction.roots)
-    reads the facts they give off them."""
+    reads the facts they give off them; each carries its Jordan data."""
     q, d = model.q, model.dimension
     facts = {}
     for i, act in enumerate(model.actions):
         if act.betti:
             h1 = facts[1] if model.exterior_powers and i >= 2 else None
             partner = model.charpoly(2 * d - i)
-            facts[i] = DegreeFacts(i, q, act.charpoly, partner, d, h1, act.roots)
+            facts[i] = DegreeFacts(i, q, act.charpoly, partner, d, h1, act.roots, act.jordan_data)
     return facts
 
 

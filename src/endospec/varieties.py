@@ -29,12 +29,12 @@ from endospec.poly import Poly, _fact, _product, charpoly, exterior_power_charpo
 
 @dataclass(frozen=True)
 class CohomologyAction:
-    """One degree's action: its characteristic polynomial and, when the
-    model has one, the acting matrix and its Jordan data, built on first
-    use. The Jordan data is a sequence of monic polynomials, each its own
-    q**degree-reciprocal partner exactly when the Jordan blocks are
-    symmetric under lambda -> q**degree/lambda. Both are cached like
-    DegreeFacts' facts (poly._fact): a build that raised raises again.
+    """One degree's action: its characteristic polynomial, whose degree is
+    the Betti number, and, when the model has one, the acting matrix and
+    its Jordan data, built on first use. The Jordan data is a sequence of
+    monic polynomials, each its own q**degree-reciprocal partner exactly
+    when the Jordan blocks are symmetric under lambda -> q**degree/lambda.
+    Both are cached like DegreeFacts' facts: a failed build raises again.
 
     roots are set only by grassmannian, which knows the eigenvalues: (root,
     multiplicity) pairs with distinct nonzero rational roots and positive
@@ -45,13 +45,16 @@ class CohomologyAction:
     rule VarietyModel.exterior_powers follows."""
 
     degree: int
-    betti: int
     charpoly: Poly
     make_jordan_data: Optional[Callable[[], list]] = field(repr=False, compare=False)
     make_matrix: Optional[Callable[[], ExactMatrix]] = field(
         default=None, repr=False, compare=False
     )
     roots: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def betti(self):
+        return self.charpoly.degree
 
     @_fact
     def matrix(self):
@@ -67,19 +70,18 @@ def _action(degree, poly, matrix=None):
     invariant factors are the Jordan data."""
     if poly.degree != max(poly.degree, 0) or not poly.is_monic():
         raise ValidityError(f"degree {degree}: polynomial must be monic")
-    betti = poly.degree
-    if betti >= 1 and poly.coeff(0) == 0:
+    if poly.degree >= 1 and poly.coeff(0) == 0:
         raise SingularActionError(
             f"degree {degree}: zero constant term, action is not invertible"
         )
     if matrix is None:
-        return CohomologyAction(degree, betti, poly, None)
-    if not matrix.is_square or matrix.nrows != betti:
-        raise ShapeError(f"degree {degree}: matrix size {matrix.nrows} != betti {betti}")
+        return CohomologyAction(degree, poly, None)
+    if not matrix.is_square or matrix.nrows != poly.degree:
+        raise ShapeError(f"degree {degree}: matrix size {matrix.nrows} != betti {poly.degree}")
     if charpoly(matrix.rows) != poly:
         raise ConsistencyError(f"degree {degree}: matrix does not realize the polynomial")
     jordan = partial(invariant_factors, matrix, poly)
-    return CohomologyAction(degree, betti, poly, jordan, lambda: matrix)
+    return CohomologyAction(degree, poly, jordan, lambda: matrix)
 
 
 @dataclass
@@ -118,9 +120,6 @@ class VarietyModel:
                 raise ValidityError(
                     f"Betti duality broken: b_{i} != b_{2 * d - i}"
                 )
-
-    def action(self, i):
-        return self.actions[i]
 
     def betti(self, i):
         return self.actions[i].betti
@@ -184,7 +183,7 @@ def _abelian(d, M, q, factors, metadata):
     for i, (by_weight, matrix) in enumerate(zip(pieces, matrices)):
         P = _product([Q * Q if w else Q for w, Q in by_weight.items()])
         jordan = partial(list, by_weight.values())
-        actions.append(CohomologyAction(i, P.degree, P, jordan, matrix))
+        actions.append(CohomologyAction(i, P, jordan, matrix))
     model = VarietyModel(
         kind="abelian",
         dimension=d,
@@ -343,7 +342,7 @@ def grassmannian(k, n, q, variant="scalar"):
         roots = tuple((r, m) for r, m in ((scale, fixed + cycles), (-scale, cycles)) if m)
         # q**j I and q**j (an involution) are semisimple: P is the Jordan data.
         jordan = partial(list, [poly])
-        action = CohomologyAction(i, b, poly, jordan, matrix)
+        action = CohomologyAction(i, poly, jordan, matrix)
         object.__setattr__(action, "roots", roots)
         actions.append(action)
     return VarietyModel(

@@ -5,9 +5,8 @@ Check ids, in report order per degree: functional_equation, cross_duality,
 jordan_symmetry, weil_weight, epsilon_congruence, even_multiplicity; per
 prime and degree: newton_slope_zero, newton_symmetry, newton_over_hodge;
 once per model: zeta_functional_equation. The newton_over_hodge verdict is
-advisory evidence and never fails a run.
-jordan_symmetry reads the Jordan data each degree's action carries, whatever
-family built the model.
+advisory evidence and never fails a run. Every per-degree verdict,
+jordan_symmetry included, is read off the degree's poly.DegreeFacts.
 """
 
 from dataclasses import dataclass
@@ -22,7 +21,6 @@ from endospec.errors import (
     ValidityError,
 )
 from endospec.exactnum import is_prime
-from endospec.matrixops import jordan_symmetry_check
 from endospec.poly import (
     _scaled_value,
     _sign_variations,
@@ -275,18 +273,17 @@ def _epsilon(f):
     )
 
 
-def _degree_results(model, f):
+def _degree_results(f):
     """The DEGREE_CHECKS of one degree with cohomology, read off its facts."""
     i = f.degree
     out = [
         _guarded("functional_equation", i, None, lambda: _sign(f.fe)),
         _guarded("cross_duality", i, None, lambda: _sign(f.dual)),
     ]
-    if model.action(i).make_jordan_data is None:
+    if f.jordan_data is None:
         out.append(_na("jordan_symmetry", i, reason="no matrix supplied"))
     else:
-        js = lambda: (jordan_symmetry_check(model.action(i).jordan_data, f.q, i), ())
-        out.append(_guarded("jordan_symmetry", i, None, js))
+        out.append(_guarded("jordan_symmetry", i, None, lambda: (f.jordan, ())))
     out.append(_guarded("weil_weight", i, None, lambda: _weight(f)))
     if f.fe_holds:
         out.append(_guarded("epsilon_congruence", i, None, lambda: _epsilon(f)))
@@ -386,7 +383,7 @@ def full_report(model, primes, precision=60):
             row["epsilon"] = f.fe.epsilon
         row["mu_plus"] = f.mu_plus
         row["mu_minus"] = f.mu_minus
-        results.extend(_degree_results(model, f))
+        results.extend(_degree_results(f))
     # A degree's Hodge polygon does not depend on the prime: build it once,
     # when a newton_over_hodge check first reads it, and record it in the
     # degree's row after the last prime.

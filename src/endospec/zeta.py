@@ -2,8 +2,9 @@
 rational function, and its functional equation.
 
 The zeta function is held as a numerator/denominator pair of reversed
-characteristic polynomials (odd degrees up, even degrees down); series
-expansion happens only inside the log-derivative consistency check.
+characteristic polynomials (odd degrees up, even degrees down), expanded
+only by the series check t*Z'/Z = sum N_n t**n, which confirms only the
+product arithmetic: each Lefschetz number N_n is a power sum of the P_i.
 
 The functional equation is decided in integers. When cross duality holds
 at every degree (t**n * P_i(q**d/t) = P_i(0) * P_{2d-i}(t), the one

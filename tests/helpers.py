@@ -545,7 +545,7 @@ def serialize_model(model):
             "kind": "abelian",
             "q": q,
             "d": model.dimension,
-            "matrix": matrix_to_strings(model.action(1).matrix),
+            "matrix": matrix_to_strings(model.actions[1].matrix),
         }
     if model.kind == "grassmannian":
         return {

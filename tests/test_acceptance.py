@@ -20,7 +20,6 @@ from endospec.exactnum import NormalizedValuation
 from endospec.matrixops import (
     ExactMatrix,
     invariant_factors,
-    jordan_symmetry_check,
 )
 from endospec.poly import (
     Poly,
@@ -28,6 +27,7 @@ from endospec.poly import (
     charpoly,
     functional_equation_check,
     half_weight_multiplicity,
+    jordan_symmetry_check,
     model_facts,
     power_sums,
 )

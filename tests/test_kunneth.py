@@ -49,7 +49,7 @@ def _check_pieces(model):
     for k, by_weight in enumerate(pieces):
         P = prod((Q * Q if w else Q for w, Q in by_weight.items()), start=Poly([1]))
         assert model.charpoly(k) == P
-        assert list(model.action(k).jordan_data) == list(by_weight.values())
+        assert list(model.actions[k].jordan_data) == list(by_weight.values())
     if "isogeny_matrix" in model.metadata:
         A = model.metadata["isogeny_matrix"]
         doubled = [f for f in invariant_factors(A) for _ in (0, 1)]

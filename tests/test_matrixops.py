@@ -23,12 +23,11 @@ from endospec.matrixops import (
     _nullspace,
     exterior_power,
     invariant_factors,
-    jordan_symmetry_check,
     matrix_from_strings,
     pairing_check,
     polarization_witness,
 )
-from endospec.poly import DegreeFacts, Poly, charpoly
+from endospec.poly import DegreeFacts, Poly, charpoly, jordan_symmetry_check
 from endospec.verify import weil_weight_check
 
 

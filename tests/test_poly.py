@@ -148,28 +148,28 @@ def test_reciprocal_partner_monic_and_exact():
 
 
 def test_cross_duality_examples():
-    facts = DegreeFacts(0, 6, Poly.from_desc([1, -1]))
-    res = cross_duality_check(facts, Poly.from_desc([1, -6]), 1)
+    facts = DegreeFacts(0, 6, Poly.from_desc([1, -1]), Poly.from_desc([1, -6]), 1)
+    res = cross_duality_check(facts)
     assert res.holds and res.epsilon == 1
 
     P1 = Poly.from_desc([1, -2, 6])
-    res = cross_duality_check(DegreeFacts(1, 6, P1), P1, 1)
+    res = cross_duality_check(DegreeFacts(1, 6, P1, P1, 1))
     assert res.holds and res.epsilon == 0
 
     P3 = duality_partner(EXAMPLE_P1, 6, 2)
-    res = cross_duality_check(DegreeFacts(1, 6, EXAMPLE_P1), P3, 2)
+    res = cross_duality_check(DegreeFacts(1, 6, EXAMPLE_P1, P3, 2))
     assert res.holds and res.epsilon == 0
 
 
 def test_cross_duality_degree_mismatch():
-    facts = DegreeFacts(0, 6, Poly.from_desc([1, -1]))
+    facts = DegreeFacts(0, 6, Poly.from_desc([1, -1]), Poly.from_desc([1, 0, -36]), 1)
     with pytest.raises(DualityViolationError):
-        cross_duality_check(facts, Poly.from_desc([1, 0, -36]), 1)
+        cross_duality_check(facts)
 
 
 def test_cross_duality_detects_wrong_partner():
-    facts = DegreeFacts(0, 6, Poly.from_desc([1, -1]))
-    res = cross_duality_check(facts, Poly.from_desc([1, -7]), 1)
+    facts = DegreeFacts(0, 6, Poly.from_desc([1, -1]), Poly.from_desc([1, -7]), 1)
+    res = cross_duality_check(facts)
     assert not res.holds
 
 

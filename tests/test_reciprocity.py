@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 
 from endospec import zeta
 from endospec.errors import EndospecError
-from endospec.matrixops import jordan_symmetry_check
 from endospec.poly import (
     DegreeFacts,
     Poly,
     cross_duality_check,
     functional_equation_check,
+    jordan_symmetry_check,
     reciprocal_partner,
     squarefree_part,
 )
@@ -102,7 +102,7 @@ def test_one_identity_matches_the_per_check_loops(case):
     assert _outcome(functional_equation_check, P, q, i) == _outcome(
         loop_functional_equation, P, q, i
     )
-    new = _outcome(cross_duality_check, DegreeFacts(i, q, P), P_dual, d)
+    new = _outcome(cross_duality_check, DegreeFacts(i, q, P, P_dual, d))
     old = _outcome(loop_cross_duality, P, P_dual, q, i, d)
     # the two raise the same error class; their messages differ
     assert new == old or (len(new) == len(old) == 2 and new[0] is old[0])

@@ -25,10 +25,9 @@ from endospec.matrixops import (
     _is_positive_definite,
     exterior_power,
     invariant_factors,
-    jordan_symmetry_check,
 )
 from endospec.exactnum import NormalizedValuation
-from endospec.poly import DegreeFacts, Poly, charpoly, model_facts
+from endospec.poly import DegreeFacts, Poly, charpoly, jordan_symmetry_check, model_facts
 from endospec.polygons import newton_polygon
 from endospec.varieties import (
     CohomologyAction,
@@ -185,7 +184,7 @@ def test_action_matrix_and_jordan_data_are_built_once():
         raise ConsistencyError("no Jordan data")
 
     P = Poly([-2, 1])
-    act = CohomologyAction(1, 1, P, refuse, refuse)
+    act = CohomologyAction(1, P, refuse, refuse)
     for _ in range(2):
         for name in ("jordan_data", "matrix"):
             with pytest.raises(ConsistencyError):
@@ -197,10 +196,28 @@ def test_action_matrix_and_jordan_data_are_built_once():
         return lambda: calls.append(value) or value
 
     calls.clear()
-    act = CohomologyAction(1, 1, P, build([P]), build(ExactMatrix([[2]])))
+    act = CohomologyAction(1, P, build([P]), build(ExactMatrix([[2]])))
     for _ in range(2):
         assert act.jordan_data == [P] and act.matrix == ExactMatrix([[2]])
     assert calls == [[P], ExactMatrix([[2]])]
+
+
+def test_betti_numbers_are_read_off_the_polynomials():
+    """A Betti number is the degree of its action's polynomial, with no
+    second copy that could disagree with it. At q = 6 with P_1 = t**2 - t + 6
+    the Betti numbers are [1, 2, 1] and chi = 0, and every check passes; a
+    Betti number cannot be given beside the polynomial."""
+    polys = [Poly.from_desc(c) for c in ([1, -1], [1, -1, 6], [1, -6])]
+    actions = tuple(CohomologyAction(i, P, None) for i, P in enumerate(polys))
+    hodge = tuple((None,) * (i + 1) for i in range(3))
+    model = VarietyModel("generic", 1, 6, actions, hodge)
+    assert model.betti_numbers == [1, 2, 1] and model.euler_characteristic == 0
+    report = full_report(model, [2, 3])
+    assert not report.has_failures
+    (zeta_row,) = [r for r in report.results if r.check_id == "zeta_functional_equation"]
+    assert zeta_row.status == "pass"
+    with pytest.raises(TypeError):
+        CohomologyAction(1, polys[1], None, betti=3)
 
 
 def test_grassmannian_projective_line():
@@ -345,7 +362,7 @@ def test_hand_built_roots_off_the_circle_give_the_polynomial_path_witness(roots)
     base = grassmannian(2, 4, 4)
     P = Poly.from_roots(r for r, m in roots for _ in range(m))
     actions = list(base.actions)
-    actions[4] = CohomologyAction(4, P.degree, P, None)
+    actions[4] = CohomologyAction(4, P, None)
     object.__setattr__(actions[4], "roots", roots)
     model = replace(base, actions=tuple(actions))
     report = full_report(model, [2, 3])
@@ -458,12 +475,12 @@ def _eager(model):
     """The model as the matrix path builds it: every exterior power built,
     its polynomial by Faddeev-LeVerrier, its Jordan data by Smith form."""
     M = model.matrix(1)
-    actions = [model.action(0)]
+    actions = [model.actions[0]]
     for k in range(1, M.nrows + 1):
         L = exterior_power(M, k)
         P = charpoly(L.rows)
         jordan = lambda L=L, P=P: tuple(invariant_factors(L, P))
-        actions.append(CohomologyAction(k, L.nrows, P, jordan, lambda L=L: L))
+        actions.append(CohomologyAction(k, P, jordan, lambda L=L: L))
     return replace(model, actions=tuple(actions))
 
 
@@ -533,7 +550,7 @@ def test_matrix_free_degrees_match_matrix_path():
             assert model.charpoly(k) == eager.charpoly(k)
             # The eager Jordan data are the invariant factors of the
             # exterior power: this is the Smith-form verdict on it.
-            expected = jordan_symmetry_check(eager.action(k).jordan_data, model.q, k)
+            expected = jordan_symmetry_check(eager.actions[k].jordan_data, model.q, k)
             assert jordan[k] == ("pass" if expected else "fail")
             verdicts.add(jordan[k])
         report = full_report(model, [2, 3, 5]).to_json()
@@ -689,7 +706,7 @@ def test_degree_facts_normalize_polygons_against_their_own_q():
                 f.charpoly, NormalizedValuation(prime, 6)
             )
     G = grassmannian(2, 4, 4)
-    P2, roots = G.charpoly(2), G.action(2).roots
+    P2, roots = G.charpoly(2), G.actions[2].roots
     assert roots is not None
     for q, den in ((4, 2), (8, 3)):
         NP = DegreeFacts(2, q, P2, roots=roots).newton_polygon(2)

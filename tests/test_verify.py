@@ -7,12 +7,13 @@ from math import isqrt
 
 import pytest
 import sympy
-from helpers import fraction_real_root_off_circle
+from helpers import block_diag, fraction_real_root_off_circle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from endospec import cli
 from endospec.errors import DomainError, ValidityError
+from endospec.exactnum import perfect_sqrt
 from endospec.matrixops import ExactMatrix
 from endospec.poly import DegreeFacts, Poly
 from endospec.polygons import HodgePolygon
@@ -430,11 +431,10 @@ def test_report_and_cli_call_the_public_checks(monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(module, name, counted)
 
     # once per degree of the E^2 example, the zeta check once per model;
-    # cross duality is decided in the facts (next test)
+    # cross duality and Jordan symmetry are decided in the facts (next tests)
     expected = {
         "weil_weight_check": 5,
         "epsilon_congruence_check": 5,
-        "jordan_symmetry_check": 5,
         "zeta_functional_equation": 1,
     }
     for name in expected:
@@ -451,16 +451,17 @@ def test_report_and_cli_call_the_public_checks(monkeypatch, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "build, half_weight_calls",
-    [(lambda: abelian_en(EXAMPLE_A, 6), 2), (lambda: grassmannian(2, 4, 4), 0)],
+    "build, reads_roots",
+    [(lambda: abelian_en(EXAMPLE_A, 6), False), (lambda: grassmannian(2, 4, 4), True)],
     ids=["E2", "G24"],
 )
-def test_cross_duality_is_decided_once_per_degree(monkeypatch, build, half_weight_calls):
+def test_cross_duality_is_decided_once_per_degree(monkeypatch, build, reads_roots):
     """The report's rows and the zeta check read one decision per degree
     with cohomology of each fact in model_facts: its functional equation,
     its cross duality (the zeta dual-pair route included) and the
     multiplicity of each of +-q**(i/2), which a Grassmannian reads off its
-    eigenvalues without dividing the polynomial."""
+    eigenvalues without dividing the polynomial; when q**i is not a square
+    the two signs share one division by t**2 - q**i."""
     model = build()
     calls = Counter()
 
@@ -473,7 +474,7 @@ def test_cross_duality_is_decided_once_per_degree(monkeypatch, build, half_weigh
 
         monkeypatch.setattr(poly, name, counted)
 
-    count("cross_duality_check", lambda facts, P_dual, d: facts.degree)
+    count("cross_duality_check", lambda facts: facts.degree)
     count("functional_equation_check", lambda P, q, i: i)
     count("half_weight_multiplicity", lambda P, q, i, sign: i)
 
@@ -487,10 +488,64 @@ def test_cross_duality_is_decided_once_per_degree(monkeypatch, build, half_weigh
     for i in degrees:
         expected["cross_duality_check", i] = 1
         expected["functional_equation_check", i] = 1
-        if half_weight_calls:
-            expected["half_weight_multiplicity", i] = half_weight_calls
+        if not reads_roots:
+            square = perfect_sqrt(model.q**i) is not None
+            expected["half_weight_multiplicity", i] = 2 if square else 1
     assert calls == expected
     rows = [r for r in report.results if r.check_id == "cross_duality" and r.degree in degrees]
     assert [r.status for r in rows] == ["pass"] * len(degrees)
     (zeta_row,) = [r for r in report.results if r.check_id == "zeta_functional_equation"]
     assert zeta_row.status == "pass"
+
+
+def _non_cyclic_generic():
+    """d = 1, q = 6: degree 1 acts by diag(2, 3, 2, 3) + the companion
+    matrix of t**2 + 6, so its Jordan data are two distinct invariant
+    factors, not P_1."""
+    M = block_diag([ExactMatrix.diagonal([2, 3, 2, 3]), ExactMatrix([[0, -6], [1, 0]])])
+    return generic_model(1, 6, matrices={0: [[1]], 1: M, 2: [[6]]})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: abelian_en(EXAMPLE_A, 6),
+        lambda: grassmannian(2, 4, 4),
+        lambda: grassmannian(2, 4, 4, "involution"),
+        _non_cyclic_generic,
+    ],
+    ids=["E2", "G24", "G24-involution", "generic-non-cyclic"],
+)
+def test_a_report_decides_each_reciprocity_identity_once(monkeypatch, build):
+    """The functional equation owns P_i's q**i-reciprocity: Jordan symmetry
+    on the Jordan data [P_i], cross duality in the middle degree and the
+    circle gate read it, so no (P, Q, s) is decided twice in a report, and
+    mu- shares mu+'s division when q**i is not a square. Jordan data that
+    is not [P_i] is decided piece by piece."""
+    model = build()
+    identities, divisions = Counter(), Counter()
+    real_failure, real_multiplicity = poly._reciprocity_failure, poly.half_weight_multiplicity
+
+    def failure(P, Q, s):
+        identities[P.coeffs_asc(), Q.coeffs_asc(), s] += 1
+        return real_failure(P, Q, s)
+
+    def multiplicity(P, q, i, sign):
+        divisions[P.coeffs_asc(), poly._real_circle_factors(q**i)[sign].coeffs_asc()] += 1
+        return real_multiplicity(P, q, i, sign)
+
+    monkeypatch.setattr(poly, "_reciprocity_failure", failure)
+    monkeypatch.setattr(poly, "half_weight_multiplicity", multiplicity)
+    report = full_report(model, [2, 3])
+    assert identities and max(identities.values()) == 1
+    assert max(divisions.values(), default=1) == 1
+    jordan = [r.status for r in report.results if r.check_id == "jordan_symmetry"]
+    assert jordan == ["pass" if b else "not-applicable" for b in model.betti_numbers]
+    pieces = [
+        (D.coeffs_asc(), D.coeffs_asc(), model.q**i)
+        for i, act in enumerate(model.actions)
+        if act.betti and list(act.jordan_data) != [act.charpoly]
+        for D in act.jordan_data
+    ]
+    assert bool(pieces) == (build is _non_cyclic_generic)
+    assert all(identities[key] == 1 for key in pieces)
