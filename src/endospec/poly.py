@@ -3,9 +3,11 @@ transforms built on them: reciprocal/duality partners, the reciprocity
 identity t**n * P(s/t) = P(0) * Q(t) behind the functional equation, cross
 duality, Jordan symmetry, the weight check's circle gate, the circle test,
 power sums, exterior powers' charpolys composed by Kunneth from composed
-products, and exact factor extraction. DegreeFacts gathers what the checks
+products, and exact factor extraction, the half-weight factors t - r and
+t**2 - Q by Horner passes (deflation). DegreeFacts gathers what the checks
 read about one degree, from its polynomial, Jordan data, degree 1's facts
-or eigenvalues; model_facts gathers them for every degree of a model.
+or eigenvalues, and gives a unit polynomial's flat Newton polygon without
+valuing anything; model_facts gathers them for every degree of a model.
 
 Coefficients are int or Fraction; arithmetic never leaves exact scalars,
 and the hot paths (gcd, Sturm sequences) run in integers. Storage is
@@ -15,10 +17,10 @@ ascending by degree; serialization is leading-first.
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from math import comb, gcd, inf, lcm
 from operator import mul
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from endospec import polygons
 from endospec._kernels import charpoly_int, poly_mul_int, poly_pseudo_divmod_int
@@ -335,6 +337,10 @@ def cross_duality_check(facts):
     and fe itself when fe fails or in the middle degree (Q = P_i, d = i).
     """
     P_i, P_dual, q, d = facts.charpoly, facts.partner, facts.q, facts.dimension
+    if P_dual is None or d is None:
+        raise ValidityError(
+            f"degree {facts.degree}: cross duality needs the partner P_(2d-i) and the dimension d"
+        )
     n = P_i.degree
     if n != P_dual.degree:
         raise DualityViolationError(
@@ -563,19 +569,62 @@ def count_real_roots(chain, lo=-inf, hi=inf):
 
 def exact_divide_out(P, factor):
     """Maximal m with factor**m dividing P exactly; returns (quotient, m).
-    Divides the coefficient lists: a monic factor keeps every step exact."""
+    Divides the coefficient lists: a monic factor keeps every step exact.
+    The factors of the half-weight points divide by Horner passes (_deflate):
+    t - r by one pass, and t**2 - Q by one pass on each of P's even and odd
+    parts in t**2. Any other factor takes the pseudo-division kernel, and so
+    does t**2 - Q on a rational P: the kernel's products by the factor's
+    zero coefficient turn some integral coefficients into Fractions, and
+    the quotient keeps the kernel's coefficient types."""
     if factor.degree < 1:
         raise ValidityError("factor must be nonconstant")
     if not factor.is_monic():
         raise ValidityError("factor must be monic")
     f = factor.coeffs_asc()
+    if len(f) == 2:
+        divide = partial(_deflate, r=-f[0])
+    elif len(f) == 3 and not f[1] and isinstance(f[0], int) and P.is_integer():
+        divide = partial(_deflate_in_square, Q=-f[0])
+    else:
+        divide = partial(_kernel_quotient, f=f)
     a, m = P.coeffs_asc(), 0
-    while a:
-        _, quot, rem = poly_pseudo_divmod_int(a, f)
-        if rem:
-            break
+    while a and (quot := divide(a)) is not None:
         a, m = quot, m + 1
     return (Poly(a) if m else P), m
+
+
+def _kernel_quotient(a, f):
+    _, quot, rem = poly_pseudo_divmod_int(a, f)
+    return None if rem else quot
+
+
+def _deflate(a, r):
+    """The quotient of the ascending coefficients a by t - r, by one Horner
+    pass (synthetic division), or None when t - r does not divide them. The
+    running value is the kernel's remainder coefficient, and like the kernel
+    it skips a zero one, so every coefficient has the kernel's type."""
+    values, acc = [], 0  # values[j]: the quotient's coefficient of t**(n-1-j)
+    for c in reversed(a):
+        acc = c + acc * r if acc else c
+        values.append(acc or 0)
+    if values.pop():  # the remainder, P(r)
+        return None
+    values.reverse()
+    return values
+
+
+def _deflate_in_square(a, Q):
+    """The quotient of the ascending integer coefficients a by t**2 - Q, or
+    None when it does not divide them: P(t) = E(t**2) + t * O(t**2) is
+    divisible exactly when E and O are divisible by s - Q."""
+    if len(a) < 3:
+        return None
+    even, odd = _deflate(a[0::2], Q), _deflate(a[1::2], Q)
+    if even is None or odd is None:
+        return None
+    quot = [0] * (len(a) - 2)
+    quot[0::2], quot[1::2] = even, odd
+    return quot
 
 
 def _real_circle_factors(Q):
@@ -682,8 +731,9 @@ class DegreeFacts:
     the circle defect (None when every root has |t|**2 = q**i), the
     Newton polygon at each prime, normalized against q, cross duality when
     the facts carry the partner P_(2d-i) and the dimension d (dual), and
-    Jordan symmetry when they carry the action's Jordan data (jordan); each
-    else None. A fact whose computation raised raises again when read.
+    Jordan symmetry when they carry make_jordan_data, which gives the
+    action's Jordan data (jordan_data) when jordan is first read; each else
+    None. A fact whose computation raised raises again when read.
 
     Beside P itself, two sources may give facts without reading P:
 
@@ -713,7 +763,7 @@ class DegreeFacts:
     dimension: Optional[int] = None
     h1: Optional["DegreeFacts"] = None
     roots: Optional[tuple] = None
-    jordan_data: Optional[Sequence[Poly]] = None
+    make_jordan_data: Optional[Callable[[], Sequence[Poly]]] = None
     _polygons: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @_fact
@@ -750,6 +800,10 @@ class DegreeFacts:
         return cross_duality_check(self)
 
     @_fact
+    def jordan_data(self):
+        return None if self.make_jordan_data is None else self.make_jordan_data()
+
+    @_fact
     def jordan(self):
         if self.jordan_data is None:
             return None
@@ -781,17 +835,34 @@ class DegreeFacts:
             return "squarefree part is not q^i-reciprocal"
         return _circle_defect(self.circle_free, Q)
 
+    @_fact
+    def _monic_integer(self):
+        return self.charpoly.is_monic() and self.charpoly.is_integer()
+
     def newton_polygon(self, prime):
         """Newton polygon of P at `prime`, under the valuation normalized
-        against the facts' q; h1 carries the same q."""
+        against the facts' q; h1 carries the same q, and its polygon the
+        valuation. When P is monic over Z and prime does not divide
+        P(0) != 0, every root is a prime-adic unit, so the polygon is the
+        flat segment (0, 0)-(b, 0) on every route, and no coefficient or
+        root is valuated."""
         NP = self._polygons.get(prime)
         if NP is None:
             if self.h1 is not None:
-                NP = polygons.compound_newton_polygon(self.h1.newton_polygon(prime), self.degree)
-            elif self.roots is not None:
-                NP = polygons.root_newton_polygon(self.roots, NormalizedValuation(prime, self.q))
+                NP1 = self.h1.newton_polygon(prime)
+                den, normalized = NP1.den, NP1.normalized
             else:
-                NP = polygons.newton_polygon(self.charpoly, NormalizedValuation(prime, self.q))
+                v = NormalizedValuation(prime, self.q)
+                den, normalized = v.normalizer or 1, v.normalized
+            P = self.charpoly
+            if P.degree >= 1 and self._monic_integer and P.coeff(0) % prime:
+                NP = polygons.NewtonPolygon(((0, 0), (P.degree, 0)), den, normalized)
+            elif self.h1 is not None:
+                NP = polygons.compound_newton_polygon(NP1, self.degree)
+            elif self.roots is not None:
+                NP = polygons.root_newton_polygon(self.roots, v)
+            else:
+                NP = polygons.newton_polygon(P, v)
             self._polygons[prime] = NP
         return NP
 
@@ -802,14 +873,18 @@ def model_facts(model):
     degrees are exterior powers of degree 1 (abelian_from_h1), every degree
     from 2 on reads its weight and Newton polygons off degree 1's facts. A
     degree whose action carries its eigenvalues (CohomologyAction.roots)
-    reads the facts they give off them; each carries its Jordan data."""
+    reads the facts they give off them. Each reads its Jordan data off its
+    action, which builds it once, when the jordan fact is first read."""
     q, d = model.q, model.dimension
     facts = {}
     for i, act in enumerate(model.actions):
         if act.betti:
             h1 = facts[1] if model.exterior_powers and i >= 2 else None
             partner = model.charpoly(2 * d - i)
-            facts[i] = DegreeFacts(i, q, act.charpoly, partner, d, h1, act.roots, act.jordan_data)
+            jordan = None
+            if act.make_jordan_data is not None:  # read through the action's own cache
+                jordan = partial(getattr, act, "jordan_data")
+            facts[i] = DegreeFacts(i, q, act.charpoly, partner, d, h1, act.roots, jordan)
     return facts
 
 

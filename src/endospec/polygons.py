@@ -6,14 +6,18 @@ compounds.
 Both polygon kinds are the same data: the integer points of a strictly
 convex lower hull, starting at the origin with strictly increasing
 abscissae, over one positive denominator (v(q) for a normalized Newton
-polygon, 1 otherwise). Every check reads the integer points; the rational
-`vertices` and the slope multiset `slopes` are derived from them on
-request.
+polygon, 1 otherwise), held as immutable slotted values checked in one
+pass. Every check reads the integer points; the rational `vertices` and
+the slope multiset `slopes` are derived from them on request. Newton over
+Hodge compares two polygons only at the union of their vertex abscissae,
+between which their difference is linear.
 
 A Newton polygon is read off the valuations of a polynomial's
 coefficients, off the valuations of its roots when they are known, or, for
 a polynomial whose roots are the k-fold products of another's, off the
-k-fold compounds of the other's root slopes.
+k-fold compounds of the other's root slopes. poly.DegreeFacts builds the
+flat polygon of a unit polynomial (monic over Z, the prime not dividing
+its constant term) directly, valuing nothing.
 """
 
 from collections import Counter
@@ -84,18 +88,26 @@ def _segments(points):
 
 
 class _IntegerPolygon:
-    """Integer points (x, y) standing for the vertices (x, y / den)."""
+    """Integer points (x, y) standing for the vertices (x, y / den), checked
+    in one pass over the segments."""
+
+    __slots__ = ()
 
     def __post_init__(self):
-        if self.den < 1:
+        points, den = self.points, self.den
+        if den < 1:
             raise ValidityError("the ordinate denominator must be positive")
-        if not self.points or self.points[0] != (0, 0):
+        if not points or points[0] != (0, 0):
             raise ValidityError("polygon must start at the origin")
-        segments = _segments(self.points)
-        if any(dx <= 0 for dx, _ in segments):
-            raise ValidityError("vertex abscissae must increase strictly")
-        if any(dy1 * dx2 >= dy2 * dx1 for (dx1, dy1), (dx2, dy2) in zip(segments, segments[1:])):
-            raise ValidityError("slopes must increase strictly from vertex to vertex")
+        x1 = y1 = 0
+        dx1, dy1 = 1, None  # no slope before the first segment
+        for x2, y2 in points[1:]:
+            dx2, dy2 = x2 - x1, y2 - y1
+            if dx2 <= 0:
+                raise ValidityError("vertex abscissae must increase strictly")
+            if dy1 is not None and dy1 * dx2 >= dy2 * dx1:
+                raise ValidityError("slopes must increase strictly from vertex to vertex")
+            x1, y1, dx1, dy1 = x2, y2, dx2, dy2
 
     @property
     def length(self):
@@ -115,14 +127,14 @@ class _IntegerPolygon:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NewtonPolygon(_IntegerPolygon):
     points: tuple
     den: int
     normalized: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HodgePolygon(_IntegerPolygon):
     weight: int
     hodge_numbers: tuple
@@ -177,19 +189,28 @@ def compound_newton_polygon(NP, k):
     """Newton polygon, under NP's valuation, of the monic integer polynomial
     whose roots are the products of k of the roots of NP's polynomial, for
     k >= 1: valuations add, so its root slopes are the k-fold compounds of
-    NP's slopes, and no coefficient is valuated. Slopes are scaled to
-    integers by the least common length of NP's segments; the vertices of
-    an integer polynomial's polygon have integer ordinates again. One
-    segment (dx, dy) compounds to (C(dx, k), C(dx-1, k-1)*dy): C(dx, k) slopes k*dy/dx."""
+    NP's slopes, and no coefficient is valuated. Taking c_j of the dx_j
+    roots of segment j, with c_1 + c_2 + ... = k, gives the slope sum
+    sum_j c_j * dy_j / dx_j in prod_j C(dx_j, c_j) ways, so the compounds
+    are counted segment by segment rather than subset by subset. Slopes are
+    scaled to integers by the least common length of NP's segments; the
+    vertices of an integer polynomial's polygon have integer ordinates
+    again."""
+    if not 1 <= k <= NP.length:
+        raise ShapeError(f"compound index {k} outside 1..{NP.length}")
     segments = _segments(NP.points)
-    if len(segments) == 1 and 1 <= k <= segments[0][0]:
-        ((dx, dy),) = segments
-        points = ((0, 0), (comb(dx, k), comb(dx - 1, k - 1) * dy))
-        return NewtonPolygon(points=points, den=NP.den, normalized=NP.normalized)
     scale = lcm(*(dx for dx, _ in segments))
-    slopes = [dy * (scale // dx) for dx, dy in segments for _ in range(dx)]
-    counts = Counter(compound(slopes, k))
-    return _polygon_from_slopes(counts, NP.den, NP.normalized, scale)
+    # ways[t]: scaled slope sum -> number of choices of t roots so far
+    ways = [{0: 1}] + [{} for _ in range(k)]
+    for dx, dy in segments:
+        step = dy * (scale // dx)
+        for taken in range(k, 0, -1):  # downwards: ways[taken - c] is unchanged yet
+            row = ways[taken]
+            for c in range(1, min(dx, taken) + 1):
+                m, shift = comb(dx, c), c * step
+                for total, w in ways[taken - c].items():
+                    row[total + shift] = row.get(total + shift, 0) + w * m
+    return _polygon_from_slopes(ways[k], NP.den, NP.normalized, scale)
 
 
 def hodge_polygon(weight, hodge_numbers):
@@ -232,7 +253,7 @@ def slope_zero_check(NP):
     return all(y == 0 for _, y in NP.points)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolygonComparison:
     status: str  # "holds" | "fails" | "incomparable"
     failure_x: Optional[int] = None
@@ -243,33 +264,44 @@ class PolygonComparison:
         return self.status == "holds"
 
 
-def _ordinates(polygon):
-    """(numerator, denominator) of the ordinate at each abscissa 1..length."""
-    for (x1, y1), (dx, dy) in zip(polygon.points, _segments(polygon.points)):
-        for t in range(1, dx + 1):
-            yield y1 * dx + dy * t, polygon.den * dx
+_INCOMPARABLE = PolygonComparison("incomparable")
 
 
 def np_ge_hp(NP, HP):
-    """Does NP lie on or above HP? Both are convex and piecewise linear
-    between integer abscissae, so comparing them at every integer abscissa
-    decides it. Polygons of different lengths are incomparable."""
+    """Does NP lie on or above HP? Both are linear between their vertices,
+    so NP - HP is linear between consecutive abscissae of the union of both
+    vertex sets, and comparing there decides it. The first integer abscissa
+    where NP is below HP lies in the first such segment whose right end is
+    below, and the zero of that line gives it. Polygons of different
+    lengths are incomparable."""
     if NP.length != HP.length:
-        return PolygonComparison(status="incomparable")
-    endpoint_equal = NP.points[-1][1] * HP.den == HP.points[-1][1] * NP.den
-    pairs = zip(_ordinates(NP), _ordinates(HP))
-    for x, ((yn, dn), (yh, dh)) in enumerate(pairs, start=1):
-        if yn * dh < yh * dn:
-            return PolygonComparison(
-                status="fails", failure_x=x, endpoint_equal=endpoint_equal
-            )
-    identical = len(NP.points) == len(HP.points) and all(
-        xn == xh and yn * HP.den == yh * NP.den
-        for (xn, yn), (xh, yh) in zip(NP.points, HP.points)
+        return _INCOMPARABLE
+    n, h, dn, dh = NP.points, HP.points, NP.den, HP.den
+    endpoint_equal = n[-1][1] * dh == h[-1][1] * dn
+    a = 0  # the last abscissa compared, where NP - HP >= 0
+    i = j = 1
+    while i < len(n):
+        (x1, y1), (x2, y2) = n[i - 1], n[i]
+        (u1, v1), (u2, v2) = h[j - 1], h[j]
+        b = min(x2, u2)
+        # On [a, b], NP - HP is g(x) / (dn * dxn * dh * dxh) with g linear:
+        # g(x) = (y1 * dxn + (x - x1) * (y2 - y1)) * dh * dxh
+        #      - (v1 * dxh + (x - u1) * (v2 - v1)) * dn * dxn.
+        dxn, dxh = x2 - x1, u2 - u1
+        cn, ch = dh * dxh, dn * dxn
+        gb = (y1 * dxn + (b - x1) * (y2 - y1)) * cn - (v1 * dxh + (b - u1) * (v2 - v1)) * ch
+        if gb < 0:
+            ga = (y1 * dxn + (a - x1) * (y2 - y1)) * cn - (v1 * dxh + (a - u1) * (v2 - v1)) * ch
+            # g(a) >= 0 > g(b): g(x) < 0 exactly for x - a > ga * (b - a) / (ga - gb).
+            x = a + ga * (b - a) // (ga - gb) + 1
+            return PolygonComparison("fails", failure_x=x, endpoint_equal=endpoint_equal)
+        a = b
+        i += x2 == b
+        j += u2 == b
+    identical = len(n) == len(h) and all(
+        xn == xh and yn * dh == yh * dn for (xn, yn), (xh, yh) in zip(n, h)
     )
-    return PolygonComparison(
-        status="holds", endpoint_equal=endpoint_equal, identical=identical
-    )
+    return PolygonComparison("holds", endpoint_equal=endpoint_equal, identical=identical)
 
 
 def vertices_json(polygon):

@@ -53,6 +53,7 @@ DEGREE_CHECKS = (
     "even_multiplicity",
 )
 NEWTON_CHECKS = ("newton_slope_zero", "newton_symmetry", "newton_over_hodge")
+_NOT_APPLICABLE = "not-applicable"
 
 
 class CheckResult(NamedTuple):
@@ -224,7 +225,7 @@ class VerificationReport:
 
 def _na(check_id, degree=None, prime=None, reason=None):
     witness = (("reason", reason),) if reason else ()
-    return CheckResult(check_id, "not-applicable", degree, prime, witness)
+    return CheckResult(check_id, _NOT_APPLICABLE, degree, prime, witness)
 
 
 def _outcome(check_id, ok, degree=None, prime=None, witness=()):
@@ -280,7 +281,7 @@ def _degree_results(f):
         _guarded("functional_equation", i, None, lambda: _sign(f.fe)),
         _guarded("cross_duality", i, None, lambda: _sign(f.dual)),
     ]
-    if f.jordan_data is None:
+    if f.make_jordan_data is None:
         out.append(_na("jordan_symmetry", i, reason="no matrix supplied"))
     else:
         out.append(_guarded("jordan_symmetry", i, None, lambda: (f.jordan, ())))
@@ -311,34 +312,39 @@ def _over_hodge(NP, HP):
     return bool(cmp_), witness
 
 
+# The witnesses of the Newton rows whose outcome is fixed, shared by every
+# report.
+_NO_COHOMOLOGY = (("reason", "no cohomology in this degree"),)
+_PRIME_DIVIDES_Q = (("reason", "prime divides q"),)
+_PRIME_COPRIME_TO_Q = (("reason", "prime does not divide q"),)
+_NO_HODGE_DATA = (("reason", "no Hodge data"),)
+
+
 def _newton_results(model, row, i, f, prime, hodge_polygon_of):
     """The NEWTON_CHECKS of degree i, with facts f (None without cohomology),
     at one prime; records the Newton polygon in row. hodge_polygon_of(i) is
     the Hodge polygon of degree i."""
     if f is None:
-        reason = "no cohomology in this degree"
-        return [_na(cid, i, prime, reason=reason) for cid in NEWTON_CHECKS]
+        return [CheckResult(c, _NOT_APPLICABLE, i, prime, _NO_COHOMOLOGY) for c in NEWTON_CHECKS]
     NP = f.newton_polygon(prime)
     vertices = vertices_json(NP)
     row.setdefault("newton_polygons", {})[str(prime)] = vertices
     if not NP.normalized:
         witness = (("vertices", tuple(map(tuple, vertices))),)
-        sz = lambda: (slope_zero_check(NP), witness)
-        reason = "prime does not divide q"
         return [
-            _guarded("newton_slope_zero", i, prime, sz),
-            _na("newton_symmetry", i, prime, reason=reason),
-            _na("newton_over_hodge", i, prime, reason=reason),
+            _outcome("newton_slope_zero", slope_zero_check(NP), i, prime, witness),
+            CheckResult("newton_symmetry", _NOT_APPLICABLE, i, prime, _PRIME_COPRIME_TO_Q),
+            CheckResult("newton_over_hodge", _NOT_APPLICABLE, i, prime, _PRIME_COPRIME_TO_Q),
         ]
     out = [
-        _na("newton_slope_zero", i, prime, reason="prime divides q"),
+        CheckResult("newton_slope_zero", _NOT_APPLICABLE, i, prime, _PRIME_DIVIDES_Q),
         _guarded("newton_symmetry", i, prime, lambda: (symmetry_check(NP, i), ())),
     ]
     if has_hodge_data(model, i):
         nh = lambda: _over_hodge(NP, hodge_polygon_of(i))
         out.append(_guarded("newton_over_hodge", i, prime, nh))
     else:
-        out.append(_na("newton_over_hodge", i, prime, reason="no Hodge data"))
+        out.append(CheckResult("newton_over_hodge", _NOT_APPLICABLE, i, prime, _NO_HODGE_DATA))
     return out
 
 
@@ -374,8 +380,9 @@ def full_report(model, primes, precision=60):
         row = {"degree": i, "betti": model.betti(i)}
         degree_rows.append(row)
         if i not in facts:
-            reason = "no cohomology in this degree"
-            results.extend(_na(cid, i, reason=reason) for cid in DEGREE_CHECKS)
+            results.extend(
+                CheckResult(c, _NOT_APPLICABLE, i, None, _NO_COHOMOLOGY) for c in DEGREE_CHECKS
+            )
             continue
         f = facts[i]
         row["charpoly"] = coeff_strings(f.charpoly)

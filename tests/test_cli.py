@@ -18,7 +18,7 @@ from helpers import block_diag, serialize_model
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from endospec import cli
+from endospec import cli, varieties
 from endospec.cli import SCHEMA, parse_descriptor
 from endospec.matrixops import ExactMatrix
 from endospec.poly import Poly
@@ -633,3 +633,23 @@ def test_emitter_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_jordan_data_is_built_only_for_a_jordan_verdict(tmp_path, capsys, monkeypatch):
+    """A generic model whose degree-1 matrix 2*id is not cyclic: polygons
+    and zeta never read its Jordan data, so they take no invariant factors;
+    verify takes them once and decides jordan_symmetry on them."""
+    calls = []
+    real = varieties.invariant_factors
+    monkeypatch.setattr(varieties, "invariant_factors", lambda *a: calls.append(a) or real(*a))
+    doc = {**GENERIC_DESCRIPTOR, "matrices": [None, [["2", "0"], ["0", "2"]], None]}
+    path = write_descriptor(tmp_path, doc)
+    assert cli.main(["polygons", path, "--prime", "2", "--degree", "1", "--json-only"]) == 0
+    assert cli.main(["zeta", path, "--json-only"]) == 0
+    assert calls == []
+    capsys.readouterr()
+    assert cli.main(["verify", path, "--primes", "2", "--json-only"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    jordan = [c for c in checks if c["check"] == "jordan_symmetry" and c["degree"] == 1]
+    assert jordan == [{"check": "jordan_symmetry", "status": "pass", "degree": 1}]
+    assert len(calls) == 1

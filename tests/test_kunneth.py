@@ -1,12 +1,12 @@
 """Abelian degrees composed by Kunneth over the blocks of degree 1 against
 the single recurrence over all roots (helpers), sympy's charpolys of the
-exterior power matrices, and the Smith form; the one-segment Newton
-compound against the subset enumeration."""
+exterior power matrices, and the Smith form; the Newton compounds, counted
+segment by segment, against the subset enumeration."""
 
 import random
 from collections import Counter
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import pytest
 import sympy
@@ -168,3 +168,32 @@ def test_one_segment_compound_is_the_subset_enumeration(dx, dy, den, normalized,
         return
     counts = Counter(compound([dy] * dx, k))
     assert compound_newton_polygon(NP, k) == _polygon_from_slopes(counts, den, normalized, dx)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    segments=st.lists(st.tuples(st.integers(1, 4), st.integers(-6, 6)), min_size=1, max_size=4),
+    den=st.integers(1, 3),
+    k=st.integers(1, 10),
+)
+def test_segment_compound_is_the_subset_enumeration(segments, den, k):
+    """Counting k-fold compounds segment by segment gives the polygon of the
+    subset enumeration of the scaled slopes, on polygons of up to four
+    segments (segments of equal slope merged)."""
+    merged = {}
+    for dx, dy in segments:
+        sx, sy = merged.get(Fraction(dy, dx), (0, 0))
+        merged[Fraction(dy, dx)] = (sx + dx, sy + dy)
+    points = [(0, 0)]
+    for slope in sorted(merged):
+        (x, y), (dx, dy) = points[-1], merged[slope]
+        points.append((x + dx, y + dy))
+    NP = NewtonPolygon(tuple(points), den, True)
+    if k > NP.length:
+        with pytest.raises(ShapeError):
+            compound_newton_polygon(NP, k)
+        return
+    scale = lcm(*(dx for dx, _ in merged.values()))
+    slopes = [dy * (scale // dx) for dx, dy in merged.values() for _ in range(dx)]
+    counts = Counter(compound(slopes, k))
+    assert compound_newton_polygon(NP, k) == _polygon_from_slopes(counts, den, True, scale)

@@ -15,9 +15,11 @@ from endospec.errors import (
     SingularActionError,
     ValidityError,
 )
+from endospec.exactnum import perfect_sqrt
 from endospec.poly import (
     DegreeFacts,
     Poly,
+    _real_circle_factors,
     charpoly,
     coeff_strings,
     count_real_roots,
@@ -165,6 +167,13 @@ def test_cross_duality_degree_mismatch():
     facts = DegreeFacts(0, 6, Poly.from_desc([1, -1]), Poly.from_desc([1, 0, -36]), 1)
     with pytest.raises(DualityViolationError):
         cross_duality_check(facts)
+
+
+def test_cross_duality_without_a_partner_is_refused():
+    # facts built without P_(2d-i) or d: a ValidityError, not an AttributeError
+    for facts in (DegreeFacts(1, 6, Poly([6, -5, 1])), DegreeFacts(1, 6, EXAMPLE_P1, EXAMPLE_P1)):
+        with pytest.raises(ValidityError, match="partner P_"):
+            cross_duality_check(facts)
 
 
 def test_cross_duality_detects_wrong_partner():
@@ -425,3 +434,34 @@ def test_gcd_zero_and_constant_cases():
     assert poly_gcd(Poly([5]), P) == Poly([1])
     assert poly_gcd(P, Poly([Fraction(-2, 7)])) == Poly([1])
     assert squarefree_part(Poly([Fraction(3, 2)])) == Poly([1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from((2, 4, 6, 9, 12, 25)),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.lists(EXACT, max_size=5),
+)
+@example(6, 1, 2, 0, [Fraction(1, 2), 1])  # t**2 - 6 twice, a rational cofactor
+@example(4, 1, 2, 1, [3, 0, 1])  # t - 2 twice, t + 2 once, integers
+@example(2, 1, 1, 0, [-2, 0, 1])  # (t**2 - 2)**2: the factor itself is the cofactor
+def test_half_weight_divisions_match_the_divmod_loop(q, i, plus, minus, rest):
+    """mu+-, read by Horner passes (t - r, or t**2 - q**i on P's even and
+    odd parts when q**i is not a square), and the circle-free part are the
+    multiplicities and quotients of the Poly.divmod_by loop, with the same
+    int and Fraction coefficients."""
+    factors = _real_circle_factors(q**i)
+    P = factors[1] ** plus * factors[-1] ** minus * Poly(rest + [1])
+    facts = DegreeFacts(i, q, P)
+    typed = lambda Q: [(type(c), c) for c in Q.coeffs_asc()]
+    square = perfect_sqrt(q**i) is not None
+    for sign, mu, built in ((1, facts.mu_plus, plus), (-1, facts.mu_minus, minus)):
+        got, want = exact_divide_out(P, factors[sign]), divmod_by_exact_divide_out(P, factors[sign])
+        assert mu == got[1] == want[1] >= (built if square else plus + minus)
+        assert typed(got[0]) == typed(want[0])
+    S = squarefree_part(P)
+    for f in set(factors.values()):
+        S = divmod_by_exact_divide_out(S, f)[0]
+    assert typed(facts.circle_free) == typed(S)

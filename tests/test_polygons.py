@@ -13,11 +13,12 @@ from helpers import (
     fraction_symmetry_check,
     fraction_vertices_json,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from endospec import cli, polygons
+from endospec import cli, poly, polygons
 from endospec.errors import (
+    DomainError,
     InapplicableModelError,
     ShapeError,
     SingularActionError,
@@ -382,3 +383,121 @@ def test_reports_build_no_polygon_fractions(monkeypatch, tmp_path, capsys):
     assert '"identical": true' in capsys.readouterr().out
     with pytest.raises(TypeError):
         newton_polygon(EXAMPLE_P1, NormalizedValuation(3, 6)).vertices
+
+
+@st.composite
+def _convex_polygons(draw, den=None):
+    """A NewtonPolygon from 1 to 4 segments of length 1 to 5 and integer
+    rise -8 to 8 over a denominator 1 to 4: sorted by slope, with segments
+    of equal slope merged, so the slopes increase strictly."""
+    segments = {}
+    for _ in range(draw(st.integers(1, 4))):
+        dx, dy = draw(st.integers(1, 5)), draw(st.integers(-8, 8))
+        slope = Fraction(dy, dx)
+        sx, sy = segments.get(slope, (0, 0))
+        segments[slope] = (sx + dx, sy + dy)
+    points = [(0, 0)]
+    for slope in sorted(segments):
+        (x, y), (dx, dy) = points[-1], segments[slope]
+        points.append((x + dx, y + dy))
+    den = den or draw(st.integers(1, 4))
+    return NewtonPolygon(tuple(points), den, True)
+
+
+# Vertex comparison against the oracle's running slope sums: a first
+# failure strictly inside a segment of both polygons (x = 3), a failure at
+# the first abscissa, denominators 3 and 2, unequal lengths, and one polygon
+# against itself.
+INSIDE = (NewtonPolygon(((0, 0), (4, 1)), 1, True), NewtonPolygon(((0, 0), (2, 0), (4, 2)), 1, True))
+THIRDS = (NewtonPolygon(((0, 0), (2, 1), (5, 7)), 3, True), NewtonPolygon(((0, 0), (3, 1), (5, 2)), 2, True))
+SHORTER = (NewtonPolygon(((0, 0), (3, 1)), 1, True), NewtonPolygon(((0, 0), (4, 1)), 1, True))
+SELF = (NewtonPolygon(((0, 0), (1, -2), (3, 0), (4, 5)), 2, True),) * 2
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.tuples(_convex_polygons(), _convex_polygons()),
+    st.integers(1, 4).flatmap(lambda d: st.tuples(_convex_polygons(d), _convex_polygons(d))),
+))
+@example(INSIDE)
+@example(INSIDE[::-1])
+@example(THIRDS)
+@example(THIRDS[::-1])
+@example(SHORTER)
+@example(SELF)
+def test_np_ge_hp_at_vertices_matches_fraction_oracle(pair):
+    """np_ge_hp compares only at vertex abscissae, and searches for the
+    first failing integer inside the first failing segment; the oracle sums
+    the slopes at every integer. Both give the same status, failure_x,
+    endpoint_equal and identical."""
+    a, b = pair
+    assert np_ge_hp(a, b) == fraction_np_ge_hp(a, b)
+
+
+def test_np_ge_hp_examples_cover_the_cases():
+    inside = np_ge_hp(*INSIDE)
+    vertices = {x for polygon in INSIDE for x, _ in polygon.points}
+    assert inside.status == "fails" and inside.failure_x == 3 and 3 not in vertices
+    assert {np_ge_hp(*THIRDS).status, np_ge_hp(*THIRDS[::-1]).status} == {"holds", "fails"}
+    assert np_ge_hp(*SHORTER).status == "incomparable"
+    assert np_ge_hp(*SELF) == PolygonComparison("holds", endpoint_equal=True, identical=True)
+
+
+def _count_newton_polygon_calls(monkeypatch):
+    calls = []
+    real = polygons.newton_polygon
+    monkeypatch.setattr(polygons, "newton_polygon", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_unit_polygons_are_flat_on_every_route(monkeypatch):
+    """Monic over Z with prime not dividing P(0): the facts give the flat
+    polygon without building a hull, and it is the polygon of P's
+    coefficients, on the coefficient, roots and h1 routes."""
+    calls = _count_newton_polygon_calls(monkeypatch)
+    abelian = poly.model_facts(abelian_en([[1, -5], [1, 1]], 6))  # P_i(0) = +-6**i
+    grass = poly.model_facts(grassmannian(2, 5, 9))  # roots 9**j
+    cases = [
+        (poly.DegreeFacts(1, 6, Poly.from_desc([1, -3, 5, 7])), (2, 3, 5)),
+        (abelian[3], (5, 7)),  # h1 route
+        (abelian[0], (2, 3, 5)),  # t - 1, coefficient route
+        (grass[4], (2, 5, 7)),  # roots route
+    ]
+    assert abelian[3].h1 is abelian[1] and grass[4].roots is not None
+    for facts, primes in cases:
+        for prime in primes:
+            NP = facts.newton_polygon(prime)
+            b = facts.charpoly.degree
+            assert NP.points == ((0, 0), (b, 0))
+            assert calls == []
+            assert NP == _coefficient_polygon(facts, prime)
+            calls.clear()
+
+
+def _coefficient_polygon(facts, prime):
+    return newton_polygon(facts.charpoly, NormalizedValuation(prime, facts.q))
+
+
+def test_rational_polynomial_takes_no_unit_shortcut(monkeypatch):
+    # (t - 1/2)(t - 2): monic with P(0) = 1, but its roots are 2-adic
+    # non-units, so the hull is built
+    calls = _count_newton_polygon_calls(monkeypatch)
+    P = Poly.from_roots([Fraction(1, 2), 2])
+    NP = poly.DegreeFacts(1, 4, P).newton_polygon(2)
+    assert len(calls) == 1
+    assert NP.points == ((0, 0), (1, -1), (2, 0)) and NP.den == 2
+    assert NP == _coefficient_polygon(poly.DegreeFacts(1, 4, P), 2)
+
+
+@pytest.mark.parametrize("number", [4, 15, 1, 0, -3])
+def test_unit_polygon_still_refuses_a_non_prime(number, tmp_path, capsys):
+    """t - 1 and P_1 with P_1(0) = 36 would take the unit shortcut at 15,
+    and t - 1 at 4: a non-prime is refused first, with exit 2."""
+    path = tmp_path / "model.json"
+    path.write_text('{"kind": "abelian_en", "q": "6", "isogeny_matrix": [["1", "-5"], ["1", "1"]]}')
+    for degree in ("0", "1"):
+        argv = ["polygons", str(path), "--prime", str(number), "--degree", degree]
+        assert cli.main(argv) == 2
+        assert "prime" in capsys.readouterr().err
+    with pytest.raises(DomainError):
+        poly.DegreeFacts(0, 6, Poly.from_desc([1, -1])).newton_polygon(number)

@@ -725,10 +725,11 @@ def _count_calls(monkeypatch, module, name, calls):
 
 @pytest.mark.parametrize("hand_built", [False, True], ids=["abelian_from_h1", "hand-built"])
 def test_only_abelian_from_h1_derives_degrees(monkeypatch, hand_built):
-    """abelian_from_h1 builds the squarefree part and the Newton polygons
-    of degrees 0 and 1 only, when degree 1 passes. A VarietyModel built by
-    hand from the same actions decides every degree from its own
-    polynomial, with the same report."""
+    """abelian_from_h1 builds the squarefree part of degrees 0 and 1 only,
+    when degree 1 passes, and the Newton polygons of degree 1 only: degree
+    0's t - 1 has a unit root at every prime, so its polygon is flat without
+    a hull. A VarietyModel built by hand from the same actions decides every
+    degree from its own polynomial, with the same report."""
     model = abelian_en(EXAMPLE_A, 6)
     expected = full_report(model, [2, 3]).to_json()
     degrees = 2
@@ -740,4 +741,4 @@ def test_only_abelian_from_h1_derives_degrees(monkeypatch, hand_built):
     _count_calls(monkeypatch, poly, "squarefree_part", calls)
     _count_calls(monkeypatch, polygons, "newton_polygon", calls)
     assert full_report(model, [2, 3]).to_json() == expected
-    assert calls == {"squarefree_part": degrees, "newton_polygon": 2 * degrees}
+    assert calls == {"squarefree_part": degrees, "newton_polygon": 2 * (degrees - 1)}
