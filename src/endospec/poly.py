@@ -3,11 +3,12 @@ transforms built on them: reciprocal/duality partners, the reciprocity
 identity t**n * P(s/t) = P(0) * Q(t) behind the functional equation, cross
 duality, Jordan symmetry, the weight check's circle gate, the circle test,
 power sums, exterior powers' charpolys composed by Kunneth from composed
-products, and exact factor extraction, the half-weight factors t - r and
-t**2 - Q by Horner passes (deflation). DegreeFacts gathers what the checks
-read about one degree, from its polynomial, Jordan data, degree 1's facts
-or eigenvalues, and gives a unit polynomial's flat Newton polygon without
-valuing anything; model_facts gathers them for every degree of a model.
+products, Sturm sequences, and exact factor extraction, the half-weight
+factors t - r and t**2 - Q by Horner passes (deflation). DegreeFacts
+gathers what the checks read about one degree, from its polynomial, Jordan
+data, degree 1's facts or eigenvalues, owns its circle |t|**2 = q**i and
+gives a unit polynomial's flat Newton polygon without valuing anything;
+model_facts gathers them for every degree of a model.
 
 Coefficients are int or Fraction; arithmetic never leaves exact scalars,
 and the hot paths (gcd, Sturm sequences) run in integers. Storage is
@@ -18,7 +19,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial, reduce
-from math import comb, gcd, inf, lcm
+from math import ceil, comb, gcd, inf, lcm
 from operator import mul
 from typing import Callable, Optional, Sequence
 
@@ -627,15 +628,11 @@ def _deflate_in_square(a, Q):
     return quot
 
 
-def _real_circle_factors(Q):
-    """The real points +sqrt(Q) and -sqrt(Q) of |t|**2 = Q as rational
-    factors, keyed by sign: t - r and t + r when Q = r**2, else t**2 - Q
-    for both, the two points being Galois conjugate."""
-    r = perfect_sqrt(Q)
-    if r is None:
-        f = Poly([-Q, 0, 1])
-        return {1: f, -1: f}
-    return {1: Poly([-r, 1]), -1: Poly([r, 1])}
+def _real_circle_factor(Q, r, sign):
+    """The rational factor of the real point sign * sqrt(Q) of |t|**2 = Q:
+    t - sign * r when r = isqrt(Q) is exact, else (r None) t**2 - Q for
+    both signs, the two points being Galois conjugate."""
+    return Poly([-Q, 0, 1]) if r is None else Poly([-sign * r, 1])
 
 
 def half_weight_multiplicity(P, q, i, sign):
@@ -647,15 +644,8 @@ def half_weight_multiplicity(P, q, i, sign):
     """
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
-    return exact_divide_out(P, _real_circle_factors(q**i)[sign])[1]
-
-
-def _without_real_circle_points(S, Q):
-    """S with the factors t - sqrt(Q), t + sqrt(Q) (or t**2 - Q when sqrt(Q)
-    is irrational) divided out: the only real points of |t|**2 = Q."""
-    for f in set(_real_circle_factors(Q).values()):
-        S = exact_divide_out(S, f)[0]
-    return S
+    Q = q**i
+    return exact_divide_out(P, _real_circle_factor(Q, perfect_sqrt(Q), sign))[1]
 
 
 def _circle_defect(T, Q):
@@ -726,14 +716,16 @@ class _fact:
 class DegreeFacts:
     """What the per-degree checks read about P = charpoly in weight `degree`,
     each fact computed when first read: the functional-equation result
-    (fe), the multiplicities of the eigenvalues +-q**(i/2), the squarefree
-    part, that part without its real points of |t|**2 = q**i (circle_free),
-    the circle defect (None when every root has |t|**2 = q**i), the
-    Newton polygon at each prime, normalized against q, cross duality when
-    the facts carry the partner P_(2d-i) and the dimension d (dual), and
-    Jordan symmetry when they carry make_jordan_data, which gives the
-    action's Jordan data (jordan_data) when jordan is first read; each else
-    None. A fact whose computation raised raises again when read.
+    (fe), the multiplicities mu+- of the eigenvalues +-q**(i/2), the
+    squarefree part S, S without its real points of |t|**2 = q**i
+    (circle_free), the circle defect (None when every root has
+    |t|**2 = q**i), an interval isolating a real root off the circle
+    (real_root_off_circle), the Newton polygon at each prime, normalized
+    against q, cross duality when the facts carry the partner P_(2d-i) and
+    the dimension d (dual), and Jordan symmetry when they carry
+    make_jordan_data, which gives the action's Jordan data (jordan_data)
+    when jordan is first read; each else None. A fact whose computation
+    raised raises again when read.
 
     Beside P itself, two sources may give facts without reading P:
 
@@ -750,11 +742,15 @@ class DegreeFacts:
       r**2 = q**i, mu+- are the multiplicities of +-isqrt(q**i), and the
       Newton polygon's slopes are the root valuations.
 
-    The functional equation, cross duality, the squarefree and circle-free
-    parts and any circle defect that is not None are decided on P either
-    way. fe alone decides P's q**i-reciprocity, for cross duality in the
-    middle degree, Jordan symmetry on the data [P] and the circle gate; mu-
-    is mu+ when q**i is not a square (one division by t**2 - q**i)."""
+    The functional equation, cross duality, the squarefree part and any
+    circle defect that is not None are decided on P either way. fe alone
+    decides P's q**i-reciprocity, for cross duality in the middle degree,
+    Jordan symmetry on the data [P] and the circle gate.
+
+    The facts own the circle: q**i and its integer square root are found
+    once per degree, mu- is mu+ when q**i is not a square (one division by
+    t**2 - q**i), and circle_free divides S once by each real point that
+    mu+- show in P, as S holds it once exactly then."""
 
     degree: int
     q: int
@@ -777,21 +773,27 @@ class DegreeFacts:
         except EndospecError:
             return False
 
-    def _half_weight_multiplicity(self, sign):
-        if self.roots is None:
-            return half_weight_multiplicity(self.charpoly, self.q, self.degree, sign)
-        r = perfect_sqrt(self.q**self.degree)
-        return 0 if r is None else dict(self.roots).get(sign * r, 0)
+    @_fact
+    def _circle(self):
+        """(Q, r): Q = q**i, the circle |t|**2 = Q, and r = isqrt(Q), or
+        None when Q is not a square."""
+        Q = self.q**self.degree
+        return Q, perfect_sqrt(Q)
 
     @_fact
     def mu_plus(self):
-        return self._half_weight_multiplicity(1)
+        if self.roots is None:
+            return half_weight_multiplicity(self.charpoly, self.q, self.degree, 1)
+        return dict(self.roots).get(self._circle[1], 0)  # r None: no rational point
 
     @_fact
     def mu_minus(self):
-        if perfect_sqrt(self.q**self.degree) is None:
+        r = self._circle[1]
+        if r is None:
             return self.mu_plus
-        return self._half_weight_multiplicity(-1)
+        if self.roots is None:
+            return half_weight_multiplicity(self.charpoly, self.q, self.degree, -1)
+        return dict(self.roots).get(-r, 0)
 
     @_fact
     def dual(self):
@@ -820,11 +822,21 @@ class DegreeFacts:
 
     @_fact
     def circle_free(self):
-        return _without_real_circle_points(self.squarefree, self.q**self.degree)
+        # S has each real point of the circle once when P has it, else not;
+        # an S of real points alone leaves 1 without a division.
+        (Q, r), S = self._circle, self.squarefree
+        signs = (1,) if r is None else (1, -1)
+        mus = (self.mu_plus, self.mu_minus)
+        factors = [_real_circle_factor(Q, r, sign) for sign, mu in zip(signs, mus) if mu]
+        if sum(f.degree for f in factors) == S.degree:
+            return Poly([1])
+        for f in factors:
+            S = exact_divide_out(S, f)[0]
+        return S
 
     @_fact
     def circle_defect(self):
-        Q = self.q**self.degree
+        Q = self._circle[0]
         if self.h1 is not None and self.h1.circle_defect is None:
             return None
         if self.roots is not None and all(r * r == Q for r, _ in self.roots):
@@ -834,6 +846,45 @@ class DegreeFacts:
         if not self.fe_holds and _reciprocity_failure(S, S, Q) is not None:
             return "squarefree part is not q^i-reciprocal"
         return _circle_defect(self.circle_free, Q)
+
+    @_fact
+    def real_root_off_circle(self):
+        """Closed rational interval (lo, hi) holding exactly one distinct
+        root of S, a real root of circle_free and so off the circle; None
+        when circle_free has no real root. (lo/den, hi/den], den a power of
+        two, is halved towards circle_free's smallest real root until it is
+        the only root of S there and S(lo/den) != 0; each end is the last
+        interval's end or midpoint, so each chain's sign variations at each
+        point, in lowest terms, are computed once."""
+        S, off = self.squarefree, self.circle_free
+        if off.degree < 1:
+            return None
+        off_chain = sturm_chain(off)
+        if count_real_roots(off_chain) == 0:
+            return None
+        chain, seen = sturm_chain(S), {}
+
+        def at(f, a, b):  # the sign variations of the chain f at a/b, b > 0
+            g = gcd(a, b)
+            key = (id(f), a // g, b // g)
+            if key not in seen:
+                seen[key] = _sign_variations(f, a // g, b // g)
+            return seen[key]
+
+        bound = 1 + ceil(max(map(abs, S.coeffs_asc())))
+        lo, hi, den = -bound, bound, 1
+        while not (
+            at(off_chain, lo, den) - at(off_chain, hi, den) == 1
+            and at(chain, lo, den) - at(chain, hi, den) == 1
+            and _scaled_value(chain[0], lo, den) != 0
+        ):
+            lo, hi, den = 2 * lo, 2 * hi, 2 * den
+            mid = (lo + hi) // 2
+            if at(off_chain, lo, den) != at(off_chain, mid, den):
+                hi = mid
+            else:
+                lo = mid
+        return Fraction(lo, den), Fraction(hi, den)
 
     @_fact
     def _monic_integer(self):

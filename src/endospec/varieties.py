@@ -66,8 +66,12 @@ class CohomologyAction:
 
 
 def _action(degree, poly, matrix=None):
-    """Validated action; a matrix must realize the polynomial, and its
-    invariant factors are the Jordan data."""
+    """Validated action from a polynomial, a matrix or both (poly None: the
+    matrix's charpoly, computed here); a matrix must realize a given
+    polynomial, and its invariant factors are the Jordan data."""
+    given = poly is not None
+    if not given:
+        poly = charpoly(matrix.rows)
     if poly.degree != max(poly.degree, 0) or not poly.is_monic():
         raise ValidityError(f"degree {degree}: polynomial must be monic")
     if poly.degree >= 1 and poly.coeff(0) == 0:
@@ -78,7 +82,7 @@ def _action(degree, poly, matrix=None):
         return CohomologyAction(degree, poly, None)
     if not matrix.is_square or matrix.nrows != poly.degree:
         raise ShapeError(f"degree {degree}: matrix size {matrix.nrows} != betti {poly.degree}")
-    if charpoly(matrix.rows) != poly:
+    if given and charpoly(matrix.rows) != poly:
         raise ConsistencyError(f"degree {degree}: matrix does not realize the polynomial")
     jordan = partial(invariant_factors, matrix, poly)
     return CohomologyAction(degree, poly, jordan, lambda: matrix)
@@ -162,9 +166,10 @@ def abelian_from_h1(d, M, q):
     if not M.is_square or M.nrows != 2 * d:
         raise ShapeError(f"degree-1 action must be {2 * d}x{2 * d}")
     _require_integer(M)
-    if M.det() == 0:
+    chi = charpoly(M.rows)
+    if chi.coeff(0) == 0:  # chi(0) = det(-M)
         raise SingularActionError("degree-1 action is singular")
-    return _abelian(d, M, q, invariant_factors(M), {})
+    return _abelian(d, M, q, invariant_factors(M, chi), {})
 
 
 def _require_integer(M):
@@ -207,18 +212,18 @@ def abelian_en(A, q):
         A = ExactMatrix(A)
     if not A.is_square:
         raise ShapeError("isogeny matrix must be square")
-    if A.det() == 0:
+    _require_integer(A)
+    chi = charpoly(A.rows)
+    if chi.coeff(0) == 0:  # chi(0) = det(-A)
         raise SingularActionError("isogeny matrix is singular")
-    M = A.kron(ExactMatrix.identity(2))
     witness = polarization_witness(A, q)
     metadata = {
         "isogeny_matrix": A,
         "polarization_witness": witness,
         "polarization_verified": witness is not None,
     }
-    _require_integer(M)
-    factors = [f for f in invariant_factors(A) for _ in (0, 1)]
-    return _abelian(A.nrows, M, q, factors, metadata)
+    factors = [f for f in invariant_factors(A, chi) for _ in (0, 1)]
+    return _abelian(A.nrows, A.kron(ExactMatrix.identity(2)), q, factors, metadata)
 
 
 def box_partitions(rows, cols, size):
@@ -378,8 +383,6 @@ def generic_model(d, q, charpolys=None, matrices=None, hodge=None, strict=True):
             mat = ExactMatrix(mat)
         if poly is None and mat is None:
             raise ValidityError(f"degree {i} has neither polynomial nor matrix")
-        if poly is None:
-            poly = charpoly(mat.rows)
         actions.append(_action(i, poly, mat))
     for i, expected in ((0, Poly.from_desc([1, -1])), (2 * d, Poly.from_desc([1, -(q**d)]))):
         if actions[i].charpoly != expected:

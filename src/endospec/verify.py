@@ -6,12 +6,12 @@ jordan_symmetry, weil_weight, epsilon_congruence, even_multiplicity; per
 prime and degree: newton_slope_zero, newton_symmetry, newton_over_hodge;
 once per model: zeta_functional_equation. The newton_over_hodge verdict is
 advisory evidence and never fails a run. Every per-degree verdict,
-jordan_symmetry included, is read off the degree's poly.DegreeFacts.
+jordan_symmetry included, is read off the degree's poly.DegreeFacts, and
+so is the weight check's witness, the interval of a real root off the
+circle: no Sturm chain is evaluated here.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import ceil, gcd
 from typing import NamedTuple, Optional
 
 from endospec.errors import (
@@ -21,14 +21,7 @@ from endospec.errors import (
     ValidityError,
 )
 from endospec.exactnum import is_prime
-from endospec.poly import (
-    _scaled_value,
-    _sign_variations,
-    coeff_strings,
-    count_real_roots,
-    model_facts,
-    sturm_chain,
-)
+from endospec.poly import coeff_strings, model_facts
 from endospec.polygons import (
     hodge_polygon,
     np_ge_hp,
@@ -98,9 +91,9 @@ def weil_weight_check(facts):
     |lambda|**2 = q**i (the circle defect read from facts is None), and
     the functional equation read from facts holds.
 
-    On failure failing_root is a closed rational interval (lo, hi)
-    isolating a real root off the circle, or None when no real root is
-    off it."""
+    On a circle defect failing_root is the facts' real_root_off_circle: a
+    closed rational interval (lo, hi) isolating a real root off the
+    circle, or None when no real root is off it."""
     P = facts.charpoly
     if not P.is_monic():
         raise ValidityError("weight check needs a monic polynomial")
@@ -112,7 +105,7 @@ def weil_weight_check(facts):
     if defect is not None:
         return WeilWeightResult(
             False,
-            failing_root=_real_root_off_circle(facts.squarefree, facts.circle_free),
+            failing_root=facts.real_root_off_circle,
             reason=f"root modulus off the half-weight circle: {defect}",
         )
     try:
@@ -127,54 +120,6 @@ def weil_weight_check(facts):
             reason=f"functional equation fails at coefficient {fe.failure_index}",
         )
     return WeilWeightResult(True)
-
-
-def _variations_at(chain):
-    """The sign variations of chain at a/b, for integers a and b > 0, as a
-    function of (a, b) that evaluates the chain once per point: points are
-    keyed in lowest terms."""
-    seen = {}
-
-    def at(a, b):
-        g = gcd(a, b)
-        key = (a // g, b // g)
-        if key not in seen:
-            seen[key] = _sign_variations(chain, *key)
-        return seen[key]
-
-    return at
-
-
-def _real_root_off_circle(S, off):
-    """Closed rational interval (lo, hi) holding exactly one distinct root
-    of S, a real root of off; None when off has no real root. off is S
-    without its real points of |t|**2 = q**i (DegreeFacts.circle_free), so
-    a real root of off lies off that circle."""
-    if off.degree < 1:
-        return None
-    off_chain = sturm_chain(off)
-    if count_real_roots(off_chain) == 0:
-        return None
-    chain = sturm_chain(S)
-    bound = 1 + ceil(max(abs(a) for a in S.coeffs_asc()))
-    off_at, at = _variations_at(off_chain), _variations_at(chain)
-    # Halve (lo/den, hi/den], den a power of two, towards the smallest real
-    # root of `off` until it is the only root of S there and S(lo/den) != 0.
-    # Each end is the previous interval's end or midpoint, so every point's
-    # sign variations are computed once.
-    lo, hi, den = -bound, bound, 1
-    while not (
-        off_at(lo, den) - off_at(hi, den) == 1
-        and at(lo, den) - at(hi, den) == 1
-        and _scaled_value(chain[0], lo, den) != 0
-    ):
-        lo, hi, den = 2 * lo, 2 * hi, 2 * den
-        mid = (lo + hi) // 2
-        if off_at(lo, den) != off_at(mid, den):
-            hi = mid
-        else:
-            lo = mid
-    return Fraction(lo, den), Fraction(hi, den)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb
+from math import ceil, comb, isqrt
 
 from endospec.errors import (
     DomainError,
@@ -19,7 +19,6 @@ from endospec.poly import (
     _cleared,
     _elementary,
     _ratio,
-    _without_real_circle_points,
     coeff_strings,
     count_real_roots,
     poly_gcd,
@@ -158,12 +157,17 @@ def fraction_vertices_json(polygon):
 
 
 # -- Fraction bisection -----------------------------------------------------
-# verify._real_root_off_circle before it bisected on integer numerators over
-# a power-of-two denominator.
+# The off-circle witness (DegreeFacts.real_root_off_circle) before it
+# bisected on integer numerators over a power-of-two denominator, with its
+# own trial divisions by the real points of the circle.
 
 
 def fraction_real_root_off_circle(S, Q):
-    off = _without_real_circle_points(S, Q)
+    # S without the real points of |t|**2 = Q, by trial division.
+    r = isqrt(Q)
+    off = S
+    for f in {Poly([-r, 1]), Poly([r, 1])} if r * r == Q else {Poly([-Q, 0, 1])}:
+        off = divmod_by_exact_divide_out(off, f)[0]
     if off.degree < 1:
         return None
     off_chain = sturm_chain(off)
@@ -183,6 +187,23 @@ def fraction_real_root_off_circle(S, Q):
         else:
             lo = mid
     return lo, hi
+
+
+def lefschetz_number_from_h1(model, n):
+    """The Lefschetz number of the n-th iterate of an abelian model, whose
+    degree k acts by the k-th exterior power of degree 1: the product of
+    1 - lambda**n over the roots lambda of P_1, that is the sum over k of
+    (-1)**k e_k of the n-th powers, whose e_k Newton's identities give from
+    their power sums p_n, p_2n, ... of P_1. A path to zeta.lefschetz_number
+    that reads no degree past 1."""
+    P1 = model.charpoly(1)
+    b = P1.degree
+    p = power_sums(P1, b * n)
+    sums = [p[m * n - 1] for m in range(1, b + 1)]
+    e = [Fraction(1)]
+    for k in range(1, b + 1):
+        e.append(sum((-1) ** (j - 1) * e[k - j] * sums[j - 1] for j in range(1, k + 1)) / k)
+    return sum((-1) ** k * c for k, c in enumerate(e))
 
 
 def lefschetz_number_by_trace(model, n):

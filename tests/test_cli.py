@@ -284,6 +284,16 @@ def test_zeta_document(tmp_path):
     assert payload["series_order"] == 6
 
 
+def test_a_rational_singular_isogeny_exits_2_as_rational(tmp_path, capsys):
+    """Integrality is checked before singularity: an isogeny matrix that is
+    both rational and singular is refused for its entries, with exit 2."""
+    doc = {**EXAMPLE_DESCRIPTOR, "isogeny_matrix": [["1/2", "1"], ["1/2", "1"]]}
+    assert cli.main(["verify", write_descriptor(tmp_path, doc), "--primes", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "endospec: degree-1 action must have integer entries\n"
+
+
 def test_zeta_refuses_an_order_past_the_digit_bound(tmp_path, capsys):
     """The power sums of order 10**9 would hold about 10**18 digits: the
     order is refused before any power sum is formed."""

@@ -19,7 +19,7 @@ from endospec.exactnum import perfect_sqrt
 from endospec.poly import (
     DegreeFacts,
     Poly,
-    _real_circle_factors,
+    _real_circle_factor,
     charpoly,
     coeff_strings,
     count_real_roots,
@@ -452,7 +452,7 @@ def test_half_weight_divisions_match_the_divmod_loop(q, i, plus, minus, rest):
     odd parts when q**i is not a square), and the circle-free part are the
     multiplicities and quotients of the Poly.divmod_by loop, with the same
     int and Fraction coefficients."""
-    factors = _real_circle_factors(q**i)
+    factors = {sign: _real_circle_factor(q**i, perfect_sqrt(q**i), sign) for sign in (1, -1)}
     P = factors[1] ** plus * factors[-1] ** minus * Poly(rest + [1])
     facts = DegreeFacts(i, q, P)
     typed = lambda Q: [(type(c), c) for c in Q.coeffs_asc()]

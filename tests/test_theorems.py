@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import isqrt, prod
 
-from helpers import block_diag
+from helpers import block_diag, lefschetz_number_from_h1
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +31,7 @@ from endospec.matrixops import ExactMatrix, invariant_factors, polarization_witn
 from endospec.poly import squarefree_part
 from endospec.varieties import abelian_en, grassmannian
 from endospec.verify import full_report
-from endospec.zeta import zeta_function
+from endospec.zeta import lefschetz_number, zeta_function
 
 # Sums of two squares, some of them squares with a rotation besides the
 # scalar one (25 = 3**2 + 4**2, 100 = 6**2 + 8**2, 169 = 5**2 + 12**2).
@@ -124,6 +124,20 @@ def test_a_jordan_block_has_no_polarization_witness(case):
     assert squarefree_part(minimal) != minimal
     assert polarization_witness(A, q) is None
     assert not abelian_en(A, q).metadata["polarization_verified"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(polarized_isogenies(), jordan_isogenies()))
+@example((ExactMatrix([[2, 1], [0, 2]]), 4))
+def test_lefschetz_numbers_are_products_over_degree_one(case):
+    """L(f**n) = prod (1 - lambda**n) over the roots of P_1, n = 1..4: every
+    degree's Kunneth-built polynomial checked against degree 1 alone,
+    independently of the zeta product, on polarized isogenies and ones
+    with a Jordan block."""
+    A, q = case
+    model = abelian_en(A, q)
+    for n in range(1, 5):
+        assert lefschetz_number(model, n) == lefschetz_number_from_h1(model, n)
 
 
 @st.composite

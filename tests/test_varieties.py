@@ -152,6 +152,74 @@ def test_abelian_en_matches_h1_construction():
     assert en.hodge == direct.hodge
 
 
+def _count_charpolys(monkeypatch):
+    """Counter of charpoly calls, whether varieties or invariant_factors
+    makes them."""
+    calls = Counter()
+    real = poly.charpoly
+
+    def counted(rows):
+        calls[len(rows)] += 1
+        return real(rows)
+
+    monkeypatch.setattr(poly, "charpoly", counted)
+    monkeypatch.setattr(varieties, "charpoly", counted)
+    return calls
+
+
+def test_abelian_builds_read_singularity_off_one_charpoly(monkeypatch):
+    """abelian_en and abelian_from_h1 take no determinant: chi(0) of the
+    one charpoly they compute decides singularity, and invariant_factors
+    reads that chi."""
+
+    def refuse(M):
+        raise AssertionError("a determinant was taken")
+
+    monkeypatch.setattr(ExactMatrix, "det", refuse)
+    calls = _count_charpolys(monkeypatch)
+    en = abelian_en(EXAMPLE_A, 6)
+    assert calls == {2: 1}
+    calls.clear()
+    h1 = abelian_from_h1(2, EXAMPLE_A.kron(ExactMatrix.identity(2)), 6)
+    assert calls == {4: 1}
+    assert en.actions == h1.actions
+    for build in (lambda: abelian_en([[1, 2], [2, 4]], 6), lambda: abelian_from_h1(1, [[1, 1], [1, 1]], 2)):
+        calls.clear()
+        with pytest.raises(SingularActionError):
+            build()
+        assert sum(calls.values()) == 1
+
+
+def test_a_rational_isogeny_is_refused_before_the_witness_search(monkeypatch):
+    """Integrality is checked first, so the witness search never runs on a
+    rational A, and an A both rational and singular is refused as rational."""
+
+    def refuse(A, q):
+        raise AssertionError("the witness search ran")
+
+    monkeypatch.setattr(varieties, "polarization_witness", refuse)
+    half = Fraction(1, 2)
+    for A in ([[half, -5], [1, 1]], [[half, 1], [half, 1]]):
+        with pytest.raises(ValidityError, match="integer entries"):
+            abelian_en(A, 6)
+
+
+def test_generic_model_takes_each_charpoly_once(monkeypatch):
+    """A degree given by a matrix alone takes its polynomial from one
+    charpoly; a degree given both ways compares the given polynomial with
+    the matrix's, and a mismatch still raises."""
+    calls = _count_charpolys(monkeypatch)
+    model = generic_model(1, 6, matrices={0: [[1]], 1: EXAMPLE_A, 2: [[6]]})
+    assert calls == {1: 2, 2: 1}
+    assert model.charpoly(1) == Poly.from_desc([1, -2, 6])
+    calls.clear()
+    ends = {0: Poly.from_desc([1, -1]), 2: Poly.from_desc([1, -6])}
+    generic_model(1, 6, charpolys={**ends, 1: Poly.from_desc([1, -2, 6])}, matrices={1: EXAMPLE_A})
+    assert calls == {2: 1}
+    with pytest.raises(ConsistencyError):
+        generic_model(1, 6, charpolys={**ends, 1: Poly.from_desc([1, 0, 6])}, matrices={1: EXAMPLE_A})
+
+
 def _isogeny_models():
     """Every abelian_en test model, the non-semisimple ones and the
     isogeny [[2, 1], [0, 2]] with q = 4 among them."""

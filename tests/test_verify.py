@@ -3,7 +3,7 @@
 import json
 from collections import Counter
 from fractions import Fraction
-from math import isqrt
+from math import inf, isqrt
 
 import pytest
 import sympy
@@ -15,7 +15,7 @@ from endospec import cli
 from endospec.errors import DomainError, ValidityError
 from endospec.exactnum import perfect_sqrt
 from endospec.matrixops import ExactMatrix
-from endospec.poly import DegreeFacts, Poly
+from endospec.poly import DegreeFacts, Poly, model_facts
 from endospec.polygons import HodgePolygon
 from endospec import poly, verify, zeta
 from endospec.varieties import abelian_en, abelian_from_h1, generic_model, grassmannian
@@ -92,7 +92,7 @@ def _nonpolarized_facts(l, m):
 
 def _assert_bisection_matches_fraction_bisection(f):
     expected = fraction_real_root_off_circle(f.squarefree, f.q**f.degree)
-    assert verify._real_root_off_circle(f.squarefree, f.circle_free) == expected
+    assert f.real_root_off_circle == expected
     res = weil_weight_check(f)
     if res.passed:
         assert expected is None
@@ -112,16 +112,18 @@ def test_real_root_bisection_evaluates_each_point_once(monkeypatch):
     whichever interval end or midpoint the point was; the fraction
     comparison above pins the intervals themselves."""
     evaluations = Counter()
+    real = poly._sign_variations
 
     def counted(chain, x, den=1):
-        evaluations[id(chain), Fraction(x) / den] += 1
-        return poly._sign_variations(chain, x, den)
+        if x not in (inf, -inf):  # count_real_roots' ends, not a bisection point
+            evaluations[id(chain), Fraction(x) / den] += 1
+        return real(chain, x, den)
 
-    monkeypatch.setattr(verify, "_sign_variations", counted)
+    monkeypatch.setattr(poly, "_sign_variations", counted)
     for l, m in NONPOLARIZED:
         for f in _nonpolarized_facts(l, m):
             evaluations.clear()
-            assert verify._real_root_off_circle(f.squarefree, f.circle_free)
+            assert f.real_root_off_circle
             assert evaluations and set(evaluations.values()) == {1}
 
 
@@ -506,16 +508,78 @@ def _non_cyclic_generic():
     return generic_model(1, 6, matrices={0: [[1]], 1: M, 2: [[6]]})
 
 
+REPORT_MODELS = [
+    lambda: abelian_en(EXAMPLE_A, 6),
+    lambda: grassmannian(2, 4, 4),
+    lambda: grassmannian(2, 4, 4, "involution"),
+    _non_cyclic_generic,
+]
+REPORT_MODEL_IDS = ["E2", "G24", "G24-involution", "generic-non-cyclic"]
+
+
+def _spy_circle_free_divisions(monkeypatch):
+    """The multiplicities m of the exact_divide_out calls made outside
+    half_weight_multiplicity: circle_free's, the only other caller."""
+    made, inside = [], []
+    real_divide, real_multiplicity = poly.exact_divide_out, poly.half_weight_multiplicity
+
+    def divide(P, factor):
+        out = real_divide(P, factor)
+        if not inside:
+            made.append(out[1])
+        return out
+
+    def multiplicity(*args):
+        inside.append(True)
+        try:
+            return real_multiplicity(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(poly, "exact_divide_out", divide)
+    monkeypatch.setattr(poly, "half_weight_multiplicity", multiplicity)
+    return made
+
+
+@pytest.mark.parametrize("build, divisions", zip(REPORT_MODELS, ([1], [], [], [])), ids=REPORT_MODEL_IDS)
+def test_circle_free_divides_only_by_the_points_p_has(monkeypatch, build, divisions):
+    """circle_free divides the squarefree part S once by each real point of
+    |t|**2 = q**i that mu+- show in P, and each division takes the factor
+    exactly once. An S of real points alone (t - 1 in degree 0, t - q**d in
+    degree 2d, a Grassmannian's degrees) is left 1 with no division: of
+    these models' degrees only the E^2 example's degree 2, whose S is
+    (t**2 + 8t + 36)(t - 6), divides. A report reads circle_free in fewer
+    degrees (an abelian degree past 1 reads its circle verdict off degree
+    1), so every degree's is read here."""
+    made = _spy_circle_free_divisions(monkeypatch)
+    for f in model_facts(build()).values():
+        f.circle_free
+    assert made == divisions
+
+
 @pytest.mark.parametrize(
-    "build",
+    "q, i, P, divisions, free",
     [
-        lambda: abelian_en(EXAMPLE_A, 6),
-        lambda: grassmannian(2, 4, 4),
-        lambda: grassmannian(2, 4, 4, "involution"),
-        _non_cyclic_generic,
+        (4, 1, Poly([-2, 1]) ** 2 * Poly([2, 1]) ** 2 * Poly([3, 0, 1]), [1, 1], Poly([3, 0, 1])),
+        (6, 1, Poly([-6, 0, 1]) ** 2 * Poly([6, 0, 1]), [1], Poly([6, 0, 1])),
+        (4, 1, Poly([-2, 1]) * Poly([3, 0, 1]) ** 2, [1], Poly([3, 0, 1])),
+        (4, 1, Poly([4, 0, 1]), [], Poly([4, 0, 1])),
+        (6, 1, Poly([-6, 0, 1]) ** 3, [], Poly([1])),
     ],
-    ids=["E2", "G24", "G24-involution", "generic-non-cyclic"],
+    ids=["both-signs", "quadratic", "plus-only", "no-point", "points-alone"],
 )
+def test_circle_free_divisions_on_one_degree(monkeypatch, q, i, P, divisions, free):
+    """Both signs of a square q**i, the one quadratic point of a non-square
+    one, one sign only, no real point, and real points alone: one division
+    per point P has, each exact once."""
+    f = DegreeFacts(i, q, P)
+    f.mu_plus, f.mu_minus, f.squarefree
+    made = _spy_circle_free_divisions(monkeypatch)
+    assert f.circle_free == free
+    assert made == divisions
+
+
+@pytest.mark.parametrize("build", REPORT_MODELS, ids=REPORT_MODEL_IDS)
 def test_a_report_decides_each_reciprocity_identity_once(monkeypatch, build):
     """The functional equation owns P_i's q**i-reciprocity: Jordan symmetry
     on the Jordan data [P_i], cross duality in the middle degree and the
@@ -531,7 +595,7 @@ def test_a_report_decides_each_reciprocity_identity_once(monkeypatch, build):
         return real_failure(P, Q, s)
 
     def multiplicity(P, q, i, sign):
-        divisions[P.coeffs_asc(), poly._real_circle_factors(q**i)[sign].coeffs_asc()] += 1
+        divisions[P.coeffs_asc(), poly._real_circle_factor(q**i, perfect_sqrt(q**i), sign).coeffs_asc()] += 1
         return real_multiplicity(P, q, i, sign)
 
     monkeypatch.setattr(poly, "_reciprocity_failure", failure)
