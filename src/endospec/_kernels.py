@@ -6,10 +6,10 @@ is the empty list). The two product kernels, mat_mul_int and poly_mul_int,
 only add and multiply, so they also take Fraction entries and tuples: every
 Poly and ExactMatrix product runs on them. So does poly_pseudo_divmod_int,
 the one general polynomial division: Poly.divmod_by calls it, and so does
-poly.exact_divide_out for any factor but the half-weight ones, always with
-a monic divisor, which it never rescales. The half-weight factors t - r and
-t**2 - Q divide by Horner passes in poly (deflation), one pass a division,
-with the types this kernel would give.
+poly.exact_divide_out for any factor but a linear one, always with a
+monic divisor, which it never rescales. A linear factor t - r divides by
+Horner passes in poly (deflation), one pass a division, with the types
+this kernel would give.
 
 pivot_step_int is the one fraction-free elimination step (Bareiss 1968):
 det_int, matrixops' Gauss-Jordan reduction and its positive-definiteness

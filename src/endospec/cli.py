@@ -373,17 +373,12 @@ def _option_int(token, option):
 
 
 def _parse_primes(spec):
-    primes = [_option_int(tok, "--primes entry") for tok in spec.split(",") if tok.strip()]
-    if not primes:
-        raise ValidityError("at least one prime is required")
-    return primes
+    return [_option_int(tok, "--primes entry") for tok in spec.split(",") if tok.strip()]
 
 
 def cmd_verify(args):
-    precision = _option_int(args.precision, "--precision")
     model = parse_descriptor(_load_document(args.input))
-    primes = _parse_primes(args.primes)
-    report = full_report(model, primes, precision=precision)
+    report = full_report(model, _parse_primes(args.primes))
     counts = {"pass": 0, "fail": 0, "not-applicable": 0, "incomparable": 0}
     for r in report.results:
         counts[r.status] += 1
@@ -520,13 +515,6 @@ def build_parser():
         required=True,
         metavar="L1,L2,...",
         help="comma-separated primes for polygon checks",
-    )
-    p.add_argument(
-        "--precision",
-        default="60",
-        metavar="N",
-        help="accepted for compatibility; the weight check is exact and "
-        "ignores it (at least 30, default 60)",
     )
     _add_common(p)
     p.set_defaults(fn=cmd_verify)

@@ -100,7 +100,8 @@ def perfect_sqrt(n):
 class NormalizedValuation:
     """ell-adic valuation scaled so the fixed q has valuation 1 when possible.
 
-    The normalizer m is the plain ell-adic valuation of q. When m = 0 (ell
+    The normalizer m is the plain ell-adic valuation of q; Newton polygons
+    take rational_valuation at the prime and divide by m. When m = 0 (ell
     does not divide q) the valuation stays unnormalized; consumers that need
     v(q) = 1, such as the polygon symmetry predicates, must refuse it.
     """
@@ -119,24 +120,6 @@ class NormalizedValuation:
     @property
     def normalized(self):
         return self.normalizer > 0
-
-    def valuate(self, x):
-        """Exact rational valuation of a nonzero int or Fraction."""
-        if x == 0:
-            raise DomainError("valuation of 0 is undefined")
-        v = rational_valuation(x, self.prime)
-        return Fraction(v, self.normalizer) if self.normalizer else Fraction(v)
-
-    def __eq__(self, other):
-        if not isinstance(other, NormalizedValuation):
-            return NotImplemented
-        return self.prime == other.prime and self.q == other.q
-
-    def __hash__(self):
-        return hash((self.prime, self.q))
-
-    def __repr__(self):
-        return f"NormalizedValuation(prime={self.prime}, q={self.q})"
 
 
 def _shown(s):

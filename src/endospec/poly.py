@@ -3,8 +3,8 @@ transforms built on them: reciprocal/duality partners, the reciprocity
 identity t**n * P(s/t) = P(0) * Q(t) behind the functional equation, cross
 duality, Jordan symmetry, the weight check's circle gate, the circle test,
 power sums, exterior powers' charpolys composed by Kunneth from composed
-products, Sturm sequences, and exact factor extraction, the half-weight
-factors t - r and t**2 - Q by Horner passes (deflation). DegreeFacts
+products, Sturm sequences, and exact factor extraction, a half-weight
+point's linear factor t - r by Horner passes (deflation). DegreeFacts
 gathers what the checks read about one degree, from its polynomial, Jordan
 data, degree 1's facts or eigenvalues, owns its circle |t|**2 = q**i and
 gives a unit polynomial's flat Newton polygon without valuing anything;
@@ -571,12 +571,8 @@ def count_real_roots(chain, lo=-inf, hi=inf):
 def exact_divide_out(P, factor):
     """Maximal m with factor**m dividing P exactly; returns (quotient, m).
     Divides the coefficient lists: a monic factor keeps every step exact.
-    The factors of the half-weight points divide by Horner passes (_deflate):
-    t - r by one pass, and t**2 - Q by one pass on each of P's even and odd
-    parts in t**2. Any other factor takes the pseudo-division kernel, and so
-    does t**2 - Q on a rational P: the kernel's products by the factor's
-    zero coefficient turn some integral coefficients into Fractions, and
-    the quotient keeps the kernel's coefficient types."""
+    A linear factor t - r divides by one Horner pass (_deflate); any other,
+    t**2 - Q included, takes the pseudo-division kernel."""
     if factor.degree < 1:
         raise ValidityError("factor must be nonconstant")
     if not factor.is_monic():
@@ -584,8 +580,6 @@ def exact_divide_out(P, factor):
     f = factor.coeffs_asc()
     if len(f) == 2:
         divide = partial(_deflate, r=-f[0])
-    elif len(f) == 3 and not f[1] and isinstance(f[0], int) and P.is_integer():
-        divide = partial(_deflate_in_square, Q=-f[0])
     else:
         divide = partial(_kernel_quotient, f=f)
     a, m = P.coeffs_asc(), 0
@@ -612,20 +606,6 @@ def _deflate(a, r):
         return None
     values.reverse()
     return values
-
-
-def _deflate_in_square(a, Q):
-    """The quotient of the ascending integer coefficients a by t**2 - Q, or
-    None when it does not divide them: P(t) = E(t**2) + t * O(t**2) is
-    divisible exactly when E and O are divisible by s - Q."""
-    if len(a) < 3:
-        return None
-    even, odd = _deflate(a[0::2], Q), _deflate(a[1::2], Q)
-    if even is None or odd is None:
-        return None
-    quot = [0] * (len(a) - 2)
-    quot[0::2], quot[1::2] = even, odd
-    return quot
 
 
 def _real_circle_factor(Q, r, sign):

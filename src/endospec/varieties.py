@@ -165,16 +165,16 @@ def abelian_from_h1(d, M, q):
         M = ExactMatrix(M)
     if not M.is_square or M.nrows != 2 * d:
         raise ShapeError(f"degree-1 action must be {2 * d}x{2 * d}")
-    _require_integer(M)
+    _require_integer(M, "degree-1 action")
     chi = charpoly(M.rows)
     if chi.coeff(0) == 0:  # chi(0) = det(-M)
         raise SingularActionError("degree-1 action is singular")
     return _abelian(d, M, q, invariant_factors(M, chi), {})
 
 
-def _require_integer(M):
+def _require_integer(M, name):
     if not M.is_integer():
-        raise ValidityError("degree-1 action must have integer entries")
+        raise ValidityError(f"{name} must have integer entries")
 
 
 def _abelian(d, M, q, factors, metadata):
@@ -212,7 +212,7 @@ def abelian_en(A, q):
         A = ExactMatrix(A)
     if not A.is_square:
         raise ShapeError("isogeny matrix must be square")
-    _require_integer(A)
+    _require_integer(A, "isogeny matrix")
     chi = charpoly(A.rows)
     if chi.coeff(0) == 0:  # chi(0) = det(-A)
         raise SingularActionError("isogeny matrix is singular")

@@ -304,7 +304,7 @@ def _zeta(zf, facts):
     return res.holds, witness
 
 
-def full_report(model, primes, precision=60):
+def full_report(model, primes):
     primes = list(primes)
     if not primes:
         raise ValidityError("at least one prime is required")
@@ -314,8 +314,6 @@ def full_report(model, primes, precision=60):
     if len(set(primes)) < len(primes):
         repeated = sorted({p for p in primes if primes.count(p) > 1})
         raise ValidityError(f"primes repeated: {', '.join(map(str, repeated))}")
-    if precision < 30:
-        raise DomainError("precision below 30 digits is not meaningful here")
     q = model.q
     d = model.dimension
     results = []
@@ -363,7 +361,6 @@ def full_report(model, primes, precision=60):
         "q": str(q),
         "betti": model.betti_numbers,
         "primes": [str(p) for p in primes],
-        "precision": precision,
     }
     if model.kind == "grassmannian":
         summary["k"] = model.metadata["k"]

@@ -6,11 +6,15 @@ the once-built argument parser to the same bytes.
 """
 
 import argparse
+import contextlib
 import gc
+import io
 import json
 import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -143,8 +147,10 @@ def test_verify_bad_inputs(tmp_path):
     assert "surprise" in proc.stderr
     assert run_cli("verify", good, "--primes", "4").returncode == 2
     assert run_cli("verify", good, "--primes", "").returncode == 2
+    # the weight check is exact: there is no precision to set
     low = run_cli("verify", good, "--primes", "2", "--precision", "10")
     assert low.returncode == 2
+    assert "error: unrecognized arguments: --precision 10" in low.stderr
     for q in ("--5", "\u00b2"):
         malformed = write_descriptor(tmp_path, {**EXAMPLE_DESCRIPTOR, "q": q}, "q.json")
         proc = run_cli("verify", malformed, "--primes", "2")
@@ -291,7 +297,7 @@ def test_a_rational_singular_isogeny_exits_2_as_rational(tmp_path, capsys):
     assert cli.main(["verify", write_descriptor(tmp_path, doc), "--primes", "2"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "endospec: degree-1 action must have integer entries\n"
+    assert err == "endospec: isogeny matrix must have integer entries\n"
 
 
 def test_zeta_refuses_an_order_past_the_digit_bound(tmp_path, capsys):
@@ -351,7 +357,6 @@ def test_cli_integers_follow_the_descriptor_grammar(tmp_path, capsys):
     ):
         for argv, option in (
             (["verify", path, "--primes", f"2,{token}"], "--primes entry"),
-            (["verify", path, "--primes", "2", "--precision", token], "--precision"),
             (["polygons", path, "--prime", token, "--degree", "1"], "--prime"),
             (["polygons", path, "--prime", "3", "--degree", token], "--degree"),
             (["zeta", path, "--order", token], "--order"),
@@ -377,6 +382,29 @@ def test_verify_refuses_repeated_primes(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"endospec: primes repeated: {named}\n"
+
+
+def test_verify_refuses_an_empty_prime_list_once(tmp_path, capsys):
+    """A --primes list with no entries reaches full_report, whose refusal is
+    the only one: exit 2, empty stdout, its message on stderr."""
+    path = write_descriptor(tmp_path, EXAMPLE_DESCRIPTOR)
+    for spec in ("", ",", " , "):
+        assert cli.main(["verify", path, "--primes", spec]) == 2, spec
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "endospec: at least one prime is required\n"
+
+
+def test_verify_has_no_precision_option(tmp_path, capsys):
+    """The weight check is exact, so verify takes no precision: argparse
+    refuses the option as unknown, with its usage exit 2."""
+    path = write_descriptor(tmp_path, EXAMPLE_DESCRIPTOR)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", path, "--primes", "2", "--precision", "60"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("endospec: error: unrecognized arguments: --precision 60\n")
 
 
 def test_long_refused_literals_are_cut_short(tmp_path, capsys):
@@ -663,3 +691,110 @@ def test_jordan_data_is_built_only_for_a_jordan_verdict(tmp_path, capsys, monkey
     jordan = [c for c in checks if c["check"] == "jordan_symmetry" and c["degree"] == 1]
     assert jordan == [{"check": "jordan_symmetry", "status": "pass", "degree": 1}]
     assert len(calls) == 1
+
+
+_FUZZ_INT = st.integers(-6, 6)
+
+
+@st.composite
+def _fuzz_matrix(draw, n):
+    """An n x n integer matrix of entry strings, or one made rational (an
+    entry p/2), singular (a repeated row) or non-square (an extra column)."""
+    rows = draw(st.lists(st.lists(_FUZZ_INT, min_size=n, max_size=n), min_size=n, max_size=n))
+    rows = [[str(x) for x in row] for row in rows]
+    shape = draw(st.sampled_from(("square",) * 5 + ("rational", "singular", "non-square")))
+    if shape == "rational":
+        rows[0][0] = f"{2 * draw(_FUZZ_INT) + 1}/2"
+    elif shape == "singular":
+        rows[-1] = list(rows[0])
+    elif shape == "non-square":
+        rows = [row + ["1"] for row in rows]
+    return rows
+
+
+def _companion(desc):
+    """The companion matrix, as entry strings, of a monic polynomial given
+    leading first."""
+    n = len(desc) - 1
+    return [
+        [str(int(j == i - 1)) for j in range(n - 1)] + [str(-int(desc[n - i]))]
+        for i in range(n)
+    ]
+
+
+@st.composite
+def _fuzz_descriptors(draw):
+    """Small descriptors of all four kinds, q below 10**30, d <= 2 and
+    Grassmannians with n <= 6; many are invalid or fail checks."""
+    q = str(draw(st.one_of(st.integers(0, 30), st.integers(2, 10**30 - 1))))
+    kind = draw(st.sampled_from(("abelian_en", "abelian", "grassmannian", "generic")))
+    if kind == "abelian_en":
+        return {"kind": kind, "q": q, "isogeny_matrix": draw(_fuzz_matrix(draw(st.integers(1, 2))))}
+    if kind == "abelian":
+        d = draw(st.integers(1, 2))
+        return {"kind": kind, "q": q, "d": d, "matrix": draw(_fuzz_matrix(2 * d))}
+    if kind == "grassmannian":
+        n = draw(st.integers(2, 6))
+        doc = {"kind": kind, "q": q, "k": draw(st.integers(1, n)), "n": n}
+        variant = draw(st.sampled_from((None, "scalar", "involution")))
+        return doc if variant is None else {**doc, "variant": variant}
+    d = draw(st.integers(0, 2))
+    ends = {0: ["1", "-1"], 2 * d: ["1", str(-int(q) ** d)]}
+    betti = [1] + [draw(st.integers(1, 3)) for _ in range(d - 1)] + [draw(st.integers(1, 4))]
+    betti = (betti + betti[-2::-1])[: 2 * d + 1]  # b_i = b_(2d-i)
+    charpolys, matrices = [], []
+    for i, b in enumerate(betti):
+        coeffs = draw(st.lists(_FUZZ_INT, min_size=b - 1, max_size=b - 1))
+        poly = ["1"] + [str(c) for c in coeffs + [draw(_FUZZ_INT.filter(bool))]]
+        if i in ends and draw(st.integers(0, 3)):
+            poly = ends[i]
+        # the polynomial, its companion matrix, both, or a matrix of its
+        # size whose charpoly need not match it
+        form = draw(st.sampled_from(("poly",) * 3 + ("matrix", "both", "mismatched")))
+        charpolys.append(None if form == "matrix" else poly)
+        matrices.append(
+            None if form == "poly"
+            else draw(_fuzz_matrix(b)) if form == "mismatched"
+            else _companion(poly)
+        )
+    doc = {"kind": kind, "q": q, "d": d, "charpolys": charpolys}
+    if any(m is not None for m in matrices):
+        doc["matrices"] = matrices
+    if draw(st.booleans()):
+        entry = st.one_of(st.none(), st.integers(0, 2))
+        rows = [st.lists(entry, min_size=i + 1, max_size=i + 1) for i in range(2 * d + 1)]
+        doc["hodge"] = [draw(row) for row in rows]
+    strict = draw(st.sampled_from((None, True, False)))
+    return doc if strict is None else {**doc, "strict": strict}
+
+
+# One validator per output document, so the schema is checked once.
+_OUTPUT_VALIDATORS = {
+    name: jsonschema.Draft202012Validator({**SCHEMA, "oneOf": [{"$ref": f"#/$defs/{name}"}]})
+    for name in ("report", "zetaOutput", "polygonOutput")
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fuzz_descriptors(), st.sampled_from((2, 3, 5, 7)), st.integers(0, 4))
+def test_no_small_descriptor_exits_3(doc, prime, degree):
+    """verify, zeta and polygons on a small descriptor, valid or not, exit
+    0, 1 or 2, never 3: on 0 or 1 stdout is a document of its schema, on 2
+    it is empty."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_text(json.dumps(doc))
+        for argv, def_name in (
+            (["verify", str(path), "--primes", f"{prime},11"], "report"),
+            (["zeta", str(path)], "zetaOutput"),
+            (["polygons", str(path), "--prime", str(prime), "--degree", str(degree)],
+             "polygonOutput"),
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([*argv, "--quiet"])
+            assert code in (0, 1, 2), (argv[0], doc, err.getvalue())
+            if code == 2:
+                assert out.getvalue() == ""
+            else:
+                _OUTPUT_VALIDATORS[def_name].validate(json.loads(out.getvalue()))

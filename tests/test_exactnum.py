@@ -1,4 +1,5 @@
 import random
+from functools import partial
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from endospec.exactnum import (
     is_prime,
     parse_rational,
     perfect_sqrt,
+    rational_valuation,
 )
 
 
@@ -35,42 +37,35 @@ def test_valuate_normalized_examples():
     v2 = NormalizedValuation(2, 6)
     v3 = NormalizedValuation(3, 6)
     assert v2.normalizer == 1 and v3.normalizer == 1
-    assert v2.valuate(6) == 1
-    assert v3.valuate(36) == 2
-    assert v3.valuate(24) == 1
+    assert v2.normalized and v3.normalized
 
 
 def test_valuate_zero_rejected():
-    v = NormalizedValuation(2, 6)
     with pytest.raises(DomainError):
-        v.valuate(0)
+        rational_valuation(0, 2)
     with pytest.raises(DomainError):
-        v.valuate(Fraction(0))
+        rational_valuation(Fraction(0), 2)
 
 
 def test_valuate_fractional_normalizer():
-    # q = 4 gives normalizer 2, so v(2) lands strictly between 0 and 1
+    # q = 4 gives normalizer 2: polygons divide by it, so v(2) = 1/2
     v = NormalizedValuation(2, 4)
-    assert v.normalizer == 2
-    assert v.valuate(2) == Fraction(1, 2)
-    assert v.valuate(4) == 1
-    assert v.valuate(Fraction(1, 2)) == Fraction(-1, 2)
+    assert v.normalizer == 2 and v.normalized
+    assert Fraction(rational_valuation(2, v.prime), v.normalizer) == Fraction(1, 2)
 
 
 def test_valuate_unnormalized_when_prime_does_not_divide_q():
     v5 = NormalizedValuation(5, 6)
-    assert not v5.normalized
-    assert v5.valuate(25) == 2
-    assert v5.valuate(Fraction(3, 5)) == -1
+    assert v5.normalizer == 0 and not v5.normalized
 
 
 def test_valuation_is_homomorphism():
     rng = random.Random(11)
-    v = NormalizedValuation(3, 18)  # normalizer 2
+    v = partial(rational_valuation, ell=3)
     for _ in range(1000):
         x = Fraction(rng.randint(1, 3**6), rng.randint(1, 3**6))
         y = Fraction(-rng.randint(1, 3**6), rng.randint(1, 3**6))
-        assert v.valuate(x * y) == v.valuate(x) + v.valuate(y)
+        assert v(x * y) == v(x) + v(y)
 
 
 def test_normalized_valuation_validates():

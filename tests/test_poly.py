@@ -447,11 +447,16 @@ def test_gcd_zero_and_constant_cases():
 @example(6, 1, 2, 0, [Fraction(1, 2), 1])  # t**2 - 6 twice, a rational cofactor
 @example(4, 1, 2, 1, [3, 0, 1])  # t - 2 twice, t + 2 once, integers
 @example(2, 1, 1, 0, [-2, 0, 1])  # (t**2 - 2)**2: the factor itself is the cofactor
+# t - 3 and t + 3, a rational cofactor: dividing by t + 3 first would leave
+# an int where t - 3 first leaves a Fraction
+@example(9, 1, 1, 1, [1, Fraction(3)])
 def test_half_weight_divisions_match_the_divmod_loop(q, i, plus, minus, rest):
-    """mu+-, read by Horner passes (t - r, or t**2 - q**i on P's even and
-    odd parts when q**i is not a square), and the circle-free part are the
-    multiplicities and quotients of the Poly.divmod_by loop, with the same
-    int and Fraction coefficients."""
+    """mu+-, read by Horner passes (t - r) or the kernel (t**2 - q**i when
+    q**i is not a square), and the circle-free part are the multiplicities
+    and quotients of the Poly.divmod_by loop, with the same int and
+    Fraction coefficients. The loop divides S by the factors in the order
+    circle_free does, +sqrt(q**i) first, as the coefficient types depend on
+    the order."""
     factors = {sign: _real_circle_factor(q**i, perfect_sqrt(q**i), sign) for sign in (1, -1)}
     P = factors[1] ** plus * factors[-1] ** minus * Poly(rest + [1])
     facts = DegreeFacts(i, q, P)
@@ -462,6 +467,6 @@ def test_half_weight_divisions_match_the_divmod_loop(q, i, plus, minus, rest):
         assert mu == got[1] == want[1] >= (built if square else plus + minus)
         assert typed(got[0]) == typed(want[0])
     S = squarefree_part(P)
-    for f in set(factors.values()):
+    for f in dict.fromkeys(factors.values()):
         S = divmod_by_exact_divide_out(S, f)[0]
     assert typed(facts.circle_free) == typed(S)
