@@ -17,8 +17,8 @@ from functools import cache
 from pathlib import Path
 
 from endospec.errors import EndospecError, ValidityError
-from endospec.exactnum import _shown
-from endospec.matrixops import matrix_from_strings
+from endospec.exactnum import _shown, parse_rational
+from endospec.matrixops import ExactMatrix
 from endospec.poly import model_facts, poly_from_strings
 from endospec.polygons import hodge_polygon, np_ge_hp, vertices_json
 from endospec.varieties import (
@@ -79,7 +79,7 @@ def _as_matrix(value, label):
     ):
         raise ValidityError(f"{label} must be a nonempty array of rows")
     try:
-        return matrix_from_strings([[_as_entry(x, label) for x in r] for r in value])
+        return ExactMatrix([[parse_rational(_as_entry(x, label)) for x in r] for r in value])
     except (EndospecError, ValueError) as exc:
         raise ValidityError(f"{label}: {exc}") from exc
 

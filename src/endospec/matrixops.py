@@ -1,8 +1,10 @@
-"""Exact matrix machinery: exterior powers, invariant factors of the
-characteristic matrix t*id - M (Smith normal form over the polynomial ring),
-whose Jordan symmetry poly decides, bilinear pairing checks, and the exact
-decision whether a positive-definite polarization witness exists (one
-projection onto a kernel).
+"""Exact matrix machinery: invariant factors of the characteristic matrix
+t*id - M (Smith normal form over the polynomial ring), whose Jordan
+symmetry poly decides, bilinear pairing checks, the exact decision whether
+a positive-definite polarization witness exists (one projection onto a
+kernel), and exterior powers. No model builds an exterior power, whose
+charpolys poly composes from degree 1; it is kept public as the matrix
+path a model's degrees can be checked against.
 
 Kernels come from a fraction-free Gauss-Jordan elimination over the
 integers and leading principal minors from a forward pass, both on the one
@@ -37,7 +39,7 @@ from endospec.errors import (
     ShapeError,
     ValidityError,
 )
-from endospec.exactnum import parse_rational, perfect_sqrt
+from endospec.exactnum import perfect_sqrt
 from endospec.poly import Poly, poly_gcd
 
 
@@ -62,14 +64,6 @@ class ExactMatrix:
     @classmethod
     def identity(cls, n):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def diagonal(cls, entries):
-        entries = list(entries)
-        n = len(entries)
-        return cls(
-            [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        )
 
     @property
     def nrows(self):
@@ -161,10 +155,6 @@ class ExactMatrix:
 
     def __repr__(self):
         return f"ExactMatrix({[list(r) for r in self.rows]})"
-
-
-def matrix_from_strings(rows):
-    return ExactMatrix([[parse_rational(s) for s in r] for r in rows])
 
 
 def exterior_power(M, k):

@@ -4,11 +4,12 @@ isogeny matrix on a power of an elliptic curve), Grassmannians, and a
 generic user-supplied model.
 
 A model is the bundle the verification layer consumes: for every degree
-0..2d a monic characteristic polynomial, optionally the acting matrix and
-its Jordan data (a generic model's invariant factors, a Grassmannian's
-charpoly, an abelian model's composed by Kunneth from degree 1's blocks),
-the eigenvalues when the construction knows them (a Grassmannian's
-+-q**j), and per-weight Hodge number lists.
+0..2d a monic characteristic polynomial, optionally its Jordan data (a
+generic model's invariant factors, a Grassmannian's charpoly, an abelian
+model's composed by Kunneth from degree 1's blocks), the eigenvalues when
+the construction knows them (a Grassmannian's +-q**j), and per-weight
+Hodge number lists. No check reads a degree's matrix, so none is kept: a
+model's metadata records the matrices it was built from.
 """
 
 from dataclasses import dataclass, field
@@ -22,7 +23,7 @@ from endospec.errors import (
     SingularActionError,
     ValidityError,
 )
-from endospec.matrixops import ExactMatrix, exterior_power, invariant_factors
+from endospec.matrixops import ExactMatrix, invariant_factors
 from endospec.matrixops import polarization_witness
 from endospec.poly import Poly, _fact, _product, charpoly, exterior_power_charpolys
 
@@ -30,11 +31,11 @@ from endospec.poly import Poly, _fact, _product, charpoly, exterior_power_charpo
 @dataclass(frozen=True)
 class CohomologyAction:
     """One degree's action: its characteristic polynomial, whose degree is
-    the Betti number, and, when the model has one, the acting matrix and
-    its Jordan data, built on first use. The Jordan data is a sequence of
-    monic polynomials, each its own q**degree-reciprocal partner exactly
-    when the Jordan blocks are symmetric under lambda -> q**degree/lambda.
-    Both are cached like DegreeFacts' facts: a failed build raises again.
+    the Betti number, and, when the model has them, its Jordan data, built
+    on first use: a sequence of monic polynomials, each its own
+    q**degree-reciprocal partner exactly when the Jordan blocks are
+    symmetric under lambda -> q**degree/lambda. It is cached like
+    DegreeFacts' facts: a failed build raises again.
 
     roots are set only by grassmannian, which knows the eigenvalues: (root,
     multiplicity) pairs with distinct nonzero rational roots and positive
@@ -47,18 +48,11 @@ class CohomologyAction:
     degree: int
     charpoly: Poly
     make_jordan_data: Optional[Callable[[], list]] = field(repr=False, compare=False)
-    make_matrix: Optional[Callable[[], ExactMatrix]] = field(
-        default=None, repr=False, compare=False
-    )
     roots: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def betti(self):
         return self.charpoly.degree
-
-    @_fact
-    def matrix(self):
-        return None if self.make_matrix is None else self.make_matrix()
 
     @_fact
     def jordan_data(self):
@@ -84,8 +78,7 @@ def _action(degree, poly, matrix=None):
         raise ShapeError(f"degree {degree}: matrix size {matrix.nrows} != betti {poly.degree}")
     if given and charpoly(matrix.rows) != poly:
         raise ConsistencyError(f"degree {degree}: matrix does not realize the polynomial")
-    jordan = partial(invariant_factors, matrix, poly)
-    return CohomologyAction(degree, poly, jordan, lambda: matrix)
+    return CohomologyAction(degree, poly, partial(invariant_factors, matrix, poly))
 
 
 @dataclass
@@ -131,9 +124,6 @@ class VarietyModel:
     def charpoly(self, i):
         return self.actions[i].charpoly
 
-    def matrix(self, i):
-        return self.actions[i].matrix
-
     @property
     def betti_numbers(self):
         return [a.betti for a in self.actions]
@@ -159,8 +149,9 @@ def abelian_from_h1(d, M, q):
     (poly.exterior_power_charpolys). By Clebsch-Gordan the i-th exterior
     power has m_(s-1) - m_(s+1) blocks of size s at mu, m_w the
     multiplicity of mu in P_(i,w): the pieces with w >= 0 are its Jordan
-    data. Exterior power matrices are built only when asked for. The model
-    is marked as exterior powers of degree 1 (VarietyModel.exterior_powers)."""
+    data. No exterior power matrix is built; M is kept as metadata["matrix"].
+    The model is marked as exterior powers of degree 1
+    (VarietyModel.exterior_powers)."""
     if not isinstance(M, ExactMatrix):
         M = ExactMatrix(M)
     if not M.is_square or M.nrows != 2 * d:
@@ -179,23 +170,19 @@ def _require_integer(M, name):
 
 def _abelian(d, M, q, factors, metadata):
     """The model abelian_from_h1 builds from a valid degree-1 action M and
-    the invariant factors of t*id - M."""
-    pieces = exterior_power_charpolys(factors)
-    matrices = [partial(ExactMatrix, [[1]]), lambda: M]
-    matrices += [partial(exterior_power, M, i) for i in range(2, 2 * d + 1)]
+    the invariant factors of t*id - M; metadata["matrix"] records M."""
     # M is integral with det M != 0, so every degree is a valid action.
     actions = []
-    for i, (by_weight, matrix) in enumerate(zip(pieces, matrices)):
+    for i, by_weight in enumerate(exterior_power_charpolys(factors)):
         P = _product([Q * Q if w else Q for w, Q in by_weight.items()])
-        jordan = partial(list, by_weight.values())
-        actions.append(CohomologyAction(i, P, jordan, matrix))
+        actions.append(CohomologyAction(i, P, partial(list, by_weight.values())))
     model = VarietyModel(
         kind="abelian",
         dimension=d,
         q=q,
         actions=tuple(actions),
         hodge=_abelian_hodge(d),
-        metadata=metadata,
+        metadata={"matrix": M, **metadata},
     )
     model.exterior_powers = True
     return model
@@ -226,26 +213,6 @@ def abelian_en(A, q):
     return _abelian(A.nrows, A.kron(ExactMatrix.identity(2)), q, factors, metadata)
 
 
-def box_partitions(rows, cols, size):
-    """Partitions of `size` with at most `rows` parts, each at most `cols`,
-    as nonincreasing tuples in descending lexicographic order."""
-    out = []
-
-    def rec(remaining, cap, parts):
-        if remaining == 0:
-            out.append(tuple(parts))
-            return
-        if len(parts) == rows:
-            return
-        for p in range(min(cap, remaining), 0, -1):
-            parts.append(p)
-            rec(remaining - p, p, parts)
-            parts.pop()
-
-    rec(size, cols, [])
-    return out
-
-
 def _gaussian_binomial(n, k):
     """Coefficients of the Gaussian binomial [n choose k]_x, ascending: the
     x**j coefficient counts the partitions of j in a k x (n - k) box. Built
@@ -274,25 +241,6 @@ def _self_conjugate_counts(k):
     return c
 
 
-def _conjugate(partition):
-    if not partition:
-        return ()
-    return tuple(
-        sum(1 for p in partition if p >= i) for i in range(1, partition[0] + 1)
-    )
-
-
-def _conjugation_matrix(k, j, scale):
-    """scale times the permutation matrix of conjugation on the partitions
-    of j in a k x k box."""
-    parts = box_partitions(k, k, j)
-    index = {p: idx for idx, p in enumerate(parts)}
-    rows = [[0] * len(parts) for _ in parts]
-    for src, p in enumerate(parts):
-        rows[index[_conjugate(p)]][src] = scale
-    return ExactMatrix(rows)
-
-
 def _binomial_row(m, sign):
     """(t + sign)**m, from its binomial coefficients."""
     return Poly([comb(m, e) * sign ** (m - e) for e in range(m + 1)])
@@ -308,8 +256,8 @@ def grassmannian(k, n, q, variant="scalar"):
     each degree's eigenvalues are known exactly: q**j with multiplicity b,
     or q**j with multiplicity fixed + cycles and -q**j with multiplicity
     cycles, cycles being the transposed pairs. The action carries them
-    (CohomologyAction.roots), its polynomial is written from binomial
-    coefficients, and partitions are listed only when a matrix is built."""
+    (CohomologyAction.roots) and its polynomial is written from binomial
+    coefficients: no partition is listed."""
     if not 1 <= k < n:
         raise ValidityError(f"need 1 <= k < n, got k={k}, n={n}")
     if q <= 1:
@@ -333,10 +281,6 @@ def grassmannian(k, n, q, variant="scalar"):
         scale = q**j
         fixed = fixed_counts[j]
         cycles = (b - fixed) // 2
-        if variant == "scalar":
-            matrix = partial(ExactMatrix.diagonal, [scale] * b)
-        else:
-            matrix = partial(_conjugation_matrix, k, j, scale)
         # (t - s)**(fixed + cycles) * (t + s)**cycles = s**b * F(t/s) with
         # F = (x - 1)**(fixed + cycles) * (x + 1)**cycles, s = q**j.
         F = (_binomial_row(fixed + cycles, -1) * _binomial_row(cycles, 1)).coeffs_asc()
@@ -347,7 +291,7 @@ def grassmannian(k, n, q, variant="scalar"):
         roots = tuple((r, m) for r, m in ((scale, fixed + cycles), (-scale, cycles)) if m)
         # q**j I and q**j (an involution) are semisimple: P is the Jordan data.
         jordan = partial(list, [poly])
-        action = CohomologyAction(i, poly, jordan, matrix)
+        action = CohomologyAction(i, poly, jordan)
         object.__setattr__(action, "roots", roots)
         actions.append(action)
     return VarietyModel(
@@ -366,7 +310,7 @@ def generic_model(d, q, charpolys=None, matrices=None, hodge=None, strict=True):
     Every degree 0..2d needs a polynomial, a matrix, or both; when both are
     given they must agree. With strict=True the degree-0 and degree-2d
     actions must be t - 1 and t - q**d; otherwise deviations are recorded
-    as warnings in the metadata."""
+    as warnings in the metadata, beside the given matrices by degree."""
     if d < 0 or q <= 1:
         raise ValidityError("need d >= 0 and q > 1")
     charpolys = dict(charpolys or {})
@@ -380,7 +324,7 @@ def generic_model(d, q, charpolys=None, matrices=None, hodge=None, strict=True):
         poly = charpolys.get(i)
         mat = matrices.get(i)
         if mat is not None and not isinstance(mat, ExactMatrix):
-            mat = ExactMatrix(mat)
+            mat = matrices[i] = ExactMatrix(mat)
         if poly is None and mat is None:
             raise ValidityError(f"degree {i} has neither polynomial nor matrix")
         actions.append(_action(i, poly, mat))
@@ -400,7 +344,7 @@ def generic_model(d, q, charpolys=None, matrices=None, hodge=None, strict=True):
         q=q,
         actions=tuple(actions),
         hodge=tuple(tuple(h) for h in hodge),
-        metadata={"warnings": warnings, "strict": strict},
+        metadata={"warnings": warnings, "strict": strict, "matrices": matrices},
     )
 
 

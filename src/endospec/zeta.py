@@ -3,8 +3,11 @@ rational function, and its functional equation.
 
 The zeta function is held as a numerator/denominator pair of reversed
 characteristic polynomials (odd degrees up, even degrees down), expanded
-only by the series check t*Z'/Z = sum N_n t**n, which confirms only the
-product arithmetic: each Lefschetz number N_n is a power sum of the P_i.
+only by the series check t*Z'/Z = sum N_n t**n. For a model built from
+degree 1 (VarietyModel.exterior_powers) the Lefschetz numbers N_n are read
+off P_1 alone, so the check tests every P_i the build composed; for any
+other model N_n is a power sum of the same P_i, and the check confirms
+only the product arithmetic.
 
 The functional equation is decided in integers. When cross duality holds
 at every degree (t**n * P_i(q**d/t) = P_i(0) * P_{2d-i}(t), the one
@@ -26,7 +29,7 @@ from typing import Optional
 
 from endospec._kernels import poly_product_sign_int
 from endospec.errors import DomainError, EndospecError, InapplicableModelError
-from endospec.poly import Poly, _cleared, power_sums
+from endospec.poly import Poly, _cleared, _elementary, power_sums
 
 
 @dataclass(frozen=True)
@@ -103,6 +106,19 @@ def _lefschetz_numbers(model, order):
     return totals
 
 
+def _lefschetz_numbers_from_h1(P1, order):
+    """N_1..N_order of a model whose degree k acts by the k-th exterior
+    power of degree 1: N_n is the product of 1 - lambda**n over the roots
+    of P_1, the sum over k of (-1)**k e_k of their n-th powers, whose
+    power sums are p_n, p_2n, ... of P_1."""
+    b = P1.degree
+    p = power_sums(P1, b * order)
+    return [
+        sum(-e if k % 2 else e for k, e in enumerate(_elementary(p[n - 1 : b * n : n])))
+        for n in range(1, order + 1)
+    ]
+
+
 def lefschetz_number(model, n):
     """Alternating sum of n-th power sums across all degrees."""
     _check_order(model, n)
@@ -111,7 +127,8 @@ def lefschetz_number(model, n):
 
 def zeta_series_consistency(model, order, zf=None):
     """Check t*Z'/Z = sum N_n t**n through the requested order; zf is the
-    model's zeta_function when the caller has already built it."""
+    model's zeta_function when the caller has already built it. N_n is read
+    off degree 1 when every degree is its exterior power."""
     _check_order(model, order)
     if zf is None:
         zf = zeta_function(model)
@@ -119,7 +136,10 @@ def zeta_series_consistency(model, order, zf=None):
     # of rev F, so t*F'/F = -sum_n p_n(rev F) t**n.
     pn = power_sums(zf.numerator.reversed_poly(), order)
     pd = power_sums(zf.denominator.reversed_poly(), order)
-    lefschetz = _lefschetz_numbers(model, order)
+    if model.exterior_powers:
+        lefschetz = _lefschetz_numbers_from_h1(model.charpoly(1), order)
+    else:
+        lefschetz = _lefschetz_numbers(model, order)
     return all(b - a == n for a, b, n in zip(pn, pd, lefschetz))
 
 

@@ -4,6 +4,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, isqrt
 
+import sympy
+
 from endospec.errors import (
     DomainError,
     InapplicableModelError,
@@ -12,7 +14,7 @@ from endospec.errors import (
     ValidityError,
 )
 from endospec.exactnum import rational_valuation
-from endospec.matrixops import ExactMatrix, _row_reduce
+from endospec.matrixops import ExactMatrix, _row_reduce, exterior_power
 from endospec.poly import (
     FunctionalEquationResult,
     Poly,
@@ -27,6 +29,7 @@ from endospec.poly import (
     sturm_chain,
 )
 from endospec.polygons import PolygonComparison, _lower_hull
+from endospec.varieties import generic_model
 
 
 def block_diag(blocks):
@@ -42,6 +45,10 @@ def block_diag(blocks):
         i0 += b.nrows
         j0 += b.ncols
     return ExactMatrix(out)
+
+
+def diagonal(entries):
+    return block_diag(ExactMatrix([[x]]) for x in entries)
 
 
 def top_k_sum(z, l):
@@ -207,17 +214,18 @@ def lefschetz_number_from_h1(model, n):
 
 
 def lefschetz_number_by_trace(model, n):
-    """The Lefschetz number of the n-th iterate from matrix traces: an
-    independent path to zeta.lefschetz_number."""
+    """The Lefschetz number of the n-th iterate from the traces of the
+    degree matrices: an independent path to zeta.lefschetz_number."""
     if n < 1:
         raise DomainError("iterate count must be positive")
     total = 0
     for i, act in enumerate(model.actions):
         if act.betti == 0:
             continue
-        if act.matrix is None:
+        M = degree_matrix(model, i)
+        if M is None:
             raise ValidityError(f"degree {i} carries no matrix")
-        total += (-1) ** i * act.matrix.power(n).trace()
+        total += (-1) ** i * M.power(n).trace()
     return total
 
 
@@ -543,6 +551,111 @@ def recurrence_exterior_power_charpolys(factors):
     return out
 
 
+# -- The matrix path ------------------------------------------------------------
+# No model keeps the matrix by which a degree acts: an abelian model's
+# degrees come from degree 1's invariant factors, a Grassmannian's from
+# counts of partitions. These rebuild each matrix from what the model
+# records, the reference its polynomials and Jordan data are checked against.
+
+
+def box_partitions(rows, cols, size):
+    """Partitions of `size` with at most `rows` parts, each at most `cols`,
+    as nonincreasing tuples in descending lexicographic order."""
+    out = []
+
+    def rec(remaining, cap, parts):
+        if remaining == 0:
+            out.append(tuple(parts))
+            return
+        if len(parts) == rows:
+            return
+        for p in range(min(cap, remaining), 0, -1):
+            parts.append(p)
+            rec(remaining - p, p, parts)
+            parts.pop()
+
+    rec(size, cols, [])
+    return out
+
+
+def conjugate(partition):
+    if not partition:
+        return ()
+    return tuple(
+        sum(1 for p in partition if p >= i) for i in range(1, partition[0] + 1)
+    )
+
+
+def conjugation_matrix(k, j, scale):
+    """scale times the permutation matrix of conjugation on the partitions
+    of j in a k x k box."""
+    parts = box_partitions(k, k, j)
+    index = {p: idx for idx, p in enumerate(parts)}
+    rows = [[0] * len(parts) for _ in parts]
+    for src, p in enumerate(parts):
+        rows[index[conjugate(p)]][src] = scale
+    return ExactMatrix(rows)
+
+
+def degree_matrix(model, i):
+    """The matrix by which degree i of model acts, or None where there is
+    none: a degree of Betti number 0, or a generic degree given by its
+    polynomial alone. An abelian degree is the i-th exterior power of
+    degree 1; a Grassmannian's degree 2j is q**j times the identity or the
+    conjugation permutation on the partitions of j in the k x (n - k) box."""
+    if model.kind == "abelian":
+        return ExactMatrix([[1]]) if i == 0 else exterior_power(model.metadata["matrix"], i)
+    if model.kind == "generic":
+        return model.metadata.get("matrices", {}).get(i)
+    b = model.betti(i)
+    if not b:
+        return None
+    scale = model.q ** (i // 2)
+    if model.metadata["variant"] == "scalar":
+        return diagonal([scale] * b)
+    return conjugation_matrix(model.metadata["k"], i // 2, scale)
+
+
+# -- Products by Kunneth ---------------------------------------------------------
+# X x Y with f x g acting, polarized by H_X (x) 1 + 1 (x) H_Y when f and g
+# share q. Its degree-k polynomial is the product over i + j = k of the
+# composed products P_i(X) [x] P_j(Y), here sympy resultants rather than
+# the power sums of poly._composed_product.
+
+_x, _t = sympy.symbols("x t")
+
+
+def resultant_composed_product(P, Q):
+    """prod (t - a b) over the roots a of P and b of Q: the resultant in x
+    of P(x) and x**m Q(t/x) = prod (t - b x), m = deg Q, for monic P."""
+    f = sum(c * _x**k for k, c in enumerate(P.coeffs_asc()))
+    m = Q.degree
+    g = sum(c * _t**k * _x ** (m - k) for k, c in enumerate(Q.coeffs_asc()))
+    R = sympy.Poly(sympy.resultant(f, g, _x), _t)
+    return Poly.from_desc([Fraction(int(c.p), int(c.q)) for c in R.all_coeffs()])
+
+
+def product_model(X, Y):
+    """X x Y as a generic model: degree k acts with the product over
+    i + j = k of P_i(X) [x] P_j(Y), and h^(p,k-p) is the sum of
+    h^(a,i-a)(X) h^(p-a,j-p+a)(Y) over i + j = k."""
+    if X.q != Y.q:
+        raise ValidityError("factors of a product need one q")
+    d = X.dimension + Y.dimension
+    charpolys, hodge = {}, []
+    for k in range(2 * d + 1):
+        P, h = Poly([1]), [0] * (k + 1)
+        for i in range(max(0, k - 2 * Y.dimension), min(k, 2 * X.dimension) + 1):
+            if X.betti(i) and Y.betti(k - i):
+                P = P * resultant_composed_product(X.charpoly(i), Y.charpoly(k - i))
+            for a, x in enumerate(X.hodge[i]):
+                for b, y in enumerate(Y.hodge[k - i]):
+                    h[a + b] += x * y
+        charpolys[k] = P
+        hodge.append(h)
+    return generic_model(d, X.q, charpolys=charpolys, hodge=hodge)
+
+
 # -- Descriptors ---------------------------------------------------------------
 # The CLI reads descriptors and never writes one; tests write them from
 # models, big integers as strings.
@@ -566,7 +679,7 @@ def serialize_model(model):
             "kind": "abelian",
             "q": q,
             "d": model.dimension,
-            "matrix": matrix_to_strings(model.actions[1].matrix),
+            "matrix": matrix_to_strings(model.metadata["matrix"]),
         }
     if model.kind == "grassmannian":
         return {
@@ -582,10 +695,10 @@ def serialize_model(model):
         "d": model.dimension,
         "charpolys": [coeff_strings(a.charpoly) for a in model.actions],
     }
-    if any(a.matrix is not None for a in model.actions):
+    if matrices := model.metadata.get("matrices"):
         out["matrices"] = [
-            None if a.matrix is None else matrix_to_strings(a.matrix)
-            for a in model.actions
+            matrix_to_strings(matrices[i]) if i in matrices else None
+            for i in range(len(model.actions))
         ]
     if any(x is not None for row in model.hodge for x in row):
         out["hodge"] = [list(row) for row in model.hodge]

@@ -2,9 +2,11 @@
 sympy and plain integers, from the document alone and sharing no code with
 endospec.
 
-So far it decides the weil_weight row. endospec reads that verdict off
-Kedlaya's trace polynomial (poly._circle_defect); here it is read off a
-Cayley transform instead. A root lambda of P_i has |lambda|**2 = q**i
+It decides the functional_equation and cross_duality rows as sympy
+polynomial identities, t**n P_i(q**i/t) = +-q**(i n/2) P_i(t) and
+t**n P_i(q**d/t) = P_i(0) P_(2d-i)(t), and the weil_weight row. endospec
+reads the weight verdict off Kedlaya's trace polynomial
+(poly._circle_defect); here it is read off a Cayley transform instead. A root lambda of P_i has |lambda|**2 = q**i
 exactly when s = lambda**2 lies on the circle |s| = q**i, which has an
 integer radius. s = Q * (1 + I*x) / (1 - I*x) maps the real line onto that
 circle less the point -Q, so the roots of P_i are all on the circle
@@ -67,3 +69,60 @@ def weil_weight_rows(doc):
         for row in doc["degrees"]
         if "charpoly" in row
     }
+
+
+def _reflected_minus(P, s, c, Q):
+    """Ascending coefficients of t**n P(s/t) - c Q(t), n = deg P: empty
+    exactly when the identity t**n P(s/t) = c Q(t) holds."""
+    n = P.degree()
+    reflected = sympy.Poly(sympy.expand(_t**n * P.as_expr().subs(_t, s / _t)), _t)
+    diff = reflected - c * Q
+    return [] if diff.is_zero else diff.all_coeffs()[::-1]
+
+
+def _sign_row(asc, epsilon):
+    """(status, epsilon, failure_index) of an identity whose two sides
+    differ by the ascending coefficients asc: the first nonzero index
+    fails."""
+    if not asc:
+        return "pass", epsilon, None
+    return "fail", None, next(j for j, c in enumerate(asc) if c)
+
+
+def _sign_rows(P, q, i, d, partner):
+    """The functional_equation and cross_duality rows of degree i, whose
+    polynomial P has the rational sign q**(i n/2), and partner P_(2d-i)."""
+    half = q ** (i * P.degree() // 2)
+    signs = [e for e in (0, 1) if not _reflected_minus(P, q**i, (-1) ** e * half, P)]
+    if signs:
+        fe = _sign_row([], signs[0])
+    else:
+        fe = _sign_row(_reflected_minus(P, q**i, P.eval(0), P), None)
+    if fe[0] == "fail":  # no sign for cross duality to agree with
+        return fe, fe
+    return fe, _sign_row(_reflected_minus(P, q**d, P.eval(0), partner), fe[1])
+
+
+def reciprocity_rows(doc):
+    """{(check, degree): (status, epsilon, failure_index)} for the
+    functional_equation and cross_duality rows of every degree of a verify
+    document. A degree without a characteristic polynomial has no
+    cohomology, and both rows are not applicable. Odd weight in odd degree
+    has no rational sign q**(i n/2), so both rows fail there without an
+    index."""
+    q, d = int(doc["model"]["q"]), doc["model"]["dimension"]
+    polys = {
+        row["degree"]: sympy.Poly([sympy.Rational(c) for c in row["charpoly"]], _t)
+        for row in doc["degrees"]
+        if "charpoly" in row
+    }
+    out = {}
+    for i in range(2 * d + 1):
+        if i not in polys:
+            rows = [("not-applicable", None, None)] * 2
+        elif i % 2 and polys[i].degree() % 2:
+            rows = [("fail", None, None)] * 2
+        else:
+            rows = _sign_rows(polys[i], q, i, d, polys[2 * d - i])
+        out["functional_equation", i], out["cross_duality", i] = rows
+    return out

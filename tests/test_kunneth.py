@@ -42,7 +42,7 @@ def _models():
 def _check_pieces(model):
     """The model's degrees against the recurrence on degree 1's invariant
     factors, and against the other constructor."""
-    M, d = model.matrix(1), model.dimension
+    M, d = model.metadata["matrix"], model.dimension
     factors = invariant_factors(M)
     pieces = exterior_power_charpolys(factors)
     assert pieces == recurrence_exterior_power_charpolys(factors)
@@ -113,7 +113,7 @@ def test_charpolys_match_sympy_on_the_exterior_power_matrices():
     models += [m for m, _ in _non_semisimple_models() if m.dimension == 3]
     assert {m.dimension for m in models} >= {2, 3}
     for model in models:
-        M = model.matrix(1)
+        M = model.metadata["matrix"]
         for k in range(1, 2 * model.dimension + 1):
             assert model.charpoly(k) == _sympy_charpoly(exterior_power(M, k))
 

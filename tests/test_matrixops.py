@@ -15,7 +15,7 @@ from helpers import (
     matrix_to_strings,
 )
 
-from endospec import matrixops
+from endospec import cli, matrixops
 from endospec.errors import ShapeError, SingularActionError, ValidityError
 from endospec.matrixops import (
     ExactMatrix,
@@ -23,7 +23,6 @@ from endospec.matrixops import (
     _nullspace,
     exterior_power,
     invariant_factors,
-    matrix_from_strings,
     pairing_check,
     polarization_witness,
 )
@@ -477,7 +476,7 @@ def test_polarization_witness_absent_for_jordan_block(r, q):
 
 def test_matrix_serialization_round_trip():
     M = ExactMatrix([[1, Fraction(-1, 2)], [Fraction(7, 3), 0]])
-    assert matrix_from_strings(matrix_to_strings(M)) == M
+    assert cli._as_matrix(matrix_to_strings(M), "matrix") == M
 
 
 def test_matrix_basics():

@@ -1,7 +1,9 @@
 """The emitted verify document re-decided by tests/recheck.py: sympy and
 plain integers, from the document's degree rows alone, must reach every
-weil_weight verdict the report states. The weight check needs no
-precision: both deciders are exact, by different methods.
+functional_equation, cross_duality and weil_weight verdict the report
+states, with its epsilon and failure index. The weight check needs no
+precision: both deciders are exact, by different methods. Models of all
+four kinds are drawn, d <= 3 and q small, most of them failing some row.
 
     PYTHONPATH=src python -m pytest tests/test_recheck.py
 """
@@ -11,12 +13,19 @@ from math import isqrt
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from recheck import weil_weight_rows
-from test_theorems import jordan_isogenies, off_circle_isogenies, polarized_isogenies
+from helpers import block_diag
+from recheck import reciprocity_rows, weil_weight_rows
+from test_theorems import (
+    _conjugated,
+    _rotations,
+    jordan_isogenies,
+    off_circle_isogenies,
+    polarized_isogenies,
+)
 
 from endospec.matrixops import ExactMatrix
-from endospec.poly import Poly
-from endospec.varieties import abelian_en, generic_model, grassmannian
+from endospec.poly import Poly, reciprocal_partner
+from endospec.varieties import abelian_en, abelian_from_h1, generic_model, grassmannian
 from endospec.verify import full_report
 
 @st.composite
@@ -31,21 +40,53 @@ def integer_isogenies(draw):
 
 
 @st.composite
-def pushed_generic_models(draw):
-    """A generic d = 1 model whose P_1 multiplies quadratics t**2 - a t + c,
-    each with c = q (roots on |t|**2 = q when a**2 <= 4q) or pushed off
-    the circle to c = q + e, and maybe a real point t -+ sqrt(q)."""
-    q = draw(st.sampled_from((2, 4, 5, 9, 13)))
-    P1 = Poly([1])
-    for _ in range(draw(st.integers(1, 2))):
+def degree_one_actions(draw):
+    """abelian_from_h1 on a 2d x 2d integer matrix, d = 1 or 2: rotation
+    blocks of one q conjugated by a unimodular matrix, which pass, or an
+    arbitrary nonsingular matrix, which mostly fails."""
+    d = draw(st.sampled_from((1, 2)))
+    q = draw(st.sampled_from((2, 5, 10, 13, 25)))
+    if draw(st.booleans()):
+        M = draw(_conjugated([draw(st.sampled_from(_rotations(q))) for _ in range(d)]))
+    else:
+        n = 2 * d
+        rows = st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+        M = draw(rows.map(ExactMatrix).filter(lambda M: M.det() != 0))
+    return abelian_from_h1(d, M, q)
+
+
+@st.composite
+def _near_circle(draw, s, count):
+    """A product of count quadratics t**2 - a t + c, each with c = s (roots
+    on |t|**2 = s when a**2 <= 4s) or pushed off the circle to c = s + e,
+    and maybe a real point t -+ sqrt(s)."""
+    P = Poly([1])
+    for _ in range(count):
         a = draw(st.integers(-6, 6))
-        c = q + draw(st.sampled_from((0, 0, -1, 1, 3)))
-        P1 = P1 * Poly([c, -a, 1])
-    r = isqrt(q)
-    if r * r == q and draw(st.booleans()):
-        P1 = P1 * Poly([-r, 1]) * Poly([draw(st.sampled_from((r, -r))), 1])
-    charpolys = {0: Poly([-1, 1]), 1: P1, 2: Poly([-q, 1])}
-    return generic_model(1, q, charpolys=charpolys)
+        c = s + draw(st.sampled_from((0, 0, -1, 1, 3)))
+        P = P * Poly([c, -a, 1])
+    r = isqrt(s)
+    if r * r == s and draw(st.booleans()):
+        P = P * Poly([-r, 1]) * Poly([draw(st.sampled_from((r, -r))), 1])
+    return P
+
+
+@st.composite
+def pushed_generic_models(draw):
+    """A generic model of d = 1 or 2 with P_i near the circle |t|**2 = q**i
+    (_near_circle) for i <= d; for d = 2, P_3 is P_1's q**2-reciprocal
+    partner, which passes cross duality when P_1 passes its functional
+    equation, maybe with its t-coefficient moved, which fails it past
+    index 0."""
+    q = draw(st.sampled_from((2, 4, 5, 9, 13)))
+    d = draw(st.sampled_from((1, 2)))
+    P1 = draw(_near_circle(q, draw(st.integers(1, 2))))
+    charpolys = {0: Poly([-1, 1]), 1: P1, 2 * d: Poly([-(q**d), 1])}
+    if d == 2:
+        charpolys[2] = draw(_near_circle(q * q, draw(st.integers(1, 2))))
+        moved = Poly([0, draw(st.sampled_from((0, 1, -2)))])
+        charpolys[3] = reciprocal_partner(P1, q * q) + moved
+    return generic_model(d, q, charpolys=charpolys)
 
 
 # The involution variant exists for n = 2k only.
@@ -70,17 +111,24 @@ _ODD_DEGREE = generic_model(
 )
 
 
-@settings(max_examples=40, deadline=None)
-@given(
+# One model of each kind, abelian_en, abelian, Grassmannian and generic.
+_MODELS = st.one_of(
     st.one_of(
-        st.one_of(
-            polarized_isogenies(), jordan_isogenies(), integer_isogenies(),
-            off_circle_isogenies().map(lambda c: (c[0], c[1] * c[2])),
-        ).map(lambda case: abelian_en(*case)),
-        pushed_generic_models(),
-        small_grassmannians(),
-    )
+        polarized_isogenies(), jordan_isogenies(), integer_isogenies(),
+        off_circle_isogenies().map(lambda c: (c[0], c[1] * c[2])),
+    ).map(lambda case: abelian_en(*case)),
+    degree_one_actions(),
+    pushed_generic_models(),
+    small_grassmannians(),
 )
+
+
+def _document(model):
+    return json.loads(json.dumps(full_report(model, [2]).to_json()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_MODELS)
 @example(abelian_en(ExactMatrix([[1, -5], [1, 1]]), 6))
 @example(grassmannian(1, 2, 4, "involution"))
 @example(_ODD_DEGREE)
@@ -88,7 +136,7 @@ def test_sympy_redecides_every_weight_row(model):
     """Every degree with a characteristic polynomial has a pass or fail
     weil_weight row, and sympy reaches the same verdict from the JSON
     document's charpoly strings, q and degree."""
-    doc = json.loads(json.dumps(full_report(model, [2]).to_json()))
+    doc = _document(model)
     stated = {
         c["degree"]: c["status"] for c in doc["checks"] if c["check"] == "weil_weight"
     }
@@ -96,3 +144,42 @@ def test_sympy_redecides_every_weight_row(model):
     assert redecided
     for i, holds in redecided.items():
         assert stated[i] == ("pass" if holds else "fail"), (i, doc["degrees"][i])
+
+
+# d = 2, q = 6: P_1 = t**2 - t + 6, and P_3 = t**2 - 5t + 216 in place of
+# its dual t**2 - 6t + 216. Every functional equation holds; cross duality
+# fails at degrees 1 and 3 at index 1, t**2 P_1(36/t) = 6t**2 - 36t + 1296
+# against P_1(0) P_3 = 6t**2 - 30t + 1296.
+_NOT_DUAL = generic_model(
+    2,
+    6,
+    charpolys={
+        0: Poly([-1, 1]),
+        1: Poly([6, -1, 1]),
+        2: Poly([36, 0, 1]),
+        3: Poly([216, -5, 1]),
+        4: Poly([-36, 1]),
+    },
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_MODELS)
+@example(abelian_en(ExactMatrix([[1, -5], [1, 1]]), 6))
+@example(_ODD_DEGREE)
+@example(_NOT_DUAL)
+def test_sympy_redecides_every_reciprocity_row(model):
+    """Every functional_equation and cross_duality row, its status,
+    epsilon and failure index, is the one sympy reaches from the JSON
+    document's charpoly strings, q and d."""
+    doc = _document(model)
+    stated = {
+        (c["check"], c["degree"]): (
+            c["status"],
+            c.get("witness", {}).get("epsilon"),
+            c.get("witness", {}).get("failure_index"),
+        )
+        for c in doc["checks"]
+        if c["check"] in ("functional_equation", "cross_duality")
+    }
+    assert stated == reciprocity_rows(doc)

@@ -9,7 +9,14 @@ from itertools import combinations
 from math import comb, prod
 
 import pytest
-from helpers import block_diag, inverse
+from helpers import (
+    block_diag,
+    box_partitions,
+    conjugate,
+    degree_matrix,
+    diagonal,
+    inverse,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +41,6 @@ from endospec.varieties import (
     VarietyModel,
     abelian_en,
     abelian_from_h1,
-    box_partitions,
     generic_model,
     grassmannian,
     has_hodge_data,
@@ -148,8 +154,8 @@ def test_abelian_en_matches_h1_construction():
     en = abelian_en(EXAMPLE_A, 6)
     for i in range(5):
         assert en.charpoly(i) == direct.charpoly(i)
-        assert en.matrix(i) == direct.matrix(i)
     assert en.hodge == direct.hodge
+    assert en.metadata["matrix"] == direct.metadata["matrix"]
 
 
 def _count_charpolys(monkeypatch):
@@ -242,7 +248,7 @@ def test_abelian_en_takes_the_smith_form_of_the_isogeny():
             assert (act.charpoly, act.jordan_data) == (want.charpoly, want.jordan_data)
 
 
-def test_action_matrix_and_jordan_data_are_built_once():
+def test_action_jordan_data_is_built_once():
     """A build that raises stores nothing and raises again on the next
     read; one that succeeds runs once."""
     calls = []
@@ -252,22 +258,18 @@ def test_action_matrix_and_jordan_data_are_built_once():
         raise ConsistencyError("no Jordan data")
 
     P = Poly([-2, 1])
-    act = CohomologyAction(1, P, refuse, refuse)
+    act = CohomologyAction(1, P, refuse)
     for _ in range(2):
-        for name in ("jordan_data", "matrix"):
-            with pytest.raises(ConsistencyError):
-                getattr(act, name)
-    assert calls == ["refused"] * 4
-    assert "jordan_data" not in vars(act) and "matrix" not in vars(act)
-
-    def build(value):
-        return lambda: calls.append(value) or value
+        with pytest.raises(ConsistencyError):
+            act.jordan_data
+    assert calls == ["refused"] * 2
+    assert "jordan_data" not in vars(act)
 
     calls.clear()
-    act = CohomologyAction(1, P, build([P]), build(ExactMatrix([[2]])))
+    act = CohomologyAction(1, P, lambda: calls.append([P]) or [P])
     for _ in range(2):
-        assert act.jordan_data == [P] and act.matrix == ExactMatrix([[2]])
-    assert calls == [[P], ExactMatrix([[2]])]
+        assert act.jordan_data == [P]
+    assert calls == [[P]]
 
 
 def test_betti_numbers_are_read_off_the_polynomials():
@@ -305,7 +307,7 @@ def test_grassmannian_g24_scalar():
     assert m.euler_characteristic == comb(4, 2)
     assert m.charpoly(4) == Poly.from_desc([1, -32, 256])
     assert m.charpoly(8) == Poly.from_desc([1, -256])
-    assert m.matrix(4) == ExactMatrix.diagonal([16, 16])
+    assert degree_matrix(m, 4) == diagonal([16, 16])
     assert m.hodge[4] == (0, 0, 2, 0, 0)
 
 
@@ -313,12 +315,13 @@ def test_grassmannian_g24_involution():
     m = grassmannian(2, 4, 4, "involution")
     # conjugation swaps the two partitions of 2 in the 2x2 box
     assert m.charpoly(4) == Poly.from_desc([1, 0, -256])
-    assert m.matrix(4) == ExactMatrix([[0, 16], [16, 0]])
+    assert degree_matrix(m, 4) == ExactMatrix([[0, 16], [16, 0]])
     assert m.charpoly(2) == Poly.from_desc([1, -4])
     for i in (0, 2, 4, 6, 8):
-        M = m.matrix(i)
+        M = degree_matrix(m, i)
         j = i // 2
-        assert M @ M == ExactMatrix.diagonal([m.q ** (2 * j)] * m.betti(i))
+        assert M @ M == diagonal([m.q ** (2 * j)] * m.betti(i))
+        assert m.charpoly(i) == charpoly(M.rows)
 
 
 def test_grassmannian_variant_errors():
@@ -360,13 +363,13 @@ def test_grassmannian_counts_match_listed_partitions():
             assert varieties._gaussian_binomial(n, k) == counts
     for k in range(1, 5):
         fixed = [
-            sum(1 for p in box_partitions(k, k, j) if varieties._conjugate(p) == p)
+            sum(1 for p in box_partitions(k, k, j) if conjugate(p) == p)
             for j in range(k * k + 1)
         ]
         assert varieties._self_conjugate_counts(k) == fixed
         M = grassmannian(k, 2 * k, 3, "involution")
         for j, f in enumerate(fixed):
-            rows = M.matrix(2 * j).rows
+            rows = degree_matrix(M, 2 * j).rows
             assert sum(1 for r, row in enumerate(rows) if row[r]) == f
 
 
@@ -465,7 +468,7 @@ def test_generic_model_from_matrices():
         matrices={1: [[2, 0], [0, 2]]},
     )
     assert m.charpoly(1) == Poly.from_desc([1, -4, 4])
-    assert m.matrix(1) == ExactMatrix([[2, 0], [0, 2]])
+    assert m.metadata["matrices"] == {1: ExactMatrix([[2, 0], [0, 2]])}
     assert not has_hodge_data(m, 1)
 
 
@@ -542,13 +545,13 @@ def test_generic_model_rejects_stray_degrees(charpolys_extra, matrices, message)
 def _eager(model):
     """The model as the matrix path builds it: every exterior power built,
     its polynomial by Faddeev-LeVerrier, its Jordan data by Smith form."""
-    M = model.matrix(1)
+    M = model.metadata["matrix"]
     actions = [model.actions[0]]
     for k in range(1, M.nrows + 1):
         L = exterior_power(M, k)
         P = charpoly(L.rows)
         jordan = lambda L=L, P=P: tuple(invariant_factors(L, P))
-        actions.append(CohomologyAction(k, P, jordan, lambda L=L: L))
+        actions.append(CohomologyAction(k, P, jordan))
     return replace(model, actions=tuple(actions))
 
 
@@ -662,7 +665,8 @@ def test_grassmannian_jordan_data_matches_smith_form(variant):
             jordan = _jordan_verdicts(model)
             for i in range(2 * model.dimension + 1):
                 if model.betti(i):
-                    expected = jordan_symmetry_check(invariant_factors(model.matrix(i)), 6, i)
+                    L = degree_matrix(model, i)
+                    expected = jordan_symmetry_check(invariant_factors(L), 6, i)
                     assert jordan[i] == ("pass" if expected else "fail")
 
 
@@ -677,34 +681,15 @@ def test_non_semisimple_e4_reads_every_degree_off_degree_one():
     assert jordan == {k: "pass" for k in range(9)}
 
 
-def test_abelian_exterior_powers_are_lazy(monkeypatch):
-    built = []
-
-    def counting(M, k):
-        built.append(k)
-        return exterior_power(M, k)
-
-    monkeypatch.setattr(varieties, "exterior_power", counting)
-    model = abelian_en(EXAMPLE_A, 6)
-    full_report(model, [2, 3])
-    assert built == []
-    assert model.matrix(2) == exterior_power(model.matrix(1), 2)
-    assert model.matrix(2) is model.matrix(2)
-    assert built == [2]
-
-
-def test_abelian_e5_charpolys_from_eigenvalues(monkeypatch):
+def test_abelian_e5_charpolys_from_eigenvalues():
     # A = diag(a) has no polarization to search for; M = A (x) I2 has each
     # a_j twice, and the k-th exterior power the products of k of them.
-    built = []
-    monkeypatch.setattr(varieties, "exterior_power", lambda M, k: built.append(k))
     a = (2, 3, -5, 7, 11)
     t0 = time.perf_counter()
-    model = abelian_en(ExactMatrix.diagonal(a), 4)
+    model = abelian_en(diagonal(a), 4)
     # A guard against building the 252 x 252 matrices again (about 0.2 s
     # without them), loose enough for a slow host.
     assert time.perf_counter() - t0 < 30
-    assert built == []
     roots = [x for x in a for _ in range(2)]
     for k in range(11):
         expected = Poly.from_roots([prod(s) for s in combinations(roots, k)])

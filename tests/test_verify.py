@@ -7,7 +7,7 @@ from math import inf, isqrt
 
 import pytest
 import sympy
-from helpers import block_diag, fraction_real_root_off_circle
+from helpers import block_diag, diagonal, fraction_real_root_off_circle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -504,7 +504,7 @@ def _non_cyclic_generic():
     """d = 1, q = 6: degree 1 acts by diag(2, 3, 2, 3) + the companion
     matrix of t**2 + 6, so its Jordan data are two distinct invariant
     factors, not P_1."""
-    M = block_diag([ExactMatrix.diagonal([2, 3, 2, 3]), ExactMatrix([[0, -6], [1, 0]])])
+    M = block_diag([diagonal([2, 3, 2, 3]), ExactMatrix([[0, -6], [1, 0]])])
     return generic_model(1, 6, matrices={0: [[1]], 1: M, 2: [[6]]})
 
 

@@ -10,7 +10,7 @@ from test_acceptance import grassmannian_models
 from helpers import block_diag, lefschetz_number_by_trace, loop_poly_mul
 from test_varieties import _e4_q25, _test_abelian_models
 
-from endospec import zeta
+from endospec import varieties, zeta
 from endospec.errors import DomainError, InapplicableModelError, ValidityError
 from endospec.matrixops import ExactMatrix
 from endospec.poly import Poly, functional_equation_check, model_facts
@@ -129,6 +129,26 @@ def test_zeta_series_consistency():
     assert not zeta_series_consistency(model, 6, zeta_function(_elliptic(2)))
     with pytest.raises(DomainError):
         zeta_series_consistency(_elliptic(2), 0)
+
+
+def test_series_check_reads_abelian_lefschetz_numbers_off_degree_one(monkeypatch):
+    """A Kunneth piece built wrong, in a model that stays valid, fails the
+    series check: an abelian model's Lefschetz numbers come from P_1
+    alone, not from the P_k whose product Z is."""
+    real = varieties.exterior_power_charpolys
+
+    def one_piece_wrong(factors):
+        pieces = real(factors)
+        pieces[2][0] = pieces[2][0] + Poly([0, 1])
+        return pieces
+
+    good = abelian_en(EXAMPLE_A, 6)
+    monkeypatch.setattr(varieties, "exterior_power_charpolys", one_piece_wrong)
+    bad = abelian_en(EXAMPLE_A, 6)
+    assert bad.charpoly(2) != good.charpoly(2)
+    assert bad.charpoly(1) == good.charpoly(1)
+    assert zeta_series_consistency(good, 5)
+    assert not zeta_series_consistency(bad, 5)
 
 
 def test_zeta_functional_equation_elliptic():
