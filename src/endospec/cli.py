@@ -20,14 +20,8 @@ from endospec.errors import EndospecError, ValidityError
 from endospec.exactnum import _shown, parse_rational
 from endospec.matrixops import ExactMatrix
 from endospec.poly import model_facts, poly_from_strings
-from endospec.polygons import hodge_polygon, np_ge_hp, vertices_json
-from endospec.varieties import (
-    abelian_en,
-    abelian_from_h1,
-    generic_model,
-    grassmannian,
-    has_hodge_data,
-)
+from endospec.polygons import np_ge_hp, vertices_json
+from endospec.varieties import abelian_en, abelian_from_h1, generic_model, grassmannian
 from endospec.verify import full_report
 from endospec.zeta import (
     zeta_function,
@@ -407,19 +401,22 @@ def cmd_polygons(args):
         )
     if model.betti(i) == 0:
         raise ValidityError(f"degree {i} has no cohomology")
-    NP = model_facts(model)[i].newton_polygon(prime)
-    notes = [f"newton: {vertices_json(NP)}"]
-    HP = None
-    if has_hodge_data(model, i):
-        if any(model.hodge[i]):
-            HP = hodge_polygon(i, model.hodge[i])
+    f = model_facts(model)[i]
+    NP = f.newton_polygon(prime)
+    newton = vertices_json(NP)
+    notes = [f"newton: {newton}"]
+    HP = hodge = None
+    if f.hodge is not None:
+        if any(f.hodge):
+            HP = f.hodge_polygon
+            hodge = vertices_json(HP)
         else:
             notes.append(f"hodge: none, all Hodge numbers of degree {i} are zero")
     payload = {
         "degree": i,
         "prime": str(prime),
-        "newton": vertices_json(NP),
-        "hodge": vertices_json(HP) if HP is not None else None,
+        "newton": newton,
+        "hodge": hodge,
         "comparison": None,
     }
     if HP is not None:
@@ -430,7 +427,7 @@ def cmd_polygons(args):
             "identical": cmp_.identical,
             "failure_x": cmp_.failure_x,
         }
-        notes.append(f"hodge:  {vertices_json(HP)}")
+        notes.append(f"hodge:  {hodge}")
         notes.append(f"newton over hodge: {cmp_.status}")
     if args.svg:
         _write_text(args.svg, render_polygon_svg(NP, HP))

@@ -6,9 +6,9 @@ power sums, exterior powers' charpolys composed by Kunneth from composed
 products, Sturm sequences, and exact factor extraction, a half-weight
 point's linear factor t - r by Horner passes (deflation). DegreeFacts
 gathers what the checks read about one degree, from its polynomial, Jordan
-data, degree 1's facts or eigenvalues, owns its circle |t|**2 = q**i and
-gives a unit polynomial's flat Newton polygon without valuing anything;
-model_facts gathers them for every degree of a model.
+data, Hodge numbers, degree 1's facts or eigenvalues, and is the one owner
+of its circle |t|**2 = q**i, its Jordan data and its Hodge polygon, each
+computed once; model_facts gathers them for every degree of a model.
 
 Coefficients are int or Fraction; arithmetic never leaves exact scalars,
 and the hot paths (gcd, Sturm sequences) run in integers. Storage is
@@ -615,8 +615,9 @@ def _real_circle_factor(Q, r, sign):
     return Poly([-Q, 0, 1]) if r is None else Poly([-sign * r, 1])
 
 
-def half_weight_multiplicity(P, q, i, sign):
-    """Multiplicity of the eigenvalue sign * q**(i/2) in P.
+def half_weight_multiplicity(facts, sign):
+    """Multiplicity of the eigenvalue sign * q**(i/2) in the P of facts, on
+    the circle the facts hold (q**i and its integer square root).
 
     When q**i is not a square the two signs are Galois conjugate, so the
     multiplicity is read off the quadratic factor t**2 - q**i and is the
@@ -624,8 +625,7 @@ def half_weight_multiplicity(P, q, i, sign):
     """
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
-    Q = q**i
-    return exact_divide_out(P, _real_circle_factor(Q, perfect_sqrt(Q), sign))[1]
+    return exact_divide_out(facts.charpoly, _real_circle_factor(*facts._circle, sign))[1]
 
 
 def _circle_defect(T, Q):
@@ -702,10 +702,12 @@ class DegreeFacts:
     |t|**2 = q**i), an interval isolating a real root off the circle
     (real_root_off_circle), the Newton polygon at each prime, normalized
     against q, cross duality when the facts carry the partner P_(2d-i) and
-    the dimension d (dual), and Jordan symmetry when they carry
-    make_jordan_data, which gives the action's Jordan data (jordan_data)
-    when jordan is first read; each else None. A fact whose computation
-    raised raises again when read.
+    the dimension d (dual), Jordan symmetry when they carry
+    make_jordan_data, which gives the action's Jordan data (jordan_data,
+    built here only, when jordan is first read), and the Hodge polygon
+    when they carry hodge, the degree's Hodge numbers; each else None. A
+    fact whose computation raised (a Hodge polygon of zeros) raises again
+    when read.
 
     Beside P itself, two sources may give facts without reading P:
 
@@ -728,9 +730,9 @@ class DegreeFacts:
     Jordan symmetry on the data [P] and the circle gate.
 
     The facts own the circle: q**i and its integer square root are found
-    once per degree, mu- is mu+ when q**i is not a square (one division by
-    t**2 - q**i), and circle_free divides S once by each real point that
-    mu+- show in P, as S holds it once exactly then."""
+    once per degree, and half_weight_multiplicity reads them off the facts;
+    mu- is mu+ when q**i is not a square (one division by t**2 - q**i), and
+    circle_free divides S once by each real point that mu+- show in P."""
 
     degree: int
     q: int
@@ -740,6 +742,7 @@ class DegreeFacts:
     h1: Optional["DegreeFacts"] = None
     roots: Optional[tuple] = None
     make_jordan_data: Optional[Callable[[], Sequence[Poly]]] = None
+    hodge: Optional[tuple] = None
     _polygons: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @_fact
@@ -763,7 +766,7 @@ class DegreeFacts:
     @_fact
     def mu_plus(self):
         if self.roots is None:
-            return half_weight_multiplicity(self.charpoly, self.q, self.degree, 1)
+            return half_weight_multiplicity(self, 1)
         return dict(self.roots).get(self._circle[1], 0)  # r None: no rational point
 
     @_fact
@@ -772,7 +775,7 @@ class DegreeFacts:
         if r is None:
             return self.mu_plus
         if self.roots is None:
-            return half_weight_multiplicity(self.charpoly, self.q, self.degree, -1)
+            return half_weight_multiplicity(self, -1)
         return dict(self.roots).get(-r, 0)
 
     @_fact
@@ -795,6 +798,10 @@ class DegreeFacts:
         except EndospecError:  # fe raised: the data decides
             pass
         return jordan_symmetry_check(self.jordan_data, self.q, self.degree)
+
+    @_fact
+    def hodge_polygon(self):
+        return None if self.hodge is None else polygons.hodge_polygon(self.degree, self.hodge)
 
     @_fact
     def squarefree(self):
@@ -904,18 +911,17 @@ def model_facts(model):
     degrees are exterior powers of degree 1 (abelian_from_h1), every degree
     from 2 on reads its weight and Newton polygons off degree 1's facts. A
     degree whose action carries its eigenvalues (CohomologyAction.roots)
-    reads the facts they give off them. Each reads its Jordan data off its
-    action, which builds it once, when the jordan fact is first read."""
+    reads the facts they give off them. Each builds its action's Jordan
+    data once, when the jordan fact is first read, and carries the
+    degree's Hodge numbers only when every one is known."""
     q, d = model.q, model.dimension
     facts = {}
     for i, act in enumerate(model.actions):
         if act.betti:
             h1 = facts[1] if model.exterior_powers and i >= 2 else None
-            partner = model.charpoly(2 * d - i)
-            jordan = None
-            if act.make_jordan_data is not None:  # read through the action's own cache
-                jordan = partial(getattr, act, "jordan_data")
-            facts[i] = DegreeFacts(i, q, act.charpoly, partner, d, h1, act.roots, jordan)
+            hodge = model.hodge[i] if None not in model.hodge[i] else None
+            facts[i] = DegreeFacts(i, q, act.charpoly, model.charpoly(2 * d - i), d, h1,
+                                   act.roots, act.make_jordan_data, hodge)
     return facts
 
 

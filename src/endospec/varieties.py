@@ -4,12 +4,14 @@ isogeny matrix on a power of an elliptic curve), Grassmannians, and a
 generic user-supplied model.
 
 A model is the bundle the verification layer consumes: for every degree
-0..2d a monic characteristic polynomial, optionally its Jordan data (a
-generic model's invariant factors, a Grassmannian's charpoly, an abelian
-model's composed by Kunneth from degree 1's blocks), the eigenvalues when
-the construction knows them (a Grassmannian's +-q**j), and per-weight
-Hodge number lists. No check reads a degree's matrix, so none is kept: a
-model's metadata records the matrices it was built from.
+0..2d a monic characteristic polynomial, optionally a builder of its Jordan
+data (a generic model's invariant factors, a Grassmannian's charpoly, an
+abelian model's composed by Kunneth from degree 1's blocks), the
+eigenvalues when the construction knows them (a Grassmannian's +-q**j),
+and per-weight Hodge number lists, None where unknown. The degree facts
+(poly.model_facts) build the Jordan data and the Hodge polygons. No check
+reads a degree's matrix, so none is kept: a model's metadata records the
+matrices it was built from.
 """
 
 from dataclasses import dataclass, field
@@ -25,17 +27,17 @@ from endospec.errors import (
 )
 from endospec.matrixops import ExactMatrix, invariant_factors
 from endospec.matrixops import polarization_witness
-from endospec.poly import Poly, _fact, _product, charpoly, exterior_power_charpolys
+from endospec.poly import Poly, _product, charpoly, exterior_power_charpolys
 
 
 @dataclass(frozen=True)
 class CohomologyAction:
     """One degree's action: its characteristic polynomial, whose degree is
-    the Betti number, and, when the model has them, its Jordan data, built
-    on first use: a sequence of monic polynomials, each its own
+    the Betti number, and, when the model has them, a builder of its Jordan
+    data (make_jordan_data): a sequence of monic polynomials, each its own
     q**degree-reciprocal partner exactly when the Jordan blocks are
-    symmetric under lambda -> q**degree/lambda. It is cached like
-    DegreeFacts' facts: a failed build raises again.
+    symmetric under lambda -> q**degree/lambda. The builder is called, and
+    its result cached, by poly.DegreeFacts only, on a Jordan verdict.
 
     roots are set only by grassmannian, which knows the eigenvalues: (root,
     multiplicity) pairs with distinct nonzero rational roots and positive
@@ -53,10 +55,6 @@ class CohomologyAction:
     @property
     def betti(self):
         return self.charpoly.degree
-
-    @_fact
-    def jordan_data(self):
-        return None if self.make_jordan_data is None else self.make_jordan_data()
 
 
 def _action(degree, poly, matrix=None):
@@ -346,7 +344,3 @@ def generic_model(d, q, charpolys=None, matrices=None, hodge=None, strict=True):
         hodge=tuple(tuple(h) for h in hodge),
         metadata={"warnings": warnings, "strict": strict, "matrices": matrices},
     )
-
-
-def has_hodge_data(model, i):
-    return all(x is not None for x in model.hodge[i])

@@ -7,8 +7,9 @@ prime and degree: newton_slope_zero, newton_symmetry, newton_over_hodge;
 once per model: zeta_functional_equation. The newton_over_hodge verdict is
 advisory evidence and never fails a run. Every per-degree verdict,
 jordan_symmetry included, is read off the degree's poly.DegreeFacts, and
-so is the weight check's witness, the interval of a real root off the
-circle: no Sturm chain is evaluated here.
+so are the weight check's witness, the interval of a real root off the
+circle (no Sturm chain is evaluated here), and the Hodge polygon, which
+the facts carry only when the degree's Hodge numbers are all known.
 """
 
 from dataclasses import dataclass
@@ -22,14 +23,7 @@ from endospec.errors import (
 )
 from endospec.exactnum import is_prime
 from endospec.poly import coeff_strings, model_facts
-from endospec.polygons import (
-    hodge_polygon,
-    np_ge_hp,
-    slope_zero_check,
-    symmetry_check,
-    vertices_json,
-)
-from endospec.varieties import has_hodge_data
+from endospec.polygons import np_ge_hp, slope_zero_check, symmetry_check, vertices_json
 from endospec.zeta import (
     zeta_function,
     zeta_functional_equation,
@@ -245,7 +239,12 @@ def _degree_results(f):
     return out
 
 
-def _over_hodge(NP, HP):
+def _over_hodge(row, NP, f):
+    """newton_over_hodge on the facts f's Hodge polygon, recorded in row
+    when first built."""
+    HP = f.hodge_polygon
+    if "hodge_polygon" not in row:
+        row["hodge_polygon"] = vertices_json(HP)
     cmp_ = np_ge_hp(NP, HP)
     if cmp_.status == "incomparable":
         return None, ()
@@ -265,10 +264,9 @@ _PRIME_COPRIME_TO_Q = (("reason", "prime does not divide q"),)
 _NO_HODGE_DATA = (("reason", "no Hodge data"),)
 
 
-def _newton_results(model, row, i, f, prime, hodge_polygon_of):
+def _newton_results(row, i, f, prime):
     """The NEWTON_CHECKS of degree i, with facts f (None without cohomology),
-    at one prime; records the Newton polygon in row. hodge_polygon_of(i) is
-    the Hodge polygon of degree i."""
+    at one prime; records the Newton and Hodge polygons in row."""
     if f is None:
         return [CheckResult(c, _NOT_APPLICABLE, i, prime, _NO_COHOMOLOGY) for c in NEWTON_CHECKS]
     NP = f.newton_polygon(prime)
@@ -285,11 +283,10 @@ def _newton_results(model, row, i, f, prime, hodge_polygon_of):
         CheckResult("newton_slope_zero", _NOT_APPLICABLE, i, prime, _PRIME_DIVIDES_Q),
         _guarded("newton_symmetry", i, prime, lambda: (symmetry_check(NP, i), ())),
     ]
-    if has_hodge_data(model, i):
-        nh = lambda: _over_hodge(NP, hodge_polygon_of(i))
-        out.append(_guarded("newton_over_hodge", i, prime, nh))
-    else:
+    if f.hodge is None:
         out.append(CheckResult("newton_over_hodge", _NOT_APPLICABLE, i, prime, _NO_HODGE_DATA))
+    else:
+        out.append(_guarded("newton_over_hodge", i, prime, lambda: _over_hodge(row, NP, f)))
     return out
 
 
@@ -334,22 +331,9 @@ def full_report(model, primes):
         row["mu_plus"] = f.mu_plus
         row["mu_minus"] = f.mu_minus
         results.extend(_degree_results(f))
-    # A degree's Hodge polygon does not depend on the prime: build it once,
-    # when a newton_over_hodge check first reads it, and record it in the
-    # degree's row after the last prime.
-    hodge_polygons = {}
-
-    def hodge_polygon_of(i):
-        if i not in hodge_polygons:
-            hodge_polygons[i] = hodge_polygon(i, model.hodge[i])
-        return hodge_polygons[i]
-
     for prime in primes:
         for i, row in enumerate(degree_rows):
-            f = facts.get(i)
-            results.extend(_newton_results(model, row, i, f, prime, hodge_polygon_of))
-    for i, HP in hodge_polygons.items():
-        degree_rows[i]["hodge_polygon"] = vertices_json(HP)
+            results.extend(_newton_results(row, i, facts.get(i), prime))
     zf = zeta_function(model)
     results.append(
         _guarded("zeta_functional_equation", None, None, lambda: _zeta(zf, facts))

@@ -12,7 +12,14 @@ integer radius. s = Q * (1 + I*x) / (1 - I*x) maps the real line onto that
 circle less the point -Q, so the roots of P_i are all on the circle
 exactly when every distinct root of the squarefree polynomial of the s is
 -Q or the image of a real x.
+
+It also decides the parity rows: each degree row's mu_plus and mu_minus,
+the multiplicities of t -+ sqrt(q**i), or of t**2 - q**i for both when
+q**i is not a square, by repeated sympy division, and from them and the
+functional equation the epsilon_congruence and even_multiplicity rows.
 """
+
+from math import isqrt
 
 import sympy
 
@@ -111,11 +118,7 @@ def reciprocity_rows(doc):
     has no rational sign q**(i n/2), so both rows fail there without an
     index."""
     q, d = int(doc["model"]["q"]), doc["model"]["dimension"]
-    polys = {
-        row["degree"]: sympy.Poly([sympy.Rational(c) for c in row["charpoly"]], _t)
-        for row in doc["degrees"]
-        if "charpoly" in row
-    }
+    polys = _polys(doc)
     out = {}
     for i in range(2 * d + 1):
         if i not in polys:
@@ -125,4 +128,71 @@ def reciprocity_rows(doc):
         else:
             rows = _sign_rows(polys[i], q, i, d, polys[2 * d - i])
         out["functional_equation", i], out["cross_duality", i] = rows
+    return out
+
+
+def _polys(doc):
+    """{degree: sympy Poly in t} of every degree row with a characteristic
+    polynomial."""
+    return {
+        row["degree"]: sympy.Poly([sympy.Rational(c) for c in row["charpoly"]], _t)
+        for row in doc["degrees"]
+        if "charpoly" in row
+    }
+
+
+def _multiplicity(P, F):
+    """Largest m with F**m dividing P."""
+    m = 0
+    while True:
+        quot, rem = P.div(F)
+        if not rem.is_zero:
+            return m
+        P, m = quot, m + 1
+
+
+def half_weight_multiplicities(doc):
+    """{degree: (mu_plus, mu_minus)} for every degree row of a verify
+    document that has a characteristic polynomial: the multiplicities of
+    the eigenvalues +-q**(i/2)."""
+    q, out = int(doc["model"]["q"]), {}
+    for i, P in _polys(doc).items():
+        Q = q**i
+        r = isqrt(Q)
+        if r * r == Q:
+            out[i] = tuple(_multiplicity(P, sympy.Poly(_t - s * r, _t)) for s in (1, -1))
+        else:
+            out[i] = (_multiplicity(P, sympy.Poly(_t**2 - Q, _t)),) * 2
+    return out
+
+
+def parity_rows(doc):
+    """{(check, degree): (status, witness)} for the epsilon_congruence and
+    even_multiplicity rows of every degree of a verify document. The
+    congruence epsilon = betti + mu_minus mod 2, and epsilon = 0 in odd
+    degree, is decided when the functional equation passes, with its
+    epsilon; even_multiplicity asks both mu to be even in odd degree."""
+    d = doc["model"]["dimension"]
+    polys, mus, signs = _polys(doc), half_weight_multiplicities(doc), reciprocity_rows(doc)
+    out = {}
+    for i in range(2 * d + 1):
+        if i not in polys:
+            na = ("not-applicable", {"reason": "no cohomology in this degree"})
+            out["epsilon_congruence", i] = out["even_multiplicity", i] = na
+            continue
+        (mu_plus, mu_minus), (status, epsilon, _) = mus[i], signs["functional_equation", i]
+        if status == "pass":
+            betti = polys[i].degree()
+            holds = (epsilon - betti - mu_minus) % 2 == 0 and (i % 2 == 0 or epsilon == 0)
+            witness = {"epsilon": epsilon, "betti": betti, "mu_minus": mu_minus}
+            out["epsilon_congruence", i] = ("pass" if holds else "fail", witness)
+        else:
+            reason = {"reason": "functional equation did not pass"}
+            out["epsilon_congruence", i] = ("not-applicable", reason)
+        if i % 2 == 0:
+            out["even_multiplicity", i] = ("not-applicable", {"reason": "even degree"})
+        else:
+            even = mu_plus % 2 == 0 and mu_minus % 2 == 0
+            witness = {"mu_plus": mu_plus, "mu_minus": mu_minus}
+            out["even_multiplicity", i] = ("pass" if even else "fail", witness)
     return out

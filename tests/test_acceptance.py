@@ -162,8 +162,9 @@ def test_criterion_2_functional_equation_suite():
                 assert fe.holds, f"{label} degree {i}"
                 if i % 2 == 1:
                     assert fe.epsilon == 0, f"{label} degree {i}"
-                    assert half_weight_multiplicity(P, q, i, 1) % 2 == 0, label
-                    assert half_weight_multiplicity(P, q, i, -1) % 2 == 0, label
+                    facts = DegreeFacts(i, q, P)
+                    assert half_weight_multiplicity(facts, 1) % 2 == 0, label
+                    assert half_weight_multiplicity(facts, -1) % 2 == 0, label
                 L = degree_matrix(model, i)
                 assert jordan_symmetry_check(invariant_factors(L), q, i), (
                     f"{label} degree {i}"

@@ -252,6 +252,22 @@ def test_polygons_zero_hodge_row(tmp_path):
     assert "hodge: none, all Hodge numbers of degree 1 are zero" in proc.stderr
 
 
+def test_polygons_serializes_each_polygon_once(tmp_path, capsys, monkeypatch):
+    """The notes and the payload share one serialization of the Newton
+    polygon and one of the Hodge polygon, which the degree's facts build."""
+    serialized = []
+    real = cli.vertices_json
+    monkeypatch.setattr(cli, "vertices_json", lambda p: serialized.append(p) or real(p))
+    path = write_descriptor(tmp_path, EXAMPLE_DESCRIPTOR)
+    assert cli.main(["polygons", path, "--prime", "2", "--degree", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert [type(p).__name__ for p in serialized] == ["NewtonPolygon", "HodgePolygon"]
+    payload = json.loads(out)
+    assert f"newton: {payload['newton']}" in err
+    assert f"hodge:  {payload['hodge']}" in err
+    assert payload["hodge"] == [[0, "0"], [2, "0"], [4, "2"]]
+
+
 def test_polygons_svg_deterministic(tmp_path):
     path = write_descriptor(tmp_path, EXAMPLE_DESCRIPTOR)
     svgs = []

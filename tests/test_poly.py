@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from endospec.errors import (
     ConsistencyError,
+    DomainError,
     DualityViolationError,
     EndospecError,
     ShapeError,
@@ -351,14 +352,16 @@ def test_divmod_by_matches_the_fraction_loop(dividend, divisor):
 
 def test_half_weight_multiplicity_conventions():
     # odd weight, non-square q: the conjugate pair is counted through t**2 - q**i
-    P = Poly.from_desc([1, 0, -6]) ** 2
-    assert half_weight_multiplicity(P, 6, 1, 1) == 2
-    assert half_weight_multiplicity(P, 6, 1, -1) == 2
+    facts = DegreeFacts(1, 6, Poly.from_desc([1, 0, -6]) ** 2)
+    assert half_weight_multiplicity(facts, 1) == 2
+    assert half_weight_multiplicity(facts, -1) == 2
     # square q: the linear factors separate
-    Q = Poly.from_roots([6, 6, -6])
-    assert half_weight_multiplicity(Q, 36, 1, 1) == 2
-    assert half_weight_multiplicity(Q, 36, 1, -1) == 1
-    assert half_weight_multiplicity(EXAMPLE_P1, 6, 1, 1) == 0
+    facts = DegreeFacts(1, 36, Poly.from_roots([6, 6, -6]))
+    assert half_weight_multiplicity(facts, 1) == 2
+    assert half_weight_multiplicity(facts, -1) == 1
+    assert half_weight_multiplicity(DegreeFacts(1, 6, EXAMPLE_P1), 1) == 0
+    with pytest.raises(DomainError):
+        half_weight_multiplicity(facts, 0)
 
 
 def test_poly_serialization_round_trip():

@@ -1,7 +1,9 @@
 """The emitted verify document re-decided by tests/recheck.py: sympy and
 plain integers, from the document's degree rows alone, must reach every
 functional_equation, cross_duality and weil_weight verdict the report
-states, with its epsilon and failure index. The weight check needs no
+states, with its epsilon and failure index, and every parity row: each
+degree's mu_plus and mu_minus, and the epsilon_congruence and
+even_multiplicity rows with their witnesses. The weight check needs no
 precision: both deciders are exact, by different methods. Models of all
 four kinds are drawn, d <= 3 and q small, most of them failing some row.
 
@@ -14,7 +16,7 @@ from math import isqrt
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from helpers import block_diag
-from recheck import reciprocity_rows, weil_weight_rows
+from recheck import half_weight_multiplicities, parity_rows, reciprocity_rows, weil_weight_rows
 from test_theorems import (
     _conjugated,
     _rotations,
@@ -183,3 +185,33 @@ def test_sympy_redecides_every_reciprocity_row(model):
         if c["check"] in ("functional_equation", "cross_duality")
     }
     assert stated == reciprocity_rows(doc)
+
+
+# d = 1, q = 4: P_1 = t**2 - 4 = (t - 2)(t + 2) passes its functional
+# equation with epsilon 1, so the odd degree fails epsilon_congruence, and
+# its mu_plus = mu_minus = 1 fail even_multiplicity.
+_ODD_EPSILON = generic_model(
+    1, 4, charpolys={0: Poly([-1, 1]), 1: Poly([-4, 0, 1]), 2: Poly([-4, 1])}
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_MODELS)
+@example(abelian_en(ExactMatrix([[1, -5], [1, 1]]), 6))
+@example(grassmannian(2, 4, 9, "involution"))
+@example(_ODD_DEGREE)
+@example(_ODD_EPSILON)
+@example(_NOT_DUAL)
+def test_sympy_redecides_every_parity_row(model):
+    """Every degree row's mu_plus and mu_minus, and every
+    epsilon_congruence and even_multiplicity row with its witness, is the
+    one sympy reaches from the JSON document's charpoly strings, q and d."""
+    doc = _document(model)
+    mus = {row["degree"]: (row["mu_plus"], row["mu_minus"]) for row in doc["degrees"] if "charpoly" in row}
+    assert mus == half_weight_multiplicities(doc)
+    stated = {
+        (c["check"], c["degree"]): (c["status"], c.get("witness", {}))
+        for c in doc["checks"]
+        if c["check"] in ("epsilon_congruence", "even_multiplicity")
+    }
+    assert stated == parity_rows(doc)

@@ -43,7 +43,6 @@ from endospec.varieties import (
     abelian_from_h1,
     generic_model,
     grassmannian,
-    has_hodge_data,
 )
 from endospec.verify import full_report
 from test_acceptance import family_models
@@ -63,7 +62,7 @@ def test_abelian_from_h1_scalar():
     assert m.charpoly(2) == Poly.from_desc([1, -4])
     assert m.hodge == ((1,), (1, 1), (0, 1, 0))
     assert m.euler_characteristic == 0
-    assert has_hodge_data(m, 1)
+    assert model_facts(m)[1].hodge == (1, 1)
 
 
 def test_abelian_from_h1_rotation():
@@ -245,31 +244,73 @@ def test_abelian_en_takes_the_smith_form_of_the_isogeny():
         assert [f for f in invariant_factors(A) for _ in (0, 1)] == invariant_factors(M)
         direct = abelian_from_h1(A.nrows, M, en.q)
         for act, want in zip(en.actions, direct.actions):
-            assert (act.charpoly, act.jordan_data) == (want.charpoly, want.jordan_data)
+            assert act.charpoly == want.charpoly
+            assert act.make_jordan_data() == want.make_jordan_data()
+
+
+def _one_action_model(make_jordan_data, hodge=(1, 1)):
+    """d = 1, q = 4, P_1 = (t - 2)**2 with the given Jordan data builder
+    and degree-1 Hodge numbers."""
+    P = Poly([-2, 1]) ** 2
+    actions = (
+        CohomologyAction(0, Poly([-1, 1]), None),
+        CohomologyAction(1, P, make_jordan_data),
+        CohomologyAction(2, Poly([-4, 1]), None),
+    )
+    return VarietyModel("generic", 1, 4, actions, ((1,), hodge, (0, 1, 0))), P
 
 
 def test_action_jordan_data_is_built_once():
-    """A build that raises stores nothing and raises again on the next
-    read; one that succeeds runs once."""
+    """The degree facts own the action's Jordan data: a build that raises
+    stores nothing and raises again on the next read; one that succeeds
+    runs once, however often the facts read it."""
     calls = []
 
     def refuse():
         calls.append("refused")
         raise ConsistencyError("no Jordan data")
 
-    P = Poly([-2, 1])
-    act = CohomologyAction(1, P, refuse)
+    model, P = _one_action_model(refuse)
+    f = model_facts(model)[1]
+    assert f.make_jordan_data is refuse
     for _ in range(2):
         with pytest.raises(ConsistencyError):
-            act.jordan_data
+            f.jordan_data
     assert calls == ["refused"] * 2
-    assert "jordan_data" not in vars(act)
+    assert "jordan_data" not in vars(f)
 
     calls.clear()
-    act = CohomologyAction(1, P, lambda: calls.append([P]) or [P])
+    model, P = _one_action_model(lambda: calls.append([P]) or [P])
+    f = model_facts(model)[1]
     for _ in range(2):
-        assert act.jordan_data == [P]
+        assert f.jordan_data == [P]
+        assert f.jordan is True
     assert calls == [[P]]
+    assert not hasattr(model.actions[1], "jordan_data")
+
+
+def test_facts_build_each_hodge_polygon_once(monkeypatch):
+    """model_facts carries a degree's Hodge numbers only when all are
+    known, and its facts build the Hodge polygon once; an all-zero row
+    raises on every read and stores nothing."""
+    built = []
+    real = polygons.hodge_polygon
+    monkeypatch.setattr(polygons, "hodge_polygon", lambda i, h: built.append(i) or real(i, h))
+    model, _ = _one_action_model(None)
+    f = model_facts(model)[1]
+    assert f.hodge_polygon is f.hodge_polygon
+    assert f.hodge_polygon.points == ((0, 0), (1, 0), (2, 1))
+    assert built == [1]
+
+    built.clear()
+    f = model_facts(_one_action_model(None, (0, 0))[0])[1]
+    for _ in range(2):
+        with pytest.raises(ValidityError, match="all Hodge numbers are zero"):
+            f.hodge_polygon
+    assert built == [1, 1]
+    assert "hodge_polygon" not in vars(f)
+    assert model_facts(_one_action_model(None, (1, None))[0])[1].hodge is None
+    assert model_facts(_one_action_model(None, (1, None))[0])[1].hodge_polygon is None
 
 
 def test_betti_numbers_are_read_off_the_polynomials():
@@ -457,7 +498,7 @@ def test_generic_model_from_polynomials():
     assert m.kind == "generic"
     assert m.betti_numbers == [1, 2, 1]
     assert m.metadata["warnings"] == []
-    assert has_hodge_data(m, 1)
+    assert model_facts(m)[1].hodge == (1, 1)
 
 
 def test_generic_model_from_matrices():
@@ -469,7 +510,7 @@ def test_generic_model_from_matrices():
     )
     assert m.charpoly(1) == Poly.from_desc([1, -4, 4])
     assert m.metadata["matrices"] == {1: ExactMatrix([[2, 0], [0, 2]])}
-    assert not has_hodge_data(m, 1)
+    assert model_facts(m)[1].hodge is None
 
 
 def test_generic_model_strict_policy():
@@ -621,7 +662,7 @@ def test_matrix_free_degrees_match_matrix_path():
             assert model.charpoly(k) == eager.charpoly(k)
             # The eager Jordan data are the invariant factors of the
             # exterior power: this is the Smith-form verdict on it.
-            expected = jordan_symmetry_check(eager.actions[k].jordan_data, model.q, k)
+            expected = jordan_symmetry_check(eager.actions[k].make_jordan_data(), model.q, k)
             assert jordan[k] == ("pass" if expected else "fail")
             verdicts.add(jordan[k])
         report = full_report(model, [2, 3, 5]).to_json()

@@ -17,7 +17,7 @@ from endospec.exactnum import perfect_sqrt
 from endospec.matrixops import ExactMatrix
 from endospec.poly import DegreeFacts, Poly, model_facts
 from endospec.polygons import HodgePolygon
-from endospec import poly, verify, zeta
+from endospec import poly, polygons, verify, zeta
 from endospec.varieties import abelian_en, abelian_from_h1, generic_model, grassmannian
 from endospec.verify import (
     ADVISORY_CHECKS,
@@ -377,10 +377,11 @@ def test_non_semisimple_action_takes_smith_form_path(model, failing):
 
 
 def test_hodge_polygon_built_once_per_degree(monkeypatch):
-    # 2 and 3 both divide q = 6, so newton_over_hodge runs twice per degree
+    # 2 and 3 both divide q = 6, so newton_over_hodge runs twice per degree;
+    # each degree's facts build its Hodge polygon once
     built = []
-    real = verify.hodge_polygon
-    monkeypatch.setattr(verify, "hodge_polygon", lambda i, h: built.append(i) or real(i, h))
+    real = polygons.hodge_polygon
+    monkeypatch.setattr(polygons, "hodge_polygon", lambda i, h: built.append(i) or real(i, h))
     report = full_report(abelian_en(EXAMPLE_A, 6), [2, 3, 5])
     over_hodge = [r for r in report.results if r.check_id == "newton_over_hodge"]
     assert {r.degree for r in over_hodge if r.status != "not-applicable"} == set(built)
@@ -478,7 +479,7 @@ def test_cross_duality_is_decided_once_per_degree(monkeypatch, build, reads_root
 
     count("cross_duality_check", lambda facts: facts.degree)
     count("functional_equation_check", lambda P, q, i: i)
-    count("half_weight_multiplicity", lambda P, q, i, sign: i)
+    count("half_weight_multiplicity", lambda facts, sign: facts.degree)
 
     def refuse(zf):
         raise AssertionError("the zeta check took the product identity")
@@ -594,9 +595,11 @@ def test_a_report_decides_each_reciprocity_identity_once(monkeypatch, build):
         identities[P.coeffs_asc(), Q.coeffs_asc(), s] += 1
         return real_failure(P, Q, s)
 
-    def multiplicity(P, q, i, sign):
-        divisions[P.coeffs_asc(), poly._real_circle_factor(q**i, perfect_sqrt(q**i), sign).coeffs_asc()] += 1
-        return real_multiplicity(P, q, i, sign)
+    def multiplicity(facts, sign):
+        Q = facts.q**facts.degree
+        factor = poly._real_circle_factor(Q, perfect_sqrt(Q), sign)
+        divisions[facts.charpoly.coeffs_asc(), factor.coeffs_asc()] += 1
+        return real_multiplicity(facts, sign)
 
     monkeypatch.setattr(poly, "_reciprocity_failure", failure)
     monkeypatch.setattr(poly, "half_weight_multiplicity", multiplicity)
@@ -608,8 +611,21 @@ def test_a_report_decides_each_reciprocity_identity_once(monkeypatch, build):
     pieces = [
         (D.coeffs_asc(), D.coeffs_asc(), model.q**i)
         for i, act in enumerate(model.actions)
-        if act.betti and list(act.jordan_data) != [act.charpoly]
-        for D in act.jordan_data
+        if act.betti and list(act.make_jordan_data()) != [act.charpoly]
+        for D in act.make_jordan_data()
     ]
     assert bool(pieces) == (build is _non_cyclic_generic)
     assert all(identities[key] == 1 for key in pieces)
+
+
+@pytest.mark.parametrize("build", REPORT_MODELS, ids=REPORT_MODEL_IDS)
+def test_a_report_finds_each_circle_once(monkeypatch, build):
+    """Each degree's facts find q**i's integer square root once, and mu+-
+    read it there: one perfect_sqrt per degree with cohomology."""
+    model = build()
+    roots = Counter()
+    real = poly.perfect_sqrt
+    monkeypatch.setattr(poly, "perfect_sqrt", lambda n: roots.update([n]) or real(n))
+    full_report(model, [2, 3])
+    degrees = [i for i, b in enumerate(model.betti_numbers) if b]
+    assert roots == Counter(model.q**i for i in degrees)
